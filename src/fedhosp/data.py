@@ -16,6 +16,7 @@ Every function here is deterministic in its seed; none keeps global state.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,7 +190,7 @@ def load_episodes(measurements_path, labels_path) -> list[Episode]:
                     measurements_path, line_no,
                     f"hour {hour!r} outside [0, {HORIZON_HOURS:g}]",
                 )
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise _parse_error(measurements_path, line_no, f"non-finite value {value!r}")
             series[eid].setdefault(var, []).append((hour, value))
 

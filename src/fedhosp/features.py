@@ -15,11 +15,35 @@ Window layout (q in {0.1, 0.25, 0.5}):
 so e.g. a point at exactly hour 24 belongs to last-50% but not first-50%.
 Windows are measured on the fixed horizon, not the observed span, which
 keeps features comparable across episodes with different coverage.
+
+``extract`` computes all windows of all episodes at once, with no Python
+call per window:
+
+1. One pass over the episodes flattens every (hour, value) pair into two
+   arrays, in episode, then variable, then time order. Each point's series
+   key is ``episode * V + variable``.
+2. Each window is one boolean mask over the hours, using the same ``<`` and
+   ``>=`` tests as ``slice_windows``. Within a window a series' points stay
+   contiguous and in time order.
+3. ``np.bincount`` of the masked keys gives each series' count. Series with
+   the same count n are gathered into one (m, n) block, and the statistics
+   are row reductions (``axis=1``) over it.
+
+The result is bit-identical to applying ``window_stats`` to the output of
+``slice_windows``, series by series. A row of a C-contiguous block reaches
+numpy's reduction loop exactly as a 1-D array of the same values does, so
+sums use the same pairwise order. ``m2 ** 1.5`` is taken with Python float
+``**`` (the C library's ``pow``), as the scalar code does; numpy's
+vectorised ``power`` can differ in the last bit. ``slice_windows`` and
+``window_stats`` stay public as the scalar oracle that the tests compare
+``extract`` against, byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +69,14 @@ STATS_PER_VARIABLE = len(WINDOW_NAMES) * len(STAT_NAMES)  # 42
 
 _QUANTS = (0.1, 0.25, 0.5)
 
+# A variance at or below _REL_VAR_FLOOR * max|v|**2 (a std of 1e-5 * max|v|)
+# is taken as constant: the mean's rounding alone moves the deviations by
+# about 1e-16 * max|v|, so a skew computed from it would be rounding noise
+# that depends on input order. Below _ABS_VAR_FLOOR, the third moment and
+# m2**1.5 leave the normal double range and can underflow to 0.
+_REL_VAR_FLOOR = 1e-10
+_ABS_VAR_FLOOR = 1e-200
+
 
 @dataclass(frozen=True)
 class Episode:
@@ -62,14 +94,14 @@ class Episode:
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         for name, points in self.series.items():
-            prev = -np.inf
+            prev = -math.inf
             for hour, value in points:
                 if not 0.0 <= hour <= HORIZON_HOURS:
                     raise ValueError(
                         f"episode {self.episode_id}: variable {name!r} has hour "
                         f"{hour!r} outside [0, {HORIZON_HOURS:g}]"
                     )
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValueError(
                         f"episode {self.episode_id}: variable {name!r} has "
                         f"non-finite value {value!r}"
@@ -105,22 +137,25 @@ def window_stats(values) -> tuple[float, float, float, float, float, float]:
     Empty input gives all zeros (count included). std is the sample standard
     deviation (divisor n-1), 0 when n < 2. Skew is the moment-based
     Fisher-Pearson g1 = m3 / m2^1.5 with population central moments, 0 when
-    n < 3 or the values are constant.
+    n < 3 or the values are constant: their population variance m2 is at or
+    below max(1e-10 * max|v|^2, 1e-200).
     """
     v = np.asarray(values, dtype=np.float64)
     n = v.size
     if n == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    vmax, vmin = float(np.max(v)), float(np.min(v))
     mean = float(np.mean(v))
     std = float(np.std(v, ddof=1)) if n >= 2 else 0.0
     skew = 0.0
     if n >= 3:
         dev = v - mean
         m2 = float(np.mean(dev**2))
-        if m2 > 0.0:
+        scale = max(abs(vmax), abs(vmin))
+        if m2 > max(_REL_VAR_FLOOR * scale * scale, _ABS_VAR_FLOOR):
             m3 = float(np.mean(dev**3))
             skew = m3 / m2**1.5
-    return (float(np.max(v)), float(np.min(v)), mean, std, skew, float(n))
+    return (vmax, vmin, mean, std, skew, float(n))
 
 
 @dataclass(frozen=True)
@@ -161,27 +196,63 @@ def feature_names(variables) -> list[str]:
     ]
 
 
+def _count_block_stats(block: np.ndarray) -> np.ndarray:
+    """``window_stats`` of each row of an (m, n) block, n >= 1, as (m, 6)."""
+    m, n = block.shape
+    out = np.zeros((m, 6))
+    vmax, vmin = block.max(axis=1), block.min(axis=1)
+    mean = np.mean(block, axis=1)
+    out[:, 0], out[:, 1], out[:, 2], out[:, 5] = vmax, vmin, mean, n
+    if n >= 2:
+        out[:, 3] = np.std(block, axis=1, ddof=1)
+    if n >= 3:
+        dev = block - mean[:, None]
+        m2 = np.mean(dev**2, axis=1)
+        scale = np.maximum(np.abs(vmax), np.abs(vmin))
+        skewed = np.flatnonzero(m2 > np.maximum(_REL_VAR_FLOOR * scale * scale, _ABS_VAR_FLOOR))
+        if skewed.size:
+            m3 = np.mean(dev[skewed] ** 3, axis=1)
+            denom = np.array([x**1.5 for x in m2[skewed].tolist()])
+            out[skewed, 4] = m3 / denom
+    return out
+
+
 def extract(episodes, variables) -> FeatureMatrix:
     """Feature matrix over the given episodes and ordered variable list.
 
     A variable missing from an episode contributes the empty-window
     statistics (all zeros), so every row has width 42*V regardless of
-    missingness.
+    missingness. See the module docstring for how the windows are computed.
     """
     variables = tuple(variables)
     if not variables:
         raise ValueError("variables list must be non-empty")
     episodes = list(episodes)
-    width = STATS_PER_VARIABLE * len(variables)
-    rows = np.zeros((len(episodes), width))
-    for i, ep in enumerate(episodes):
-        col = 0
-        for var in variables:
-            for window in slice_windows(ep.series.get(var, ())):
-                rows[i, col : col + 6] = window_stats([value for _, value in window])
-                col += 6
+    series = [ep.series.get(var, ()) for ep in episodes for var in variables]
+    n_series = len(series)
+    lengths = np.fromiter(map(len, series), dtype=np.intp, count=n_series)
+    points = np.fromiter(
+        chain.from_iterable(chain.from_iterable(series)),
+        dtype=np.float64, count=2 * int(lengths.sum()),
+    )
+    hour, value = points[0::2], points[1::2]
+    key = np.repeat(np.arange(n_series), lengths)
+
+    masks = [np.ones(hour.size, dtype=bool)]
+    masks += [hour < HORIZON_HOURS * q for q in _QUANTS]
+    masks += [hour >= HORIZON_HOURS * (1.0 - q) for q in _QUANTS]
+    # (series, window, stat) is the row layout: variable-major within a row.
+    stats = np.zeros((n_series, len(WINDOW_NAMES), len(STAT_NAMES)))
+    for w, mask in enumerate(masks):
+        w_values = value[mask]
+        counts = np.bincount(key[mask], minlength=n_series)
+        starts = np.cumsum(counts) - counts
+        for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+            ids = np.flatnonzero(counts == n)
+            block = w_values[starts[ids, None] + np.arange(n)]
+            stats[ids, w] = _count_block_stats(block)
     return FeatureMatrix(
-        rows=rows,
+        rows=stats.reshape(len(episodes), STATS_PER_VARIABLE * len(variables)),
         episode_ids=tuple(ep.episode_id for ep in episodes),
         labels=np.array([ep.label for ep in episodes], dtype=np.int64),
         variables=variables,

@@ -34,15 +34,12 @@ def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties replaced by the mean rank of their group."""
     order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    # sorted positions i..j (0-based) of one tie group share ((i+1) + (j+1)) / 2
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    last = np.append(first[1:], scores.size) - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the rank ((i+1) + (j+1)) / 2
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

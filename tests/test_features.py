@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedhosp.features import (
+    HORIZON_HOURS,
     STAT_NAMES,
+    STATS_PER_VARIABLE,
     WINDOW_NAMES,
     Episode,
     FeatureMatrix,
@@ -64,8 +68,18 @@ def test_window_stats_constant_series_has_zero_spread():
     assert window_stats([7.0, 7.0, 7.0, 7.0]) == (7.0, 7.0, 7.0, 0.0, 0.0, 4.0)
 
 
+def test_window_stats_near_constant_series_has_zero_skew():
+    # m2 of these values is far below the rounding of their mean
+    assert window_stats([1e6, 1e6, 1e6 + 1e-9, 1e6])[4] == 0.0
+    # m2**1.5 and m3 underflow to 0 here; the series counts as constant
+    assert window_stats([0.0, 0.0, 5.96e-128])[4] == 0.0
+    # well above both floors the skew is computed as before
+    assert window_stats([0.0, 0.0, 1e-90])[4] == pytest.approx(1.0 / np.sqrt(2.0))
+
+
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=0, max_size=30),
        st.randoms(use_true_random=False))
+@example([0.0, 0.0, 5.96e-128], random.Random(0))
 @settings(max_examples=150, deadline=None)
 def test_window_stats_permutation_invariant(values, rand):
     shuffled = list(values)
@@ -115,6 +129,59 @@ def test_extract_is_order_stable_and_deterministic():
     m3 = extract(episodes, ["sbp", "hr"])
     assert np.array_equal(m3.rows[:, :42], m1.rows[:, 42:])
     assert np.array_equal(m3.rows[:, 42:], m1.rows[:, :42])
+
+
+def _oracle_rows(episodes, variables):
+    """Rows built series by series from slice_windows + window_stats."""
+    rows = np.zeros((len(episodes), STATS_PER_VARIABLE * len(variables)))
+    for i, ep in enumerate(episodes):
+        stats = [
+            window_stats([value for _, value in window])
+            for var in variables
+            for window in slice_windows(ep.series.get(var, ()))
+        ]
+        rows[i] = np.ravel(stats)
+    return rows
+
+
+# every window boundary, as the literal hour and as the computed one
+_BOUNDARY_HOURS = sorted({0.0, 4.8, 12.0, 24.0, 36.0, 43.2, HORIZON_HOURS}
+                         | {HORIZON_HOURS * q for q in (0.1, 0.25, 0.5)}
+                         | {HORIZON_HOURS * (1.0 - q) for q in (0.1, 0.25, 0.5)})
+_hours = st.sampled_from(_BOUNDARY_HOURS) | st.floats(0.0, HORIZON_HOURS)
+
+
+@st.composite
+def _series(draw):
+    n = draw(st.integers(0, 30))
+    hours = sorted(draw(st.lists(_hours, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    else:  # near-constant: one level plus tiny offsets
+        base = draw(st.floats(-1e3, 1e3))
+        offsets = st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 1e-300, 5.96e-128])
+        values = [base + d for d in draw(st.lists(offsets, min_size=n, max_size=n))]
+    return list(zip(hours, values))
+
+
+_VARIABLES = ("hr", "sbp", "temp")
+
+
+@st.composite
+def _episodes(draw):
+    episodes = []
+    for i in range(draw(st.integers(0, 5))):
+        present = draw(st.lists(st.sampled_from(_VARIABLES), unique=True))
+        series = {var: draw(_series()) for var in present}
+        episodes.append(Episode(episode_id=f"e{i}", series=series, label=i % 2))
+    return episodes
+
+
+@given(_episodes(), st.sampled_from([_VARIABLES, ("temp", "hr"), ("sbp",)]))
+@settings(max_examples=200, deadline=None)
+def test_extract_matches_scalar_oracle_bit_for_bit(episodes, variables):
+    matrix = extract(episodes, variables)
+    assert matrix.rows.tobytes() == _oracle_rows(episodes, variables).tobytes()
 
 
 def test_feature_names_align_with_columns():

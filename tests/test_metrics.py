@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhosp.metrics import EvalResult, accuracy, auprc, auroc, evaluate
+from fedhosp.metrics import EvalResult, _average_ranks, accuracy, auprc, auroc, evaluate
 
 
 def _pairwise_auroc(scores, labels):
@@ -24,6 +24,37 @@ def _pairwise_auroc(scores, labels):
             elif p == n:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def _loop_average_ranks(scores):
+    """Tie groups walked one sorted position at a time: the scalar reference."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf]), max_size=40)
+       | st.lists(st.floats(allow_nan=False), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_match_loop_reference(values):
+    scores = np.array(values, dtype=np.float64)
+    assert _average_ranks(scores).tobytes() == _loop_average_ranks(scores).tobytes()
+
+
+def test_average_ranks_heavy_ties():
+    scores = np.array([0.5] * 7 + [0.1] * 3 + [0.9] * 2 + [0.5])
+    ranks = _average_ranks(scores)
+    assert list(ranks[:7]) == [7.5] * 7 and ranks[12] == 7.5  # positions 4..11
+    assert list(ranks[7:10]) == [2.0] * 3
+    assert list(ranks[10:12]) == [12.5] * 2
+    assert _average_ranks(np.full(9, 3.0)).tolist() == [5.0] * 9
 
 
 def test_auroc_documented_example():
