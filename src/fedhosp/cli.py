@@ -28,6 +28,7 @@ from .data import SyntheticConfig, generate, load_episodes, save_episodes, split
 from .experiment import (
     ExperimentConfig,
     ExperimentError,
+    federation_report,
     format_comparison,
     run_comparison,
     run_experiment,
@@ -105,10 +106,20 @@ def _variable_list(episodes, csv_arg: str | None) -> tuple[str, ...]:
 # subcommands
 
 
-_GENERATE_DEFAULTS = {
-    "episodes": None, "variables": 7, "prevalence": 0.15, "effect_size": 1.0,
-    "points_min": 4, "points_max": 12, "seed": 0, "out": None,
-}
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+# option name -> ExperimentConfig field, where the two differ
+_CONFIG_FIELD = {"variables": "n_variables", "hospitals": "n_hospitals"}
+
+
+def _defaults(*from_config: str, **own) -> dict:
+    """Option defaults: ExperimentConfig's for ``from_config``, plus ``own``."""
+    return {**{k: _CONFIG_DEFAULTS[_CONFIG_FIELD.get(k, k)] for k in from_config}, **own}
+
+
+_GENERATE_DEFAULTS = _defaults(
+    "variables", "prevalence", "effect_size", "points_min", "points_max", "seed",
+    episodes=None, out=None,
+)
 
 
 def cmd_generate(args) -> int:
@@ -147,8 +158,7 @@ def cmd_extract(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    opts = _merged_options(args, defaults)
+    opts = _merged_options(args, _CONFIG_DEFAULTS)
     return ExperimentConfig(**opts)
 
 
@@ -172,11 +182,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_SERVE_DEFAULTS = {
-    "listen": None, "model": "lr", "variables": 7, "hidden_dim": 50,
-    "hospitals": 2, "rounds": 100, "cohort_fraction": 1.0,
-    "gate_enabled": True, "gate_metric": "accuracy", "seed": 0, "out": "",
-}
+_SERVE_DEFAULTS = _defaults(
+    "model", "variables", "hidden_dim", "hospitals", "rounds", "cohort_fraction",
+    "gate_enabled", "gate_metric", "seed", listen=None, out="",
+)
 
 
 def cmd_serve(args) -> int:
@@ -204,29 +213,17 @@ def cmd_serve(args) -> int:
           f"{state.best_accuracy:.4f} "
           f"({sum(r.committed for r in state.history)} committed)")
     if opts["out"]:
-        report = {
-            "schema_version": 1,
-            "config": {k: opts[k] for k in sorted(opts)},
-            "best_accuracy": state.best_accuracy,
-            "rounds_committed": sum(r.committed for r in state.history),
-            "rounds": [
-                {"round": r.round, "candidate_accuracy": r.candidate_accuracy,
-                 "committed": r.committed, "weights": list(r.weights),
-                 "cohort": list(r.cohort)}
-                for r in state.history
-            ],
-        }
+        report = {"schema_version": 1, "config": {k: opts[k] for k in sorted(opts)},
+                  **federation_report(state)}
         write_report(report, Path(opts["out"]) / "report.json")
         print(f"report written to {Path(opts['out']) / 'report.json'}")
     return 0
 
 
-_WORKER_DEFAULTS = {
-    "connect": None, "id": None, "shard": None, "model": "lr",
-    "variables": "", "hidden_dim": 50, "test_fraction": 0.2,
-    "local_epochs": 1, "batch_size": 8, "learning_rate": 1e-3,
-    "gate_metric": "accuracy", "seed": 0,
-}
+_WORKER_DEFAULTS = _defaults(
+    "model", "hidden_dim", "test_fraction", "local_epochs", "batch_size", "learning_rate",
+    "gate_metric", "seed", connect=None, id=None, shard=None, variables="",
+)
 
 
 def cmd_worker(args) -> int:

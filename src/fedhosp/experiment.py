@@ -25,12 +25,12 @@ from .data import (
     variable_names,
 )
 from .features import STATS_PER_VARIABLE, extract, fit_scaler, transform
-from .federation import FedConfig, HospitalDataset, run_federation
+from .federation import FedConfig, FederationState, HospitalDataset, run_federation
 from .metrics import evaluate
 from .models import ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = ["ExperimentConfig", "ExperimentError", "run_experiment",
-           "run_comparison", "format_comparison", "write_report"]
+           "run_comparison", "format_comparison", "federation_report", "write_report"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -202,11 +202,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             state, evals = run_federation(hospitals, arch, fed_cfg, train_cfg)
             result = evals[-1]
             report["federation"] = {
-                "best_accuracy": state.best_accuracy,
-                "rounds_committed": sum(r.committed for r in state.history),
+                **federation_report(state),
                 "hospital_train_sizes": [h.n_train for h in hospitals],
                 "hospital_test_sizes": [h.n_test for h in hospitals],
-                "rounds": [_jsonable(asdict(r)) for r in state.history],
                 "eval_history": [_jsonable(asdict(e)) for e in evals],
             }
     except ExperimentError:
@@ -219,6 +217,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.out_dir is not None:
         write_report(report, Path(cfg.out_dir) / "report.json")
     return report
+
+
+def federation_report(state: FederationState) -> dict:
+    """The gate's outcome: best metric, rounds committed and every round's record."""
+    return {
+        "best_accuracy": state.best_accuracy,
+        "rounds_committed": sum(r.committed for r in state.history),
+        "rounds": [_jsonable(asdict(r)) for r in state.history],
+    }
 
 
 def write_report(report: dict, path) -> None:

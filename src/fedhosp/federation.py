@@ -197,8 +197,15 @@ def weighted_accuracy(values, n_tests) -> float:
     return float((values * n_tests).sum() / n_tests.sum())
 
 
-def _advance(state: FederationState, candidate: np.ndarray, a_new: float,
-             committed: bool, weights=(), cohort=()) -> FederationState:
+def gate_and_commit(state: FederationState, candidate: np.ndarray, a_new: float,
+                    weights=(), cohort=(), gate: bool = True) -> FederationState:
+    """Keep the candidate iff it is at least as good as the best so far.
+
+    A strictly worse candidate is discarded: parameters and best value both
+    stay as they were. With ``gate=False`` every candidate is kept. Either
+    way the round counts and is recorded.
+    """
+    committed = not gate or a_new >= state.best_accuracy
     record = RoundRecord(
         round=state.round,
         candidate_accuracy=float(a_new),
@@ -212,17 +219,6 @@ def _advance(state: FederationState, candidate: np.ndarray, a_new: float,
         best_accuracy=float(a_new) if committed else state.best_accuracy,
         history=state.history + (record,),
     )
-
-
-def gate_and_commit(state: FederationState, candidate: np.ndarray, a_new: float,
-                    weights=(), cohort=()) -> FederationState:
-    """Keep the candidate iff it is at least as good as the best so far.
-
-    A strictly worse candidate is discarded: parameters and best value both
-    stay as they were. Either way the round counts and is recorded.
-    """
-    return _advance(state, candidate, a_new, a_new >= state.best_accuracy,
-                    weights, cohort)
 
 
 def select_cohort(n_hospitals: int, cohort_fraction: float, round_seed) -> tuple[int, ...]:
@@ -348,10 +344,8 @@ def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
             n_tests.append(msg.n_test)
         a_new = weighted_accuracy(values, n_tests)
 
-        if fed_cfg.gate_enabled:
-            state = gate_and_commit(state, candidate, a_new, weights, cohort)
-        else:
-            state = _advance(state, candidate, a_new, True, weights, cohort)
+        state = gate_and_commit(state, candidate, a_new, weights, cohort,
+                                gate=fed_cfg.gate_enabled)
         if evaluate_global is not None:
             eval_history.append(evaluate_global(state.global_params))
     for k in ids:

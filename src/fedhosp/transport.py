@@ -1,8 +1,13 @@
 """Server-hospital message vocabulary and two interchangeable transports.
 
+``_SCHEMA`` below is the single definition of the vocabulary: one row per
+message gives its type tag, name, docstring and fields in wire order. The
+message classes, their validation, ``encode`` and ``decode`` are all built
+from those rows.
+
 Wire format: every frame is a 4-byte little-endian payload length followed
 by the payload; the payload is a 1-byte type tag and the message fields in
-declaration order. Integers are little-endian (u32/u64), floats IEEE-754
+schema order. Integers are little-endian (u32/u64), floats IEEE-754
 little-endian 64-bit, parameter vectors a u32 element count followed by the
 elements. Example frames::
 
@@ -27,7 +32,8 @@ import queue
 import socket
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import make_dataclass
+from typing import Union
 
 import numpy as np
 
@@ -53,10 +59,26 @@ __all__ = [
 ]
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
+
+# (tag, name, docstring, ((field, wire type), ...) in wire order)
+_SCHEMA = (
+    (0x01, "Register", "Worker announces itself: identity plus local train/test sizes.",
+     (("hospital_id", "u32"), ("n_train", "u64"), ("n_test", "u64"))),
+    (0x02, "BroadcastModel", "Server pushes the current global parameters for local training.",
+     (("round", "u32"), ("params", "params"))),
+    (0x03, "LocalUpdate", "Worker returns locally trained parameters and its train-set size.",
+     (("hospital_id", "u32"), ("round", "u32"), ("n_samples", "u64"), ("params", "params"))),
+    (0x04, "EvalRequest", "Server asks a worker to score candidate parameters on local test data.",
+     (("round", "u32"), ("params", "params"))),
+    (0x05, "EvalResult", "Worker's local metric value plus its test-set size.",
+     (("hospital_id", "u32"), ("round", "u32"), ("value", "f64"), ("n_test", "u64"))),
+    (0x06, "Shutdown", "Server ends the session.", ()),
+)
+
+# Wire type -> struct of its fixed part; "params" is a u32 count, then that many f64s.
+_WIRE = {"u32": _U32, "u64": struct.Struct("<Q"), "f64": struct.Struct("<d"), "params": _U32}
+_INT_MAX = {"u32": 2**32 - 1, "u64": 2**64 - 1}
+_ANNOTATION = {"u32": int, "u64": int, "f64": float, "params": np.ndarray}
 
 
 class TransportError(Exception):
@@ -75,210 +97,72 @@ class TransportClosedError(TransportError):
     """The peer (or this side) closed the connection."""
 
 
-def _check_u32(name: str, value: int) -> None:
-    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _U32_MAX:
-        raise ValueError(f"{name} must be a u32, got {value!r}")
+class _Message:
+    """Validation and equality shared by the classes built from ``_SCHEMA``.
 
-
-def _check_u64(name: str, value: int) -> None:
-    if not isinstance(value, (int, np.integer)) or not 0 <= value <= _U64_MAX:
-        raise ValueError(f"{name} must be a u64, got {value!r}")
-
-
-def _check_params(params) -> np.ndarray:
-    p = np.asarray(params, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"params must be a flat vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("params contain non-finite values")
-    return p
-
-
-@dataclass(frozen=True)
-class Register:
-    """Worker announces itself: identity plus local train/test sizes."""
-
-    hospital_id: int
-    n_train: int
-    n_test: int
+    Each subclass carries its row as ``TAG`` and ``FIELDS``.
+    """
 
     def __post_init__(self) -> None:
-        _check_u32("hospital_id", self.hospital_id)
-        _check_u64("n_train", self.n_train)
-        _check_u64("n_test", self.n_test)
-
-
-@dataclass(frozen=True, eq=False)
-class BroadcastModel:
-    """Server pushes the current global parameters for local training."""
-
-    round: int
-    params: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_u32("round", self.round)
-        object.__setattr__(self, "params", _check_params(self.params))
+        for name, wire in self.FIELDS:
+            value = getattr(self, name)
+            if wire == "params":
+                value = np.asarray(value, dtype=np.float64)
+                if value.ndim != 1:
+                    raise ValueError(f"{name} must be a flat vector, got shape {value.shape}")
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"{name} contain non-finite values")
+                object.__setattr__(self, name, value)
+            elif wire == "f64":
+                if not np.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+            elif not isinstance(value, (int, np.integer)) or not 0 <= value <= _INT_MAX[wire]:
+                raise ValueError(f"{name} must be a {wire}, got {value!r}")
 
     def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.round == other.round
-            and np.array_equal(self.params, other.params)
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in self.FIELDS
         )
 
-
-@dataclass(frozen=True, eq=False)
-class LocalUpdate:
-    """Worker returns locally trained parameters and its train-set size."""
-
-    hospital_id: int
-    round: int
-    n_samples: int
-    params: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_u32("hospital_id", self.hospital_id)
-        _check_u32("round", self.round)
-        _check_u64("n_samples", self.n_samples)
-        object.__setattr__(self, "params", _check_params(self.params))
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and (self.hospital_id, self.round, self.n_samples)
-            == (other.hospital_id, other.round, other.n_samples)
-            and np.array_equal(self.params, other.params)
-        )
+    def __hash__(self) -> int:
+        return hash((self.TAG, *(getattr(self, n) for n, w in self.FIELDS if w != "params")))
 
 
-@dataclass(frozen=True, eq=False)
-class EvalRequest:
-    """Server asks a worker to score candidate parameters on local test data."""
-
-    round: int
-    params: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_u32("round", self.round)
-        object.__setattr__(self, "params", _check_params(self.params))
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.round == other.round
-            and np.array_equal(self.params, other.params)
-        )
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Worker's local metric value plus its test-set size."""
-
-    hospital_id: int
-    round: int
-    value: float
-    n_test: int
-
-    def __post_init__(self) -> None:
-        _check_u32("hospital_id", self.hospital_id)
-        _check_u32("round", self.round)
-        _check_u64("n_test", self.n_test)
-        if not np.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Shutdown:
-    """Server ends the session."""
-
-
-Message = Register | BroadcastModel | LocalUpdate | EvalRequest | EvalResult | Shutdown
-
-MESSAGE_TYPES: tuple[type, ...] = (
-    Register, BroadcastModel, LocalUpdate, EvalRequest, EvalResult, Shutdown,
+MESSAGE_TYPES: tuple[type, ...] = tuple(
+    make_dataclass(
+        name, [(field, _ANNOTATION[wire]) for field, wire in fields],
+        bases=(_Message,), frozen=True, eq=False,
+        namespace={"__doc__": doc, "__module__": __name__, "TAG": tag, "FIELDS": fields},
+    )
+    for tag, name, doc, fields in _SCHEMA
 )
+Register, BroadcastModel, LocalUpdate, EvalRequest, EvalResult, Shutdown = MESSAGE_TYPES
+Message = Union[MESSAGE_TYPES]
 
-_TAGS = {
-    Register: 0x01,
-    BroadcastModel: 0x02,
-    LocalUpdate: 0x03,
-    EvalRequest: 0x04,
-    EvalResult: 0x05,
-    Shutdown: 0x06,
-}
-
-
-def _pack_params(params: np.ndarray) -> bytes:
-    return _U32.pack(params.size) + params.astype("<f8").tobytes()
+_BY_TAG = {cls.TAG: cls for cls in MESSAGE_TYPES}
 
 
 def encode(msg: Message) -> bytes:
     """Serialize one message into a complete frame (length prefix included)."""
-    if type(msg) not in _TAGS:
-        raise ProtocolError(f"not a protocol message: {type(msg).__name__}")
-    parts = [bytes([_TAGS[type(msg)]])]
-    if isinstance(msg, Register):
-        parts += [_U32.pack(msg.hospital_id), _U64.pack(msg.n_train), _U64.pack(msg.n_test)]
-    elif isinstance(msg, BroadcastModel):
-        parts += [_U32.pack(msg.round), _pack_params(msg.params)]
-    elif isinstance(msg, LocalUpdate):
-        parts += [_U32.pack(msg.hospital_id), _U32.pack(msg.round),
-                  _U64.pack(msg.n_samples), _pack_params(msg.params)]
-    elif isinstance(msg, EvalRequest):
-        parts += [_U32.pack(msg.round), _pack_params(msg.params)]
-    elif isinstance(msg, EvalResult):
-        parts += [_U32.pack(msg.hospital_id), _U32.pack(msg.round),
-                  _F64.pack(msg.value), _U64.pack(msg.n_test)]
+    cls = type(msg)
+    if cls not in MESSAGE_TYPES:
+        raise ProtocolError(f"not a protocol message: {cls.__name__}")
+    parts = [bytes([cls.TAG])]
+    for name, wire in cls.FIELDS:
+        value = getattr(msg, name)
+        if wire == "params":
+            parts += [_U32.pack(value.size), value.astype("<f8").tobytes()]
+        else:
+            parts.append(_WIRE[wire].pack(value))
     payload = b"".join(parts)
     return _U32.pack(len(payload)) + payload
-
-
-class _PayloadReader:
-    """Sequential field extraction with protocol errors on short payloads."""
-
-    def __init__(self, payload: bytes):
-        self._buf = payload
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._buf):
-            raise ProtocolError(
-                f"payload too short: wanted {n} more bytes at offset {self._pos}, "
-                f"have {len(self._buf) - self._pos}"
-            )
-        chunk = self._buf[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self._take(8))[0]
-
-    def params(self) -> np.ndarray:
-        count = self.u32()
-        raw = self._take(8 * count)
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ProtocolError("frame carries non-finite parameter values")
-        return values
-
-    def done(self) -> None:
-        if self._pos != len(self._buf):
-            raise ProtocolError(
-                f"payload has {len(self._buf) - self._pos} unexpected trailing bytes"
-            )
 
 
 def decode(data: bytes) -> Message:
     """Parse one complete frame back into a message (inverse of encode)."""
     if len(data) < 4:
         raise FramingError(f"frame shorter than its length prefix: {len(data)} bytes")
-    declared = _U32.unpack(data[:4])[0]
+    declared = _U32.unpack_from(data)[0]
     if len(data) < 4 + declared:
         raise FramingError(
             f"frame declares {declared} payload bytes, only {len(data) - 4} available"
@@ -287,27 +171,28 @@ def decode(data: bytes) -> Message:
         raise FramingError(f"frame has {len(data) - 4 - declared} trailing bytes")
     if declared == 0:
         raise ProtocolError("empty payload (missing type tag)")
-    reader = _PayloadReader(data[5:])
-    tag = data[4]
+    cls = _BY_TAG.get(data[4])
+    if cls is None:
+        raise ProtocolError(f"unknown message type tag 0x{data[4]:02X}")
+    values, pos = [], 5
     try:
-        if tag == 0x01:
-            msg: Message = Register(reader.u32(), reader.u64(), reader.u64())
-        elif tag == 0x02:
-            msg = BroadcastModel(reader.u32(), reader.params())
-        elif tag == 0x03:
-            msg = LocalUpdate(reader.u32(), reader.u32(), reader.u64(), reader.params())
-        elif tag == 0x04:
-            msg = EvalRequest(reader.u32(), reader.params())
-        elif tag == 0x05:
-            msg = EvalResult(reader.u32(), reader.u32(), reader.f64(), reader.u64())
-        elif tag == 0x06:
-            msg = Shutdown()
-        else:
-            raise ProtocolError(f"unknown message type tag 0x{tag:02X}")
-    except ValueError as exc:  # field validation inside the dataclasses
+        for _, wire in cls.FIELDS:
+            value = _WIRE[wire].unpack_from(data, pos)[0]
+            pos += _WIRE[wire].size
+            if wire == "params":
+                value = np.frombuffer(data, "<f8", value, pos).astype(np.float64)
+                pos += 8 * value.size
+            values.append(value)
+    except (struct.error, ValueError):  # a field runs past the end of the payload
+        raise ProtocolError(
+            f"payload too short for {cls.__name__}: {declared - 1} bytes after the tag"
+        ) from None
+    if pos != len(data):
+        raise ProtocolError(f"payload has {len(data) - pos} unexpected trailing bytes")
+    try:
+        return cls(*values)
+    except ValueError as exc:  # field validation in _Message.__post_init__
         raise ProtocolError(str(exc)) from None
-    reader.done()
-    return msg
 
 
 # --------------------------------------------------------------------------
@@ -407,6 +292,11 @@ class InProcessTransport:
             return sum(e.bytes_sent for e in self.endpoints)
 
 
+# Largest single recv: a frame's buffer grows only with bytes that arrive,
+# never up front to whatever length prefix the peer declared.
+_RECV_CHUNK = 64 * 1024
+
+
 class TcpConnection:
     """Socket wrapper speaking length-prefixed frames."""
 
@@ -422,7 +312,7 @@ class TcpConnection:
         remaining = n
         while remaining:
             try:
-                chunk = self._sock.recv(remaining)
+                chunk = self._sock.recv(min(remaining, _RECV_CHUNK))
             except OSError as exc:
                 raise TransportClosedError(f"connection lost: {exc}") from None
             if not chunk:

@@ -214,6 +214,8 @@ def test_serve_and_workers_over_tcp(tmp_path, shards):
                 proc.kill()
     report = json.loads((out / "report.json").read_text())
     assert len(report["rounds"]) == 2
+    for entry in report["rounds"]:
+        assert set(entry) == {"round", "candidate_accuracy", "committed", "weights", "cohort"}
     assert "listening on 127.0.0.1" in server_out
 
 

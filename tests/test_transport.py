@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_codec_handles_large_parameter_vector():
     params = np.random.default_rng(0).normal(size=100_000)
     decoded = tp.decode(tp.encode(tp.BroadcastModel(round=1, params=params)))
     assert np.array_equal(decoded.params, params)
+
+
+def _framed(tag: int, body: bytes) -> bytes:
+    return struct.pack("<IB", 1 + len(body), tag) + body
+
+
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.builds(_framed, st.integers(1, 6), st.binary(max_size=64)),
+))
+@settings(max_examples=500, deadline=None)
+def test_decode_fuzz_rejects_or_round_trips_exactly(frame):
+    """Any byte string is either a typed error or the canonical frame of a message."""
+    try:
+        msg = tp.decode(frame)
+    except tp.TransportError:
+        return
+    assert tp.encode(msg) == frame
 
 
 def test_decode_unknown_tag():
@@ -233,6 +252,28 @@ def test_tcp_mid_frame_close_is_a_framing_error():
     with pytest.raises(tp.FramingError, match="mid-frame"):
         accepted[0].recv()
     accepted[0].close()
+
+
+def test_tcp_huge_length_prefix_allocates_only_what_arrives():
+    listener = tp.server_listen("127.0.0.1", 0)
+    host, port = listener.address
+    accepted = []
+    thread = threading.Thread(target=lambda: accepted.append(listener.accept()))
+    thread.start()
+    raw = socket.create_connection((host, port))
+    thread.join(timeout=5)
+    listener.close()
+    raw.sendall(struct.pack("<I", 0xFFFFFFFF) + b"\x02\x00")  # declares 4 GiB, sends 2
+    raw.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(tp.FramingError, match="mid-frame"):
+            accepted[0].recv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        accepted[0].close()
+    assert peak < 4 * 2**20
 
 
 def test_connect_refused_is_transport_error():
