@@ -25,7 +25,13 @@ from .data import (
     variable_names,
 )
 from .features import STATS_PER_VARIABLE, extract, fit_scaler, transform
-from .federation import FedConfig, FederationState, HospitalDataset, run_federation
+from .federation import (
+    FedConfig,
+    FederationConfigError,
+    FederationState,
+    HospitalDataset,
+    run_federation,
+)
 from .metrics import evaluate
 from .models import ModelArch, TrainConfig, forward, init_params, train
 
@@ -207,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 "hospital_test_sizes": [h.n_test for h in hospitals],
                 "eval_history": [_jsonable(asdict(e)) for e in evals],
             }
-    except ExperimentError:
+    except (ExperimentError, FederationConfigError):
         raise
     except Exception as exc:
         raise ExperimentError(f"training stage: {exc}") from exc

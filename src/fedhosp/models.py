@@ -161,7 +161,7 @@ def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y) -> np.ndarra
     if arch.kind == "lr":
         p = _sigmoid(x @ params[: arch.input_dim] + params[arch.input_dim])
         delta = (p - y) / n
-        grad[: arch.input_dim] = x.T @ delta
+        np.matmul(x.T, delta, out=grad[: arch.input_dim])
         grad[arch.input_dim] = delta.sum()
     else:
         d, h = arch.input_dim, arch.hidden_dim
@@ -172,9 +172,9 @@ def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y) -> np.ndarra
         delta = (p - y) / n
         d_hidden = np.outer(delta, w2)
         d_z1 = np.where(z1 > 0.0, d_hidden, 0.0)
-        grad[: d * h] = (x.T @ d_z1).reshape(-1)
+        np.matmul(x.T, d_z1, out=grad[: d * h].reshape(d, h))
         grad[d * h : d * h + h] = d_z1.sum(axis=0)
-        grad[d * h + h : d * h + 2 * h] = hidden.T @ delta
+        np.matmul(hidden.T, delta, out=grad[d * h + h : d * h + 2 * h])
         grad[-1] = delta.sum()
     return grad
 
@@ -208,17 +208,35 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray,
               state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns (new params, new state)."""
+    """One bias-corrected Adam update; returns (new params, new state).
+
+    Pure: ``params``, ``grads`` and ``state`` are left untouched. The call
+    allocates the three arrays it returns (new params, new ``m``, new ``v``)
+    and one scratch array; every other step runs in place, in the float
+    operation order of the textbook formula
+    ``params - lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit for
+    bit those of the expression written out with temporaries.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and Adam moments must have identical length")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    scratch = np.multiply(grads, 1.0 - b1)
+    m = np.multiply(state.m, b1)
+    m += scratch                                  # b1*m + (1-b1)*g
+    np.multiply(grads, 1.0 - b2, out=scratch)
+    scratch *= grads
+    v = np.multiply(state.v, b2)
+    v += scratch                                  # b2*v + ((1-b2)*g)*g
+    new_params = np.divide(m, 1.0 - b1**t)
+    new_params *= state.lr                        # lr * m_hat
+    np.divide(v, 1.0 - b2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps                          # sqrt(v_hat) + eps
+    new_params /= scratch
+    np.subtract(params, new_params, out=new_params)
     return new_params, replace(state, m=m, v=v, step_count=t)
 
 
@@ -267,8 +285,9 @@ def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig) -> np.nda
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        epoch_x, epoch_y = x[order], y[order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grads = gradient(arch, params, x[idx], y[idx])
+            stop = start + cfg.batch_size
+            grads = gradient(arch, params, epoch_x[start:stop], epoch_y[start:stop])
             params, state = adam_step(params, grads, state)
     return params

@@ -28,6 +28,8 @@ federation run is bit-identical across the two.
 
 from __future__ import annotations
 
+import math
+import numbers
 import queue
 import socket
 import struct
@@ -114,8 +116,8 @@ class _Message:
                     raise ValueError(f"{name} contain non-finite values")
                 object.__setattr__(self, name, value)
             elif wire == "f64":
-                if not np.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
+                if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                    raise ValueError(f"{name} must be a finite number, got {value!r}")
             elif not isinstance(value, (int, np.integer)) or not 0 <= value <= _INT_MAX[wire]:
                 raise ValueError(f"{name} must be a {wire}, got {value!r}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -123,6 +124,15 @@ def test_flags_override_config_file(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["n_episodes"] == 90
     assert report["config"]["epochs"] == 2
+
+
+def test_auroc_gate_on_single_class_shard_is_a_usage_error(capsys):
+    # label skew at alpha 0.1 leaves some hospital's test shard one class
+    assert _run(["train", "--mode", "federated", "--episodes", "300",
+                 "--hospitals", "4", "--partition", "label_skew", "--skew-alpha", "0.1",
+                 "--gate-metric", "auroc", "--rounds", "2", "--epochs", "1"]) == 2
+    assert re.search(r"error: hospital \d: the auroc gate needs both classes",
+                     capsys.readouterr().err)
 
 
 def test_compare_prints_four_cells(tmp_path, capsys):

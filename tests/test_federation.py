@@ -8,6 +8,7 @@ import pytest
 from fedhosp import transport as tp
 from fedhosp.federation import (
     FedConfig,
+    FederationConfigError,
     FederationState,
     HospitalDataset,
     aggregate,
@@ -56,6 +57,9 @@ def test_aggregate_identical_vectors_is_exact_identity():
     w = np.array([0.1, -2.5, 3.25, 1e-9])
     out = aggregate([w, w, w], [1 / 3, 1 / 3, 1 / 3])
     assert np.array_equal(out, w)  # bit-exact, not just close
+    signed = np.array([-0.0, 0.0, -1.5, 5e-324])
+    assert aggregate([signed], [1.0]).tobytes() == signed.tobytes()
+    assert aggregate([signed, signed], [0.5, 0.5]).tobytes() == signed.tobytes()
 
 
 def test_aggregate_arithmetic_examples():
@@ -76,6 +80,12 @@ def test_aggregate_is_order_independent_exactly():
         perm = rng.permutation(5)
         shuffled = aggregate([updates[i] for i in perm], weights[perm])
         assert np.array_equal(shuffled, base)
+    # +0.0 and -0.0 compare equal, so the sign of a zero must not come from
+    # whichever of them happens to be listed first
+    zeros = [np.array([0.0, 1.0]), np.array([-0.0, 1.0])]
+    forward_order = aggregate(zeros, [0.5, 0.5])
+    assert forward_order.tobytes() == aggregate(zeros[::-1], [0.5, 0.5]).tobytes()
+    assert forward_order.tobytes() == np.array([0.0, 1.0]).tobytes()
 
 
 def test_aggregate_stays_inside_envelope():
@@ -85,6 +95,54 @@ def test_aggregate_stays_inside_envelope():
     stacked = np.stack(updates)
     assert np.all(out >= stacked.min(axis=0))
     assert np.all(out <= stacked.max(axis=0))
+
+
+def _reference_aggregate(updates, weights):
+    """Value-sorted sum by np.sort, clamped by np.clip."""
+    stacked = np.stack(updates)
+    terms = np.sort(np.asarray(weights)[:, None] * stacked, axis=0)
+    return np.clip(terms.sum(axis=0), stacked.min(axis=0), stacked.max(axis=0))
+
+
+def _mixes_signed_zeros(a):
+    zero, negative = a == 0.0, np.signbit(a)
+    return (zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_aggregate_matches_sorted_sum_reference(k):
+    rng = np.random.default_rng(100 + k)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -3.75, 2.0**-1074])
+    for trial in range(40):
+        updates = [rng.normal(size=64) * 10.0 ** rng.integers(-8, 8, 64) for _ in range(k)]
+        for u in updates:  # ties, signed zeros and subnormals in some coordinates
+            picks = rng.random(64) < 0.4
+            u[picks] = rng.choice(pool, picks.sum())
+        sizes = rng.integers(1, 4 if trial % 2 else 1000, k)
+        weights = compute_weights(sizes)
+        out = aggregate(updates, weights)
+        ref = _reference_aggregate(updates, weights)
+        assert np.array_equal(out, ref)
+        # the reference takes a zero's sign from the listing order where +0.0
+        # and -0.0 meet in a coordinate; everywhere else the bytes agree
+        stacked = np.stack(updates)
+        clean = ~(_mixes_signed_zeros(stacked) | _mixes_signed_zeros(weights[:, None] * stacked))
+        assert out[clean].tobytes() == ref[clean].tobytes()
+
+
+def test_sorting_network_sorts_every_zero_one_input():
+    from itertools import product
+
+    from fedhosp.federation import _sorting_network
+
+    assert [len(_sorting_network(n)) for n in (1, 2, 4, 8)] == [0, 1, 5, 19]
+    for n in range(1, 11):
+        for bits in product((0, 1), repeat=n):
+            values = list(bits)
+            for i, j in _sorting_network(n):
+                assert i < j
+                values[i], values[j] = min(values[i], values[j]), max(values[i], values[j])
+            assert values == sorted(bits), (n, bits)
 
 
 def test_aggregate_errors():
@@ -267,6 +325,20 @@ def test_partial_cohort_still_evaluates_everyone():
     assert all(e.n == sum(h.n_test for h in hospitals) for e in evals)
 
 
+def test_auroc_gate_rejects_single_class_test_shard_before_round_0():
+    one_class = _hospital(2, seed=2)
+    one_class.test_y[:] = 1.0
+    hospitals = [_hospital(1, seed=1), one_class]
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=2, rounds=3, gate_metric="auroc")
+    with pytest.raises(FederationConfigError, match=r"hospital 2: .*both classes"):
+        run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0))
+    # the accuracy gate has no such need
+    state, _ = run_federation(hospitals, arch, FedConfig(n_hospitals=2, rounds=3),
+                              TrainConfig(epochs=1, seed=0))
+    assert len(state.history) == 3
+
+
 def test_tcp_and_in_process_runs_are_bit_identical():
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=4, local_epochs=1, gate_enabled=True, seed=13)
@@ -328,9 +400,10 @@ def test_duplicate_registration_is_rejected():
 
 
 def test_worker_failure_surfaces_with_context():
-    # a worker whose test labels are single-class cannot compute auroc
-    bad = _hospital(2, seed=3)
-    bad.test_y[:] = 1.0
+    # a worker whose train rows are wider than the model fails in local training
+    good = _hospital(2, seed=3)
+    bad = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]), good.train_y,
+                          good.test_x, good.test_y)
     hospitals = [_hospital(1, seed=1), bad]
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1,

@@ -168,6 +168,18 @@ def test_adam_zero_gradient_keeps_params():
     assert state.step_count == 0  # input state untouched
 
 
+def test_adam_step_leaves_every_input_untouched():
+    rng = np.random.default_rng(3)
+    params, grads = rng.normal(size=50), rng.normal(size=50)
+    state = AdamState(m=rng.normal(size=50), v=rng.random(50), step_count=4, lr=0.01)
+    before = [a.tobytes() for a in (params, grads, state.m, state.v)]
+    new_params, new_state = adam_step(params, grads, state)
+    assert [a.tobytes() for a in (params, grads, state.m, state.v)] == before
+    assert state.step_count == 4
+    for fresh in (new_params, new_state.m, new_state.v):
+        assert not any(np.shares_memory(fresh, a) for a in (params, grads, state.m, state.v))
+
+
 def test_adam_first_step_value():
     new_params, _ = adam_step(np.array([0.0]), np.array([2.0]), AdamState.fresh(1))
     # bias correction makes the first step ~lr * g/(|g| + eps)
@@ -231,3 +243,102 @@ def test_train_partial_final_batch_and_no_shuffle():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         train(LR2, np.zeros(3), np.zeros((0, 2)), np.zeros(0), TrainConfig(epochs=1, seed=0))
+
+
+# --------------------------------------------------------------------------
+# reference implementations: the textbook gradient, Adam update and per-step
+# training loop, written out with temporaries. The optimised code must match
+# them byte for byte.
+
+
+def _reference_gradient(arch, params, x, y):
+    n = x.shape[0]
+    grad = np.empty_like(params)
+    if arch.kind == "lr":
+        p = 1.0 / (1.0 + np.exp(-np.clip(x @ params[:-1] + params[-1], -500.0, 500.0)))
+        delta = (p - y) / n
+        grad[:-1] = x.T @ delta
+        grad[-1] = delta.sum()
+        return grad
+    d, h = arch.input_dim, arch.hidden_dim
+    w1 = params[: d * h].reshape(d, h)
+    b1 = params[d * h : d * h + h]
+    w2 = params[d * h + h : d * h + 2 * h]
+    z1 = x @ w1 + b1
+    hidden = np.maximum(z1, 0.0)
+    p = 1.0 / (1.0 + np.exp(-np.clip(hidden @ w2 + params[-1], -500.0, 500.0)))
+    delta = (p - y) / n
+    d_z1 = np.where(z1 > 0.0, np.outer(delta, w2), 0.0)
+    grad[: d * h] = (x.T @ d_z1).reshape(-1)
+    grad[d * h : d * h + h] = d_z1.sum(axis=0)
+    grad[d * h + h : d * h + 2 * h] = hidden.T @ delta
+    grad[-1] = delta.sum()
+    return grad
+
+
+def _reference_adam_step(params, grads, m, v, t, cfg):
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grads
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grads * grads
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    return params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps), m, v
+
+
+def _reference_train(arch, params, x, y, cfg):
+    params = params.copy()
+    m, v = np.zeros(params.size), np.zeros(params.size)
+    t = 0
+    n = x.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            t += 1
+            grads = _reference_gradient(arch, params, x[idx], y[idx])
+            params, m, v = _reference_adam_step(params, grads, m, v, t, cfg)
+    return params
+
+
+def test_adam_step_matches_reference_bytes():
+    rng = np.random.default_rng(8)
+    cfg = TrainConfig(epochs=1, seed=0, lr=0.003)
+    params = rng.normal(size=300)
+    m, v = np.zeros(300), np.zeros(300)
+    state = AdamState.fresh(300, lr=cfg.lr)
+    for t in range(1, 6):
+        grads = rng.normal(size=300) * 10.0 ** rng.integers(-6, 3, 300)
+        params_ref, m, v = _reference_adam_step(params, grads, m, v, t, cfg)
+        params, state = adam_step(params, grads, state)
+        assert params.tobytes() == params_ref.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("arch", [ModelArch("lr", input_dim=5),
+                                  ModelArch("mlp", input_dim=5, hidden_dim=7)],
+                         ids=["lr", "mlp"])
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_train_matches_per_step_reference_bytes(arch, shuffle):
+    rng = np.random.default_rng(31)
+    n = 13  # a multiple of none of the batch sizes above 1
+    x = rng.normal(size=(n, arch.input_dim))
+    y = rng.integers(0, 2, n).astype(float)
+    start = init_params(arch, 4)
+    for batch_size in (1, 3, 8, n, n + 5):
+        for epochs in range(4):
+            cfg = TrainConfig(epochs=epochs, seed=9, batch_size=batch_size,
+                              shuffle=shuffle, lr=0.05)
+            out = train(arch, start, x, y, cfg)
+            assert out.tobytes() == _reference_train(arch, start, x, y, cfg).tobytes(), \
+                (batch_size, epochs)
+
+
+def test_train_matches_reference_bytes_at_benchmark_width():
+    arch = ModelArch("mlp", input_dim=294, hidden_dim=50)
+    rng = np.random.default_rng(5)
+    x = rng.random(size=(37, arch.input_dim))
+    y = rng.integers(0, 2, 37).astype(float)
+    cfg = TrainConfig(epochs=2, seed=1)
+    start = init_params(arch, 2)
+    assert train(arch, start, x, y, cfg).tobytes() == \
+        _reference_train(arch, start, x, y, cfg).tobytes()

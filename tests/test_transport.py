@@ -138,6 +138,9 @@ def test_messages_validate_fields():
         tp.BroadcastModel(round=0, params=np.array([np.inf]))
     with pytest.raises(ValueError, match="flat"):
         tp.BroadcastModel(round=0, params=np.zeros((2, 3)))
+    for value in (None, "x", np.nan):
+        with pytest.raises(ValueError, match="finite number"):
+            tp.EvalResult(hospital_id=1, round=0, value=value, n_test=1)
 
 
 def test_vocabulary_cannot_carry_data_rows():
