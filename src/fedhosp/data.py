@@ -10,6 +10,9 @@ File formats (written with headers):
     measurements.csv:  episode_id,variable,hour,value
     labels.csv:        episode_id,label
 
+The bytes are those of ``csv.writer``'s defaults: QUOTE_MINIMAL quoting,
+``\\r\\n`` line ends, and every float written as its ``repr``.
+
 Every function here is deterministic in its seed; none keeps global state.
 """
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +99,11 @@ def generate(cfg: SyntheticConfig) -> list[Episode]:
     Exactly ``round(prevalence * n)`` episodes are positive, chosen by a
     seeded shuffle. Per variable, a baseline level and noise scale are drawn
     once; positive episodes' values are shifted by effect_size * noise_std.
+
+    Each series, episode-major then variable-major, draws its point count,
+    its hours and its noise in that order; the sort and the shift then run
+    once over all points, so no Python code runs per point until each
+    ``Episode`` validates its own.
     """
     rng = np.random.default_rng(cfg.seed)
     variables = variable_names(cfg.n_variables)
@@ -104,33 +113,64 @@ def generate(cfg: SyntheticConfig) -> list[Episode]:
     positive[rng.permutation(cfg.n_episodes)[: cfg.n_positive]] = True
 
     lo, hi = cfg.points_per_variable
+    counts, hour_draws, noise_draws = [], array("d"), array("d")
+    for _ in range(cfg.n_episodes):
+        for std in noise_stds:
+            n_pts = int(rng.integers(lo, hi, endpoint=True))
+            counts.append(n_pts)
+            hour_draws.frombytes(rng.uniform(0.0, HORIZON_HOURS, n_pts).tobytes())
+            noise_draws.frombytes(rng.normal(0.0, std, n_pts).tobytes())
+    series_of_point = np.repeat(np.arange(len(counts)), counts)
+    hours = np.frombuffer(hour_draws)
+    hours_l = hours[np.lexsort((hours, series_of_point))].tolist()
+    # One level per series, (baseline + shift) + noise as in a scalar loop.
+    levels = baselines + np.where(positive[:, None], cfg.effect_size * noise_stds, 0.0)
+    values_l = (levels.ravel()[series_of_point] + np.frombuffer(noise_draws)).tolist()
+    # Freed before the episodes are built, so the peak stays near the
+    # per-point loop's: only the two lists are extra.
+    del hours, hour_draws, noise_draws, series_of_point
+    bounds = np.cumsum([0] + counts).tolist()
+    # One (start, end) per series, in draw order; zip stops at the last
+    # variable without taking the next episode's first span.
+    spans = zip(bounds, bounds[1:])
     episodes = []
     for i in range(cfg.n_episodes):
-        series: dict[str, list[tuple[float, float]]] = {}
-        for j, var in enumerate(variables):
-            n_pts = int(rng.integers(lo, hi, endpoint=True))
-            hours = np.sort(rng.uniform(0.0, HORIZON_HOURS, n_pts))
-            shift = cfg.effect_size * noise_stds[j] if positive[i] else 0.0
-            values = baselines[j] + shift + rng.normal(0.0, noise_stds[j], n_pts)
-            series[var] = [(float(h), float(v)) for h, v in zip(hours, values)]
+        series = {
+            var: list(zip(hours_l[start:end], values_l[start:end]))
+            for var, (start, end) in zip(variables, spans)
+        }
         episodes.append(
             Episode(episode_id=f"e{i:05d}", series=series, label=int(positive[i]))
         )
     return episodes
 
 
+class _Echo:
+    """A file whose ``write`` returns its text, so ``csv.writer.writerow``
+    returns the formatted row instead of writing it."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def save_episodes(episodes, measurements_path, labels_path) -> None:
-    """Write episodes to the two-file CSV format; floats round-trip exactly."""
+    """Write episodes to the two-file CSV format; floats round-trip exactly.
+
+    ``csv.writer`` quotes each series' ``episode_id,variable,`` prefix
+    once; its points follow as ``repr`` text, which never needs quoting,
+    in one write per series. The bytes equal a ``writerow`` per point.
+    """
     episodes = list(episodes)
     for path in (measurements_path, labels_path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
+    quote = csv.writer(_Echo())
     with open(measurements_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["episode_id", "variable", "hour", "value"])
+        f.write(quote.writerow(["episode_id", "variable", "hour", "value"]))
         for ep in episodes:
             for var, points in ep.series.items():
-                for hour, value in points:
-                    writer.writerow([ep.episode_id, var, repr(hour), repr(value)])
+                prefix = quote.writerow([ep.episode_id, var, ""])[:-2]  # drop the line end
+                f.write("".join([f"{prefix}{h!r},{v!r}\r\n" for h, v in points]))
     with open(labels_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["episode_id", "label"])

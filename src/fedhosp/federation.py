@@ -278,6 +278,8 @@ def select_cohort(n_hospitals: int, cohort_fraction: float, round_seed) -> tuple
     if not 0.0 < cohort_fraction <= 1.0:
         raise ValueError(f"cohort_fraction must lie in (0,1], got {cohort_fraction}")
     size = max(1, math.ceil(cohort_fraction * n_hospitals))
+    if size == n_hospitals:  # the draw's only possible outcome; skip the Generator
+        return tuple(range(1, n_hospitals + 1))
     rng = np.random.default_rng(round_seed)
     chosen = rng.choice(n_hospitals, size=size, replace=False)
     return tuple(sorted(int(k) + 1 for k in chosen))
@@ -326,24 +328,31 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
 
     A connection whose first message is not a Register, names an unknown id,
     or repeats an already-registered id is closed (the rejected worker sees
-    its connection drop) and the server keeps waiting for the rest.
+    its connection drop) and the server keeps waiting for the rest. If
+    waiting fails, every connection registered so far is closed before the
+    error propagates, so no registered worker waits on it forever.
     """
     expected = set(int(k) for k in expected_ids)
     if not expected:
         raise ValueError("expected_ids must be non-empty")
     workers: dict[int, RegisteredWorker] = {}
-    while set(workers) != expected:
-        conn = listener.accept()
-        try:
-            msg = conn.recv()
-        except tp.TransportError:
-            conn.close()
-            continue
-        if not isinstance(msg, tp.Register) or msg.hospital_id not in expected \
-                or msg.hospital_id in workers:
-            conn.close()
-            continue
-        workers[msg.hospital_id] = RegisteredWorker(conn, msg.n_train, msg.n_test)
+    try:
+        while set(workers) != expected:
+            conn = listener.accept()
+            try:
+                msg = conn.recv()
+            except tp.TransportError:
+                conn.close()
+                continue
+            if not isinstance(msg, tp.Register) or msg.hospital_id not in expected \
+                    or msg.hospital_id in workers:
+                conn.close()
+                continue
+            workers[msg.hospital_id] = RegisteredWorker(conn, msg.n_train, msg.n_test)
+    except BaseException:
+        for w in workers.values():
+            w.conn.close()
+        raise
     return workers
 
 
@@ -456,17 +465,33 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
     pooled_x = np.vstack([h.test_x for h in by_id.values()])
     pooled_y = np.concatenate([h.test_y for h in by_id.values()])
 
-    def evaluate_global(params: np.ndarray) -> EvalResult:
-        return evaluate(forward(arch, params, pooled_x), pooled_y)
+    last_params, last_result = None, None
 
+    def evaluate_global(params: np.ndarray) -> EvalResult:
+        # A reverted round commits the very same array again: reuse its result.
+        nonlocal last_params, last_result
+        if params is not last_params:
+            last_params = params
+            last_result = evaluate(forward(arch, params, pooled_x), pooled_y)
+        return last_result
+
+    workers: dict[int, RegisteredWorker] = {}
     try:
         workers = wait_for_registrations(listener, ids)
         result = run_server_rounds(workers, arch, fed_cfg, evaluate_global)
     except tp.TransportError as exc:
+        # Closing the server-side connections ends each healthy worker's
+        # recv, which would otherwise wait for a Shutdown that never comes.
+        # Those workers then record failures of their own, so the first
+        # failure is read before.
+        first_failure = failures[:1]
+        listener.close()
+        for w in workers.values():
+            w.conn.close()
         for t in threads:
             t.join(timeout=5.0)
-        if failures:
-            hid, worker_exc = failures[0]
+        if first_failure:
+            hid, worker_exc = first_failure[0]
             raise RuntimeError(
                 f"hospital {hid} failed during federation: {worker_exc}"
             ) from worker_exc

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from fedhosp.data import (
     split_train_test,
     variable_names,
 )
-from fedhosp.features import Episode
+from fedhosp.features import HORIZON_HOURS, Episode
 
 
 def test_variable_names():
@@ -76,6 +78,76 @@ def test_csv_round_trip(tmp_path):
     m, l = tmp_path / "measurements.csv", tmp_path / "labels.csv"
     save_episodes(episodes, m, l)
     assert load_episodes(m, l) == episodes
+
+
+def _reference_generate(cfg):
+    """The per-point loop ``generate`` replaced: the oracle for its output."""
+    rng = np.random.default_rng(cfg.seed)
+    variables = variable_names(cfg.n_variables)
+    baselines = rng.uniform(20.0, 120.0, cfg.n_variables)
+    noise_stds = rng.uniform(1.0, 10.0, cfg.n_variables)
+    positive = np.zeros(cfg.n_episodes, dtype=bool)
+    positive[rng.permutation(cfg.n_episodes)[: cfg.n_positive]] = True
+    lo, hi = cfg.points_per_variable
+    episodes = []
+    for i in range(cfg.n_episodes):
+        series = {}
+        for j, var in enumerate(variables):
+            n_pts = int(rng.integers(lo, hi, endpoint=True))
+            hours = np.sort(rng.uniform(0.0, HORIZON_HOURS, n_pts))
+            shift = cfg.effect_size * noise_stds[j] if positive[i] else 0.0
+            values = baselines[j] + shift + rng.normal(0.0, noise_stds[j], n_pts)
+            series[var] = [(float(h), float(v)) for h, v in zip(hours, values)]
+        episodes.append(Episode(f"e{i:05d}", series, int(positive[i])))
+    return episodes
+
+
+def _reference_save(episodes, measurements_path, labels_path):
+    """The row-per-point ``csv.writer`` writer: the oracle for the CSV bytes."""
+    with open(measurements_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["episode_id", "variable", "hour", "value"])
+        for ep in episodes:
+            for var, points in ep.series.items():
+                for hour, value in points:
+                    writer.writerow([ep.episode_id, var, repr(hour), repr(value)])
+    with open(labels_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["episode_id", "label"])
+        for ep in episodes:
+            writer.writerow([ep.episode_id, ep.label])
+
+
+def _assert_same_csv_bytes(episodes, tmp_path):
+    got = tmp_path / "m.csv", tmp_path / "l.csv"
+    want = tmp_path / "m_ref.csv", tmp_path / "l_ref.csv"
+    save_episodes(episodes, *got)
+    _reference_save(episodes, *want)
+    for g, w in zip(got, want):
+        assert g.read_bytes() == w.read_bytes()
+
+
+@pytest.mark.parametrize("points", [(0, 0), (0, 3), (1, 1), (4, 12)])
+@pytest.mark.parametrize("effect_size", [0.0, 0.4])
+def test_generate_and_save_match_per_point_reference(tmp_path, points, effect_size):
+    for n_variables in range(1, 10):
+        cfg = SyntheticConfig(n_episodes=12, n_variables=n_variables, prevalence=0.25,
+                              effect_size=effect_size, points_per_variable=points,
+                              seed=100 + n_variables)
+        episodes = generate(cfg)
+        assert repr(episodes) == repr(_reference_generate(cfg))
+        _assert_same_csv_bytes(episodes, tmp_path)
+
+
+def test_save_quotes_awkward_ids_and_names_like_csv_writer(tmp_path):
+    episodes = [
+        Episode('a,"b"\nc', {"x,y": [(0.0, 1.5), (48.0, -0.0)], 'q"': [(5.0, 6.0)],
+                             "\r": [(1e-300, 1e300)], "": [(2.0, 3.0)]}, 1),
+        Episode("", {"plain": [(1.0, 2.0)], "line\nbreak": [(3.0, 4.0)]}, 0),
+        Episode(" spaced ", {}, 0),
+    ]
+    _assert_same_csv_bytes(episodes, tmp_path)
+    assert load_episodes(tmp_path / "m.csv", tmp_path / "l.csv") == episodes
 
 
 def test_round_trip_keeps_episode_without_measurements(tmp_path):

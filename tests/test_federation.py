@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from fedhosp import federation
 from fedhosp import transport as tp
 from fedhosp.federation import (
     FedConfig,
@@ -22,6 +25,7 @@ from fedhosp.federation import (
     weighted_accuracy,
     worker_loop,
 )
+from fedhosp.metrics import evaluate
 from fedhosp.models import ModelArch, TrainConfig, forward, init_params, train
 
 
@@ -245,6 +249,14 @@ def test_select_cohort_rules():
     assert select_cohort(3, 0.01, round_seed=1)  # never empty
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_full_cohort_equals_the_random_draw(k):
+    for fraction in (1.0, (k - 0.5) / k):  # both round up to every hospital
+        for seed in (0, (3, 7)):
+            drawn = np.random.default_rng(seed).choice(k, size=k, replace=False)
+            assert select_cohort(k, fraction, seed) == tuple(sorted(int(i) + 1 for i in drawn))
+
+
 def test_fed_config_validation():
     with pytest.raises(ValueError, match="cohort_fraction"):
         FedConfig(n_hospitals=2, rounds=1, cohort_fraction=0.0)
@@ -311,6 +323,34 @@ def test_run_federation_matches_manual_round():
     assert np.array_equal(state.global_params, expected)
     assert state.history[0].weights == (16 / 48, 32 / 48)
     assert state.history[0].cohort == (1, 2)
+
+
+def test_reverted_rounds_reuse_the_pooled_evaluation(monkeypatch):
+    calls, committed_params = [], []
+
+    def counting_evaluate(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    def recording_gate(*args, **kwargs):
+        state = gate_and_commit(*args, **kwargs)
+        committed_params.append(state.global_params)
+        return state
+
+    monkeypatch.setattr(federation, "evaluate", counting_evaluate)
+    monkeypatch.setattr(federation, "gate_and_commit", recording_gate)
+    hospitals = [_hospital(1, seed=1, separation=0.0), _hospital(2, seed=2, separation=0.0)]
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=2, rounds=12, local_epochs=1, gate_enabled=True, seed=0)
+    state, evals = run_federation(hospitals, arch, fed,
+                                  TrainConfig(epochs=1, seed=3, lr=1.0))
+    n_committed = sum(r.committed for r in state.history)
+    assert 0 < n_committed < len(state.history)  # some rounds reverted
+    assert len(calls) == n_committed
+    pooled_x = np.vstack([h.test_x for h in hospitals])
+    pooled_y = np.concatenate([h.test_y for h in hospitals])
+    assert evals == [evaluate(forward(arch, p, pooled_x), pooled_y)
+                     for p in committed_params]
 
 
 def test_partial_cohort_still_evaluates_everyone():
@@ -399,6 +439,18 @@ def test_duplicate_registration_is_rejected():
     assert outcome["unique"] == tp.Shutdown()
 
 
+def test_failed_registration_closes_the_registered_connections():
+    transport = tp.InProcessTransport()
+    listener = transport.listen()
+    registered = transport.connect()
+    registered.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+    listener.close()  # the wait for hospital 2 fails at its next accept
+    with pytest.raises(tp.TransportClosedError):
+        wait_for_registrations(listener, {1, 2})
+    with pytest.raises(tp.TransportClosedError):  # the server closed its end
+        registered.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+
+
 def test_worker_failure_surfaces_with_context():
     # a worker whose train rows are wider than the model fails in local training
     good = _hospital(2, seed=3)
@@ -410,6 +462,24 @@ def test_worker_failure_surfaces_with_context():
                     gate_metric="auroc", seed=0)
     with pytest.raises(RuntimeError, match="hospital 2"):
         run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
+                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
+                         ids=["in_process", "tcp"])
+def test_worker_failure_releases_the_healthy_workers(make_transport):
+    good = _hospital(2, seed=3)
+    bad = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]), good.train_y,
+                          good.test_x, good.test_y)
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1, seed=0)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="hospital 2 failed"):
+        run_federation([_hospital(1, seed=1), bad], arch, fed,
+                       TrainConfig(epochs=1, seed=0), make_transport())
+    left = [t for t in threading.enumerate()
+            if t not in before and t.name.startswith("hospital-") and t.is_alive()]
+    assert left == []
 
 
 def test_worker_loop_round_trip_over_plain_pair():
