@@ -27,7 +27,7 @@ import numpy as np
 
 from . import transport as tp
 from .metrics import EvalResult, accuracy, auroc, evaluate
-from .models import ModelArch, TrainConfig, forward, init_params, train
+from .models import AdamState, ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = [
     "HospitalDataset",
@@ -216,9 +216,15 @@ def aggregate(updates, weights) -> np.ndarray:
 
 
 def local_update(hospital: HospitalDataset, global_params: np.ndarray,
-                 arch: ModelArch, train_cfg: TrainConfig) -> tuple[np.ndarray, int]:
-    """Train locally from the global parameters; returns (params, |D_k|)."""
-    params = train(arch, global_params, hospital.train_x, hospital.train_y, train_cfg)
+                 arch: ModelArch, train_cfg: TrainConfig,
+                 workspace: AdamState | None = None) -> tuple[np.ndarray, int]:
+    """Train locally from the global parameters; returns (params, |D_k|).
+
+    ``workspace`` is handed to ``train``: a hospital that keeps one across
+    rounds trains without allocating its optimizer state each time.
+    """
+    params = train(arch, global_params, hospital.train_x, hospital.train_y, train_cfg,
+                   workspace)
     return params, hospital.n_train
 
 
@@ -295,8 +301,11 @@ def worker_loop(conn, hospital: HospitalDataset, arch: ModelArch,
 
     Registers first, then answers BroadcastModel with a LocalUpdate (trained
     with seed ``train_cfg.seed + round`` so every round reshuffles
-    differently but reproducibly) and EvalRequest with an EvalResult.
+    differently but reproducibly) and EvalRequest with an EvalResult. One
+    optimizer workspace serves every round: allocating it per round makes
+    the allocator return and re-fault its pages each time.
     """
+    workspace = AdamState(arch.n_params)
     conn.send(tp.Register(hospital.hospital_id, hospital.n_train, hospital.n_test))
     while True:
         msg = conn.recv()
@@ -305,7 +314,7 @@ def worker_loop(conn, hospital: HospitalDataset, arch: ModelArch,
             return
         if isinstance(msg, tp.BroadcastModel):
             cfg = replace(train_cfg, seed=(train_cfg.seed + msg.round) % 2**64)
-            params, n_samples = local_update(hospital, msg.params, arch, cfg)
+            params, n_samples = local_update(hospital, msg.params, arch, cfg, workspace)
             conn.send(tp.LocalUpdate(hospital.hospital_id, msg.round, n_samples, params))
         elif isinstance(msg, tp.EvalRequest):
             value, n_test = local_test_accuracy(hospital, msg.params, arch, gate_metric)

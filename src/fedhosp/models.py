@@ -9,14 +9,17 @@ processes without any knowledge of the layer structure. Layouts:
     mlp: [W1 (input_dim * hidden_dim, row-major), b1 (hidden_dim),
           w2 (hidden_dim), b2]
 
-Every function here is pure: inputs are never mutated, and results depend
-only on the arguments (including seeds), so values can be used freely from
-multiple threads.
+Every function here except ``adam_step`` is pure: inputs are never mutated,
+and results depend only on the arguments (including seeds), so values can be
+used freely from multiple threads. ``adam_step`` updates the parameters and
+an ``AdamState`` workspace in place, and ``gradient`` can write into a
+buffer the caller passes; ``train`` runs them on its own copy of the
+parameters, so it stays pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +103,8 @@ def init_params(arch: ModelArch, seed: int) -> np.ndarray:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Clipping keeps exp() in range; saturation error is far below 1e-200.
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    # minimum(maximum()) gives np.clip's values, NaN included, at less call cost.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def forward(arch: ModelArch, params: np.ndarray, x) -> float | np.ndarray:
@@ -139,10 +143,12 @@ def cross_entropy(probs, labels) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y) -> np.ndarray:
+def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Analytic gradient of the mean cross-entropy over one batch.
 
-    Returns a flat vector with the same layout as ``params``.
+    Returns a flat vector with the same layout as ``params``: ``out`` when
+    given (a float64 vector of that length, overwritten), else a new one.
     """
     params = _check_params(arch, params)
     x = np.atleast_2d(np.asarray(batch_x, dtype=np.float64))
@@ -156,8 +162,13 @@ def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y) -> np.ndarra
         )
     if y.size != n:
         raise ValueError(f"batch size mismatch: {n} rows vs {y.size} labels")
+    if out is None:
+        grad = np.empty_like(params)
+    elif out.shape != params.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 vector of {params.size} elements")
+    else:
+        grad = out
 
-    grad = np.empty_like(params)
     if arch.kind == "lr":
         p = _sigmoid(x @ params[: arch.input_dim] + params[arch.input_dim])
         delta = (p - y) / n
@@ -179,70 +190,67 @@ def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y) -> np.ndarra
     return grad
 
 
-@dataclass(frozen=True)
 class AdamState:
-    """Adam moment estimates plus hyperparameters. Immutable; steps return a new state."""
+    """Adam workspace for one parameter length: moments, step count, buffers.
 
-    m: np.ndarray
-    v: np.ndarray
-    step_count: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie strictly between 0 and 1")
-        if self.lr <= 0.0 or self.eps <= 0.0:
-            raise ValueError("lr and eps must be positive")
-        if self.m.shape != self.v.shape:
-            raise ValueError("moment vectors must have identical shape")
-
-    @classmethod
-    def fresh(cls, n_params: int, *, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns (new params, new state).
-
-    Pure: ``params``, ``grads`` and ``state`` are left untouched. The call
-    allocates the three arrays it returns (new params, new ``m``, new ``v``)
-    and one scratch array; every other step runs in place, in the float
-    operation order of the textbook formula
-    ``params - lr * m_hat / (sqrt(v_hat) + eps)``, so results are bit for
-    bit those of the expression written out with temporaries.
+    Mutable: ``adam_step`` advances it in place, ``reset`` returns it to a
+    fresh state. ``grad`` is where ``train`` has ``gradient`` write each
+    step's gradient; two more vectors are ``adam_step``'s scratch. The
+    hyperparameters live in ``TrainConfig``. A workspace serves one caller
+    at a time, so give each thread its own.
     """
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+
+    def __init__(self, n_params: int):
+        self.m = np.zeros(n_params)
+        self.v = np.zeros(n_params)
+        self.step_count = 0
+        self.grad = np.zeros(n_params)
+        self._step = np.empty(n_params)
+        self._den = np.empty(n_params)
+
+    def reset(self) -> None:
+        """Zero the moments and the step count, as for a new optimizer."""
+        self.m.fill(0.0)
+        self.v.fill(0.0)
+        self.step_count = 0
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``params``, in place.
+
+    Overwrites ``params``, ``state.m`` and ``state.v`` and advances
+    ``state.step_count``; ``grads`` is only read. Allocates no vector: the
+    step runs in the workspace's scratch, in the float operation order of
+    the textbook formula ``params - lr * m_hat / (sqrt(v_hat) + eps)``, so
+    results are bit for bit those of the expression written out with
+    temporaries.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and Adam moments must have identical length")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    scratch = np.multiply(grads, 1.0 - b1)
-    m = np.multiply(state.m, b1)
-    m += scratch                                  # b1*m + (1-b1)*g
-    np.multiply(grads, 1.0 - b2, out=scratch)
-    scratch *= grads
-    v = np.multiply(state.v, b2)
-    v += scratch                                  # b2*v + ((1-b2)*g)*g
-    new_params = np.divide(m, 1.0 - b1**t)
-    new_params *= state.lr                        # lr * m_hat
-    np.divide(v, 1.0 - b2**t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps                          # sqrt(v_hat) + eps
-    new_params /= scratch
-    np.subtract(params, new_params, out=new_params)
-    return new_params, replace(state, m=m, v=v, step_count=t)
+    b1, b2 = cfg.beta1, cfg.beta2
+    m, v, step, den = state.m, state.v, state._step, state._den
+    np.multiply(grads, 1.0 - b1, out=step)
+    m *= b1
+    m += step                                     # b1*m + (1-b1)*g
+    np.multiply(grads, 1.0 - b2, out=step)
+    step *= grads
+    v *= b2
+    v += step                                     # b2*v + ((1-b2)*g)*g
+    np.divide(m, 1.0 - b1**t, out=step)
+    step *= cfg.lr                                # lr * m_hat
+    np.divide(v, 1.0 - b2**t, out=den)
+    np.sqrt(den, out=den)
+    den += cfg.eps                                # sqrt(v_hat) + eps
+    step /= den
+    params -= step
+    state.step_count = t
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Local training hyperparameters.
+    """Local training hyperparameters, Adam's included.
 
     ``seed`` drives a dedicated shuffle generator, so training order never
     depends on any other randomness in the program.
@@ -262,14 +270,23 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie strictly between 0 and 1")
+        if not (self.lr > 0.0 and self.eps > 0.0):
+            raise ValueError("lr and eps must be positive")
 
 
-def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig) -> np.ndarray:
+def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,
+          workspace: AdamState | None = None) -> np.ndarray:
     """Run ``cfg.epochs`` passes of shuffled mini-batch Adam over (x, y).
 
-    A fresh optimizer state is created per call; nothing is carried across
-    calls except the returned parameters. Deterministic in
-    (params, x, y, cfg).
+    Pure: ``params``, ``x`` and ``y`` are left untouched and the result is
+    a new array that shares memory with nothing else.
+    ``workspace``, if given, is reset on entry and used for the optimizer
+    state and gradient, so a caller that trains repeatedly (a hospital,
+    once per round) can keep one; without it a fresh one is made. Nothing
+    is carried across calls except the returned parameters. Deterministic
+    in (params, x, y, cfg).
     """
     params = _check_params(arch, params).copy()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -277,17 +294,28 @@ def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig) -> np.nda
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if x.shape[1] != arch.input_dim:
+        raise ValueError(
+            f"feature length mismatch: expected {arch.input_dim}, got {x.shape[1]}"
+        )
     if y.size != n:
         raise ValueError(f"dataset size mismatch: {n} rows vs {y.size} labels")
+    if workspace is None:
+        workspace = AdamState(params.size)
+    elif workspace.m.shape != params.shape:
+        raise ValueError(
+            f"workspace is for {workspace.m.size} parameters, model has {params.size}"
+        )
+    else:
+        workspace.reset()
 
-    state = AdamState.fresh(params.size, lr=cfg.lr, beta1=cfg.beta1,
-                            beta2=cfg.beta2, eps=cfg.eps)
+    grads = workspace.grad
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         epoch_x, epoch_y = x[order], y[order]
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            grads = gradient(arch, params, epoch_x[start:stop], epoch_y[start:stop])
-            params, state = adam_step(params, grads, state)
+            gradient(arch, params, epoch_x[start:stop], epoch_y[start:stop], out=grads)
+            adam_step(params, grads, workspace, cfg)
     return params

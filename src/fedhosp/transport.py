@@ -258,11 +258,28 @@ class InProcessListener:
     def accept(self) -> InProcessConnection:
         conn = self._transport._pending.get()
         if conn is _CLOSED:
+            self._transport._pending.put(_CLOSED)  # keep later accept() calls failing too
             raise TransportClosedError("listener closed")
         return conn
 
     def close(self) -> None:
-        self._transport._pending.put(_CLOSED)
+        """Stop accepting and close every connection not yet accepted.
+
+        Its worker's ``recv`` then raises ``TransportClosedError``, as a
+        closed TCP listener resets the connections in its backlog.
+        """
+        transport = self._transport
+        with transport._lock:
+            if transport._closed:
+                return
+            transport._closed = True
+            while True:
+                try:
+                    pending = transport._pending.get_nowait()
+                except queue.Empty:
+                    break
+                pending.close()
+            transport._pending.put(_CLOSED)
 
 
 class InProcessTransport:
@@ -271,6 +288,7 @@ class InProcessTransport:
     def __init__(self):
         self._pending: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
+        self._closed = False
         self.endpoints: list = []
 
     def listen(self) -> InProcessListener:
@@ -284,7 +302,10 @@ class InProcessTransport:
         server_end = InProcessConnection(b_to_a, a_to_b, state)
         with self._lock:
             self.endpoints += [worker_end, server_end]
-        self._pending.put(server_end)
+            if self._closed:
+                server_end.close()
+            else:
+                self._pending.put(server_end)
         return worker_end
 
     @property

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,15 @@ def test_forward_extreme_inputs_stay_in_unit_interval():
         assert np.isfinite(p)
 
 
+def test_sigmoid_clamp_matches_np_clip_bytes():
+    from fedhosp.models import _sigmoid
+
+    z = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 500.0, -500.0, 500.5, -500.5,
+                  np.nextafter(500.0, 0.0), 745.2, -745.2, 37.0, -37.0, 1e-300, 5e-324])
+    expected = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    assert _sigmoid(z).tobytes() == expected.tobytes()
+
+
 def test_cross_entropy_examples():
     assert cross_entropy([0.5], [1]) == pytest.approx(np.log(2.0), abs=1e-15)
     assert cross_entropy([1 - 1e-12], [1]) <= 1e-11
@@ -113,6 +124,9 @@ def test_gradient_lr_zero_params_single_sample():
     grad = gradient(arch, np.zeros(2), [[1.0]], [1.0])
     # p = 0.5, so dw = (0.5 - 1)*x = -0.5 and db = -0.5, exactly
     assert np.array_equal(grad, np.array([-0.5, -0.5]))
+    out = np.full(2, np.nan)
+    assert gradient(arch, np.zeros(2), [[1.0]], [1.0], out=out) is out
+    assert np.array_equal(out, np.array([-0.5, -0.5]))
 
 
 def test_gradient_duplicated_batch_mean_invariance():
@@ -157,45 +171,67 @@ def test_gradient_errors():
         gradient(LR2, np.zeros(3), np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError, match="feature length mismatch"):
         gradient(LR2, np.zeros(3), np.zeros((2, 5)), np.zeros(2))
+    for bad_out in (np.zeros(4), np.zeros(3, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            gradient(LR2, np.zeros(3), np.zeros((2, 2)), np.zeros(2), out=bad_out)
 
 
 def test_adam_zero_gradient_keeps_params():
     params = np.array([1.0, -2.0])
-    state = AdamState.fresh(2)
-    new_params, new_state = adam_step(params, np.zeros(2), state)
-    assert np.array_equal(new_params, params)
-    assert new_state.step_count == 1
-    assert state.step_count == 0  # input state untouched
+    state = AdamState(2)
+    adam_step(params, np.zeros(2), state, TrainConfig(epochs=1, seed=0))
+    assert np.array_equal(params, [1.0, -2.0])
+    assert state.step_count == 1
 
 
-def test_adam_step_leaves_every_input_untouched():
+def test_adam_step_updates_in_place_and_reads_grads_only():
     rng = np.random.default_rng(3)
+    cfg = TrainConfig(epochs=1, seed=0, lr=0.01)
     params, grads = rng.normal(size=50), rng.normal(size=50)
-    state = AdamState(m=rng.normal(size=50), v=rng.random(50), step_count=4, lr=0.01)
-    before = [a.tobytes() for a in (params, grads, state.m, state.v)]
-    new_params, new_state = adam_step(params, grads, state)
-    assert [a.tobytes() for a in (params, grads, state.m, state.v)] == before
-    assert state.step_count == 4
-    for fresh in (new_params, new_state.m, new_state.v):
-        assert not any(np.shares_memory(fresh, a) for a in (params, grads, state.m, state.v))
+    state = AdamState(50)
+    state.m[:], state.v[:], state.step_count = rng.normal(size=50), rng.random(50), 4
+    m, v = state.m, state.v
+    expected, m_ref, v_ref = _reference_adam_step(params, grads, m.copy(), v.copy(), 5, cfg)
+    grads_before = grads.tobytes()
+    assert adam_step(params, grads, state, cfg) is None
+    assert state.m is m and state.v is v
+    assert params.tobytes() == expected.tobytes()
+    assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    assert grads.tobytes() == grads_before
+    assert state.step_count == 5
 
 
 def test_adam_first_step_value():
-    new_params, _ = adam_step(np.array([0.0]), np.array([2.0]), AdamState.fresh(1))
+    params = np.array([0.0])
+    adam_step(params, np.array([2.0]), AdamState(1), TrainConfig(epochs=1, seed=0))
     # bias correction makes the first step ~lr * g/(|g| + eps)
-    assert new_params[0] == pytest.approx(-0.001 * (2.0 / (2.0 + 1e-8)), abs=1e-14)
+    assert params[0] == pytest.approx(-0.001 * (2.0 / (2.0 + 1e-8)), abs=1e-14)
 
 
 def test_adam_equal_gradients_equal_updates():
-    new_params, _ = adam_step(np.zeros(2), np.array([0.3, 0.3]), AdamState.fresh(2))
-    assert new_params[0] == new_params[1]
+    params = np.zeros(2)
+    adam_step(params, np.array([0.3, 0.3]), AdamState(2), TrainConfig(epochs=1, seed=0))
+    assert params[0] == params[1]
 
 
 def test_adam_validation():
     with pytest.raises(ValueError, match="beta"):
-        AdamState(m=np.zeros(1), v=np.zeros(1), beta1=1.0)
+        TrainConfig(epochs=1, seed=0, beta1=1.0)
     with pytest.raises(ValueError, match="identical length"):
-        adam_step(np.zeros(2), np.zeros(3), AdamState.fresh(2))
+        adam_step(np.zeros(2), np.zeros(3), AdamState(2), TrainConfig(epochs=1, seed=0))
+    with pytest.raises(ValueError, match="identical length"):
+        adam_step(np.zeros(3), np.zeros(3), AdamState(2), TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("lr", 0.0), ("lr", -1e-3), ("eps", 0.0), ("eps", -1e-8),
+    ("beta1", 0.0), ("beta1", 1.0), ("beta2", 0.0), ("beta2", 1.0),
+    ("lr", float("nan")), ("beta2", float("nan")),
+])
+def test_train_config_rejects_adam_hyperparameters_out_of_range(field, bad):
+    message = "beta1 and beta2" if field.startswith("beta") else "lr and eps"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(epochs=1, seed=0, **{field: bad})
 
 
 def _toy_separable(n=40, seed=5):
@@ -305,13 +341,14 @@ def test_adam_step_matches_reference_bytes():
     cfg = TrainConfig(epochs=1, seed=0, lr=0.003)
     params = rng.normal(size=300)
     m, v = np.zeros(300), np.zeros(300)
-    state = AdamState.fresh(300, lr=cfg.lr)
-    for t in range(1, 6):
+    state = AdamState(300)
+    for t in range(1, 8):
         grads = rng.normal(size=300) * 10.0 ** rng.integers(-6, 3, 300)
         params_ref, m, v = _reference_adam_step(params, grads, m, v, t, cfg)
-        params, state = adam_step(params, grads, state)
+        adam_step(params, grads, state, cfg)
         assert params.tobytes() == params_ref.tobytes()
         assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert state.step_count == t
 
 
 @pytest.mark.parametrize("arch", [ModelArch("lr", input_dim=5),
@@ -342,3 +379,82 @@ def test_train_matches_reference_bytes_at_benchmark_width():
     start = init_params(arch, 2)
     assert train(arch, start, x, y, cfg).tobytes() == \
         _reference_train(arch, start, x, y, cfg).tobytes()
+
+
+# --------------------------------------------------------------------------
+# the workspace and the step count
+
+
+def _shard(arch, n=13, seed=31):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, arch.input_dim))
+    y = rng.integers(0, 2, n).astype(float)
+    return x, y
+
+
+ARCHS = [ModelArch("lr", input_dim=5), ModelArch("mlp", input_dim=5, hidden_dim=7)]
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=["lr", "mlp"])
+def test_train_with_a_shared_workspace_matches_fresh_state(arch):
+    x, y = _shard(arch)
+    cfg_a = TrainConfig(epochs=3, seed=4, batch_size=3, lr=0.05)
+    cfg_b = TrainConfig(epochs=2, seed=5, batch_size=4, lr=0.02)
+    fresh_a = train(arch, init_params(arch, 1), x, y, cfg_a)
+    fresh_b = train(arch, fresh_a, x[::-1], y[::-1], cfg_b)
+    workspace = AdamState(arch.n_params)
+    shared_a = train(arch, init_params(arch, 1), x, y, cfg_a, workspace)
+    assert workspace.step_count == 15
+    shared_b = train(arch, shared_a, x[::-1], y[::-1], cfg_b, workspace)
+    assert shared_a.tobytes() == fresh_a.tobytes()
+    assert shared_b.tobytes() == fresh_b.tobytes()
+    with pytest.raises(ValueError, match="workspace is for"):
+        train(arch, init_params(arch, 1), x, y, cfg_a, AdamState(arch.n_params + 1))
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=["lr", "mlp"])
+@pytest.mark.parametrize("with_workspace", [False, True])
+def test_train_leaves_inputs_untouched_and_returns_unshared_params(arch, with_workspace):
+    x, y = _shard(arch)
+    params = init_params(arch, 2)
+    before = [a.tobytes() for a in (params, x, y)]
+    workspace = AdamState(arch.n_params) if with_workspace else None
+    for epochs in (0, 2):
+        out = train(arch, params, x, y, TrainConfig(epochs=epochs, seed=1, lr=0.1),
+                    workspace)
+        assert [a.tobytes() for a in (params, x, y)] == before
+        others = [params, x, y]
+        if workspace is not None:
+            others += [workspace.m, workspace.v, workspace.grad,
+                       workspace._step, workspace._den]
+        assert not any(np.shares_memory(out, a) for a in others)
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=["lr", "mlp"])
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_train_calls_gradient_and_adam_step_once_per_step(monkeypatch, arch, shuffle):
+    """The benchmark counts training steps by wrapping these two names."""
+    from fedhosp import models
+
+    calls = {"gradient": 0, "adam_step": 0}
+
+    def counted(name):
+        original = getattr(models, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(models, name, counted(name))
+    x, y = _shard(arch)
+    for batch_size in (1, 4, 13, 20):
+        for epochs in (0, 1, 3):
+            calls.update(gradient=0, adam_step=0)
+            models.train(arch, init_params(arch, 1), x, y,
+                         TrainConfig(epochs=epochs, seed=2, batch_size=batch_size,
+                                     shuffle=shuffle))
+            steps = epochs * math.ceil(len(y) / batch_size)
+            assert calls == {"gradient": steps, "adam_step": steps}, (batch_size, epochs)

@@ -207,6 +207,32 @@ def test_in_process_close_unblocks_peer():
         worker.send(tp.Shutdown())
 
 
+@pytest.mark.parametrize("make_transport", [tp.InProcessTransport, tp.TcpTransport],
+                         ids=["inprocess", "tcp"])
+def test_listener_close_releases_a_connection_never_accepted(make_transport):
+    transport = make_transport()
+    listener = transport.listen()
+    worker = transport.connect()
+    worker.send(tp.Register(hospital_id=1, n_train=10, n_test=10))
+    listener.close()
+    outcome = []
+
+    def recv():
+        try:
+            worker.recv()
+        except tp.TransportClosedError:
+            outcome.append("closed")
+
+    thread = threading.Thread(target=recv, daemon=True)
+    thread.start()
+    thread.join(timeout=1.0)
+    released = not thread.is_alive()
+    worker.close()  # releases the thread if the listener left it waiting
+    thread.join(timeout=1.0)
+    assert released, "recv still waiting 1 s after the listener closed"
+    assert outcome == ["closed"]
+
+
 def _tcp_pair():
     listener = tp.server_listen("127.0.0.1", 0)
     host, port = listener.address
