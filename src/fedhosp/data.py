@@ -31,6 +31,8 @@ from .federation import HospitalDataset
 
 __all__ = [
     "DEFAULT_VARIABLES",
+    "MAX_SYNTHETIC_POINTS",
+    "PARTITION_STRATEGIES",
     "SyntheticConfig",
     "PartitionPlan",
     "variable_names",
@@ -52,6 +54,13 @@ DEFAULT_VARIABLES = (
     "glucose",
 )
 
+# Bound on n_episodes * n_variables * max points per series (at least 1), the
+# most points a synthetic dataset may hold: 30x a 2,000-episode, 7-variable,
+# 12-point set, and about 0.7 GB at the ~130 bytes per point ``generate`` peaks at.
+MAX_SYNTHETIC_POINTS = 5_000_000
+
+PARTITION_STRATEGIES = ("equal_iid", "label_skew")
+
 
 def variable_names(n_variables: int) -> tuple[str, ...]:
     """First `n_variables` canonical names, padded with generic ones past 7."""
@@ -64,7 +73,7 @@ def variable_names(n_variables: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the synthetic episode generator."""
+    """Knobs for the synthetic episode generator; see ``MAX_SYNTHETIC_POINTS``."""
 
     n_episodes: int
     n_variables: int = 7
@@ -76,11 +85,16 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if self.n_episodes < 2:
             raise ValueError(f"n_episodes must be >= 2, got {self.n_episodes}")
+        if self.n_variables < 1:
+            raise ValueError(f"n_variables must be >= 1, got {self.n_variables}")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError(f"prevalence must lie in (0,1), got {self.prevalence}")
         lo, hi = self.points_per_variable
         if lo < 0 or hi < lo:
             raise ValueError(f"points_per_variable range invalid: ({lo}, {hi})")
+        if self.n_episodes * self.n_variables * max(hi, 1) > MAX_SYNTHETIC_POINTS:
+            raise ValueError(f"{self.n_episodes} episodes x {self.n_variables} variables x "
+                             f"{hi} points exceed the bound of {MAX_SYNTHETIC_POINTS}")
         n_pos = round(self.prevalence * self.n_episodes)
         if n_pos < 1 or n_pos >= self.n_episodes:
             raise ValueError(
@@ -284,10 +298,10 @@ class PartitionPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("equal_iid", "label_skew"):
+        if self.strategy not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"unknown partition strategy {self.strategy!r}; "
-                "expected 'equal_iid' or 'label_skew'"
+                f"expected one of {PARTITION_STRATEGIES}"
             )
         if self.n_hospitals < 1:
             raise ValueError(f"n_hospitals must be >= 1, got {self.n_hospitals}")

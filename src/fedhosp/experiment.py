@@ -3,19 +3,23 @@
 Runs either centralized training (all rows pooled, one scaler) or a
 federated simulation (rows partitioned across hospitals, each hospital
 scaling with its own local extremes so raw values never pool anywhere).
-A single master seed fans out into fixed per-stage seeds, so a report is
-reproducible from its config echo alone.
+``prepare`` runs the stages every cell shares (data, split, features) and
+``fit`` trains and evaluates one (model, mode) cell on them, so a comparison
+prepares its data once. A single master seed fans out into fixed per-stage
+seeds, so a report is reproducible from its config echo alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .data import (
+    PARTITION_STRATEGIES,
     PartitionPlan,
     SyntheticConfig,
     generate,
@@ -24,8 +28,9 @@ from .data import (
     split_train_test,
     variable_names,
 )
-from .features import STATS_PER_VARIABLE, extract, fit_scaler, transform
+from .features import STATS_PER_VARIABLE, FeatureMatrix, extract, fit_scaler, transform
 from .federation import (
+    GATE_METRICS,
     FedConfig,
     FederationConfigError,
     FederationState,
@@ -35,17 +40,32 @@ from .federation import (
 from .metrics import evaluate
 from .models import ModelArch, TrainConfig, forward, init_params, train
 
-__all__ = ["ExperimentConfig", "ExperimentError", "run_experiment",
-           "run_comparison", "format_comparison", "federation_report", "write_report"]
+__all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "load_data", "prepare",
+           "fit", "run_experiment", "run_comparison", "format_comparison",
+           "federation_report", "write_report"]
 
 REPORT_SCHEMA_VERSION = 1
 
 MODELS = ("lr", "mlp")
 MODES = ("central", "federated")
+# ExperimentConfig fields whose value must be one of a fixed set (flag choices)
+CHOICES = {"model": MODELS, "mode": MODES, "gate_metric": GATE_METRICS,
+           "partition_strategy": PARTITION_STRATEGIES}
+# Each stage's seed is the master seed plus its offset.
+SEED_OFFSETS = {"data": 0, "split": 1, "partition": 2, "init": 3, "train": 4}
 
 
 class ExperimentError(RuntimeError):
     """A pipeline stage failed; the message says which one."""
+
+
+def check_type(key: str, value, kind) -> None:
+    """Raise ValueError naming ``key`` unless ``value`` is a ``kind`` as given;
+    a bool counts only as a bool, an int also as a float."""
+    kinds = get_args(kind) or (kind,)
+    allowed = kinds + (int,) if float in kinds else kinds
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"{key} must be {getattr(kind, '__name__', kind)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +74,12 @@ class ExperimentConfig:
 
     Exactly one data source: ``data_dir`` (measurements.csv + labels.csv)
     or the synthetic generator (``n_episodes``). The master ``seed`` fans
-    out as: data=seed, split=seed+1, partition=seed+2, init/federation=
-    seed+3, training=seed+4.
+    out as ``SEED_OFFSETS`` says: data=seed, split=seed+1, partition=
+    seed+2, init/federation=seed+3, training=seed+4.
+
+    Construction checks every field whatever the mode (its annotated type,
+    then the mode and, by building every sub-config once, each range and
+    choice), so a bad value raises ValueError naming it before any stage runs.
     """
 
     model: str = "lr"
@@ -87,10 +111,48 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        for key, kind in FIELD_TYPES.items():
+            check_type(key, getattr(self, key), kind)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie strictly in (0,1), got {self.test_fraction}")
+        self.synthetic()
+        self.partition_plan()
+        self.fed_config()
+        self.train_config(self.epochs)
+        self.train_config(self.local_epochs)
+        self.arch(STATS_PER_VARIABLE * self.n_variables)
+
+    @property
+    def stage_seeds(self) -> dict[str, int]:
+        return {stage: self.seed + offset for stage, offset in SEED_OFFSETS.items()}
+
+    def synthetic(self) -> SyntheticConfig:
+        return SyntheticConfig(self.n_episodes, self.n_variables, self.prevalence,
+                               self.effect_size, (self.points_min, self.points_max),
+                               seed=self.stage_seeds["data"])
+
+    def partition_plan(self) -> PartitionPlan:
+        return PartitionPlan(self.partition_strategy, self.n_hospitals, self.skew_alpha,
+                             seed=self.stage_seeds["partition"])
+
+    def fed_config(self) -> FedConfig:
+        return FedConfig(self.n_hospitals, self.rounds, self.local_epochs,
+                         self.cohort_fraction, self.gate_enabled, self.gate_metric,
+                         seed=self.stage_seeds["init"])
+
+    def train_config(self, epochs: int) -> TrainConfig:
+        return TrainConfig(epochs=epochs, seed=self.stage_seeds["train"],
+                           batch_size=self.batch_size, lr=self.learning_rate)
+
+    def arch(self, input_dim: int) -> ModelArch:
+        return ModelArch(self.model, input_dim=input_dim, hidden_dim=self.hidden_dim)
+
+
+FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _jsonable(value):
@@ -117,95 +179,85 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return fields
 
 
-def _load_or_generate(cfg: ExperimentConfig):
-    """Returns (episodes, ordered variable names)."""
-    if cfg.data_dir is not None:
-        data_dir = Path(cfg.data_dir)
-        episodes = load_episodes(data_dir / "measurements.csv", data_dir / "labels.csv")
-        variables = tuple(sorted({var for ep in episodes for var in ep.series}))
-        if not variables:
-            raise ValueError(f"no measurements found under {data_dir}")
-        return episodes, variables
-    synth = SyntheticConfig(
-        n_episodes=cfg.n_episodes,
-        n_variables=cfg.n_variables,
-        prevalence=cfg.prevalence,
-        effect_size=cfg.effect_size,
-        points_per_variable=(cfg.points_min, cfg.points_max),
-        seed=cfg.seed,
-    )
-    return generate(synth), variable_names(cfg.n_variables)
+def load_data(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None):
+    """(episodes, ordered variable names): ``variables``, if given, else
+    those observed in ``cfg.data_dir``, or the synthetic data's ``n_variables``."""
+    if cfg.data_dir is None:
+        return generate(cfg.synthetic()), variable_names(cfg.n_variables)
+    data_dir = Path(cfg.data_dir)
+    episodes = load_episodes(data_dir / "measurements.csv", data_dir / "labels.csv")
+    variables = variables or tuple(sorted({var for ep in episodes for var in ep.series}))
+    if not variables:
+        raise ValueError(f"no measurements found under {data_dir}")
+    return episodes, variables
 
 
-def _scaled_hospitals(raw: list[HospitalDataset]) -> list[HospitalDataset]:
-    """Each hospital rescales with its own local training extremes."""
-    scaled = []
-    for h in raw:
-        scaler = fit_scaler(h.train_x)
-        scaled.append(HospitalDataset(
-            hospital_id=h.hospital_id,
-            train_x=transform(scaler, h.train_x), train_y=h.train_y,
-            test_x=transform(scaler, h.test_x), test_y=h.test_y,
-        ))
-    return scaled
+def _scaled_locally(h: HospitalDataset) -> HospitalDataset:
+    """The hospital's rows rescaled with its own training extremes."""
+    scaler = fit_scaler(h.train_x)
+    return HospitalDataset(h.hospital_id, transform(scaler, h.train_x), h.train_y,
+                           transform(scaler, h.test_x), h.test_y)
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute the configured pipeline; returns (and optionally writes) the report."""
+@dataclass(frozen=True)
+class Prepared:
+    """What every cell shares: the variables and unscaled feature rows."""
+
+    variables: tuple[str, ...]
+    train: FeatureMatrix
+    test: FeatureMatrix
+
+    def as_hospital(self, hospital_id: int) -> HospitalDataset:
+        """Every row as one hospital's, scaled with their own training extremes."""
+        return _scaled_locally(HospitalDataset(hospital_id, self.train.rows, self.train.labels,
+                                              self.test.rows, self.test.labels))
+
+
+def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> Prepared:
+    """Data (see ``load_data``), split and feature stages; model and mode play no part."""
     try:
-        episodes, variables = _load_or_generate(cfg)
+        episodes, variables = load_data(cfg, variables)
     except Exception as exc:
         raise ExperimentError(f"data stage: {exc}") from exc
 
     try:
-        train_eps, test_eps = split_train_test(episodes, cfg.test_fraction, cfg.seed + 1)
-        train_fm = extract(train_eps, variables)
-        test_fm = extract(test_eps, variables)
+        train_eps, test_eps = split_train_test(episodes, cfg.test_fraction,
+                                               cfg.stage_seeds["split"])
+        return Prepared(variables, extract(train_eps, variables),
+                        extract(test_eps, variables))
     except Exception as exc:
         raise ExperimentError(f"feature stage: {exc}") from exc
 
-    arch = ModelArch(cfg.model, input_dim=STATS_PER_VARIABLE * len(variables),
-                     hidden_dim=cfg.hidden_dim)
+
+def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
+    """Train and evaluate ``cfg``'s (model, mode) cell on ``data``; returns its report."""
+    train_fm, test_fm = data.train, data.test
+    arch = cfg.arch(STATS_PER_VARIABLE * len(data.variables))
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": _config_dict(cfg),
-        "variables": list(variables),
+        "variables": list(data.variables),
         "arch": {"kind": arch.kind, "input_dim": arch.input_dim,
                  "hidden_dim": arch.hidden_dim if arch.kind == "mlp" else None,
                  "n_params": arch.n_params},
-        "stage_seeds": {"data": cfg.seed, "split": cfg.seed + 1,
-                        "partition": cfg.seed + 2, "init": cfg.seed + 3,
-                        "train": cfg.seed + 4},
-        "n_train_episodes": len(train_eps),
-        "n_test_episodes": len(test_eps),
+        "stage_seeds": cfg.stage_seeds,
+        "n_train_episodes": len(train_fm.episode_ids),
+        "n_test_episodes": len(test_fm.episode_ids),
     }
 
     try:
         if cfg.mode == "central":
-            scaler = fit_scaler(train_fm.rows)
-            x_train = transform(scaler, train_fm.rows)
-            x_test = transform(scaler, test_fm.rows)
-            params = train(
-                arch, init_params(arch, cfg.seed + 3), x_train, train_fm.labels,
-                TrainConfig(epochs=cfg.epochs, seed=cfg.seed + 4,
-                            batch_size=cfg.batch_size, lr=cfg.learning_rate),
-            )
-            result = evaluate(forward(arch, params, x_test), test_fm.labels)
+            pooled = data.as_hospital(0)
+            params = train(arch, init_params(arch, cfg.stage_seeds["init"]), pooled.train_x,
+                           pooled.train_y, cfg.train_config(cfg.epochs))
+            result = evaluate(forward(arch, params, pooled.test_x), pooled.test_y)
         else:
-            plan = PartitionPlan(cfg.partition_strategy, cfg.n_hospitals,
-                                 skew_alpha=cfg.skew_alpha, seed=cfg.seed + 2)
-            hospitals = _scaled_hospitals(partition(
-                train_fm.rows, train_fm.labels, test_fm.rows, test_fm.labels, plan,
-            ))
-            fed_cfg = FedConfig(
-                n_hospitals=cfg.n_hospitals, rounds=cfg.rounds,
-                local_epochs=cfg.local_epochs, cohort_fraction=cfg.cohort_fraction,
-                gate_enabled=cfg.gate_enabled, gate_metric=cfg.gate_metric,
-                seed=cfg.seed + 3,
-            )
-            train_cfg = TrainConfig(epochs=cfg.local_epochs, seed=cfg.seed + 4,
-                                    batch_size=cfg.batch_size, lr=cfg.learning_rate)
-            state, evals = run_federation(hospitals, arch, fed_cfg, train_cfg)
+            hospitals = [_scaled_locally(h) for h in partition(
+                train_fm.rows, train_fm.labels, test_fm.rows, test_fm.labels,
+                cfg.partition_plan(),
+            )]
+            state, evals = run_federation(hospitals, arch, cfg.fed_config(),
+                                          cfg.train_config(cfg.local_epochs))
             result = evals[-1]
             report["federation"] = {
                 **federation_report(state),
@@ -213,13 +265,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 "hospital_test_sizes": [h.n_test for h in hospitals],
                 "eval_history": [_jsonable(asdict(e)) for e in evals],
             }
-    except (ExperimentError, FederationConfigError):
+    except FederationConfigError:
         raise
     except Exception as exc:
         raise ExperimentError(f"training stage: {exc}") from exc
 
     report["metrics"] = {"auroc": result.auroc, "auprc": result.auprc,
                          "accuracy": result.accuracy, "n_test": result.n}
+    return report
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Execute the configured pipeline; returns (and optionally writes) the report."""
+    report = fit(cfg, prepare(cfg))
     if cfg.out_dir is not None:
         write_report(report, Path(cfg.out_dir) / "report.json")
     return report
@@ -241,14 +299,12 @@ def write_report(report: dict, path) -> None:
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:
-    """All four (model, mode) cells under one config; returns the combined report."""
-    from dataclasses import replace
-
-    cells = {}
-    for model in MODELS:
-        for mode in MODES:
-            run = run_experiment(replace(cfg, model=model, mode=mode, out_dir=None))
-            cells[f"{model}-{mode}"] = run["metrics"]
+    """All four (model, mode) cells on data prepared once; returns the combined report."""
+    data = prepare(cfg)
+    cells = {
+        f"{model}-{mode}": fit(replace(cfg, model=model, mode=mode), data)["metrics"]
+        for model in MODELS for mode in MODES
+    }
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": _config_dict(cfg),

@@ -22,7 +22,7 @@ from fedhosp.data import (
     split_train_test,
     variable_names,
 )
-from fedhosp.experiment import ExperimentConfig, run_experiment
+from fedhosp.experiment import ExperimentConfig, run_comparison
 from fedhosp.features import (
     STATS_PER_VARIABLE,
     extract,
@@ -89,15 +89,15 @@ def _feature_hospitals(n_episodes, n_variables, n_hospitals, seed,
 @criterion(1, "federated AUROC within 0.03 of centralized for LR and MLP")
 def test_criterion_1_federated_vs_centralized_gap():
     start = time.perf_counter()
+    # One run_comparison per point: the data is prepared once for its four cells.
     shared = dict(n_episodes=2000, n_variables=7, effect_size=1.0,
                   n_hospitals=2, partition_strategy="equal_iid",
                   gate_enabled=False, rounds=100, local_epochs=1,
                   epochs=100, seed=1234)
+    cells = run_comparison(ExperimentConfig(**shared))["cells"]
     for model in ("lr", "mlp"):
-        central = run_experiment(ExperimentConfig(
-            model=model, mode="central", **shared))["metrics"]["auroc"]
-        federated = run_experiment(ExperimentConfig(
-            model=model, mode="federated", **shared))["metrics"]["auroc"]
+        central = cells[f"{model}-central"]["auroc"]
+        federated = cells[f"{model}-federated"]["auroc"]
         gap = abs(federated - central)
         assert gap <= 0.03, (
             f"{model}: federated {federated:.4f} vs central {central:.4f}, "
@@ -112,11 +112,10 @@ def test_criterion_1_federated_vs_centralized_gap():
                        test_fraction=0.5, n_hospitals=2,
                        partition_strategy="equal_iid", gate_enabled=False,
                        rounds=30, local_epochs=2, epochs=30, seed=1234)
+    cells = run_comparison(ExperimentConfig(**unsaturated))["cells"]
     for model in ("lr", "mlp"):
-        central = run_experiment(ExperimentConfig(
-            model=model, mode="central", **unsaturated))["metrics"]["auroc"]
-        federated = run_experiment(ExperimentConfig(
-            model=model, mode="federated", **unsaturated))["metrics"]["auroc"]
+        central = cells[f"{model}-central"]["auroc"]
+        federated = cells[f"{model}-federated"]["auroc"]
         assert central < 0.9, f"{model}: central AUROC {central:.4f} is near saturation"
         gap = abs(federated - central)
         assert gap <= 0.03, (

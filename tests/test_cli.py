@@ -250,3 +250,157 @@ def test_duplicate_worker_id_is_rejected(tmp_path, shards):
         for proc in (server, *workers):
             if proc.poll() is None:
                 proc.kill()
+
+
+# --------------------------------------------------------------------------
+# every option value is checked before any stage runs
+
+
+def _exit_code(argv):
+    """main's exit code, argparse's own usage errors included."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# (config-file values, equivalent flags or None where no flag can carry
+# them, text the error must contain)
+BAD_EXPERIMENT_VALUES = [
+    ({"rounds": 0}, ["--rounds", "0"], "rounds"),
+    ({"rounds": "ten"}, ["--rounds", "ten"], "rounds"),
+    ({"cohort_fraction": 2}, ["--cohort-fraction", "2"], "cohort"),
+    ({"batch_size": 0}, ["--batch-size", "0"], "batch"),
+    ({"learning_rate": "0.1"}, None, "learning_rate"),
+    ({"n_episodes": True}, ["--episodes", "true"], "episodes"),
+    ({"n_episodes": 10**12}, ["--episodes", str(10**12)], "episodes"),
+    ({"gate_enabled": "no"}, None, "gate_enabled"),
+    ({"seed": -1}, ["--seed", "-1"], "seed"),
+    ({"seed": 1.5}, ["--seed", "1.5"], "seed"),
+    ({"out_dir": 7}, None, "out_dir"),
+    ({"model": "mlp", "hidden_dim": 0}, ["--model", "mlp", "--hidden-dim", "0"], "hidden_dim"),
+    ({"test_fraction": 1.0}, ["--test-fraction", "1"], "test_fraction"),
+    ({"n_variables": 0}, ["--variables", "0"], "n_variables"),
+    ({"points_min": 5, "points_max": 4}, ["--points-min", "5", "--points-max", "4"], "points"),
+    ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
+    ({"partition_strategy": "round_robin"}, ["--partition", "round_robin"], "partition"),
+]
+
+
+def _bad_value_argvs(command, given, tmp_path, cases):
+    """(argv, expected text) per case: the bad values from a config file that
+    also holds ``given``, then as flags after ``given``'s own flags."""
+    given_flags = [x for k, v in given.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+    for i, (config, flags, named) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({**given, **config}))
+        yield [command, "--config", str(path)], named
+        if flags is not None:
+            yield [command, *given_flags, *flags], named
+
+
+def _assert_usage_errors(argvs, capsys):
+    for argv, named in argvs:
+        assert _exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err, (argv, err)
+        assert "stage" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_every_bad_value_exits_2_before_the_data_stage(tmp_path, capsys, command):
+    # Reaching the data stage would fail on the missing directory with exit 1.
+    given = {"mode": "federated", "data_dir": str(tmp_path / "missing")}
+    _assert_usage_errors(
+        _bad_value_argvs(command, given, tmp_path, BAD_EXPERIMENT_VALUES), capsys)
+
+
+def test_config_file_types_are_checked_not_converted(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"n_episodes": 60, "epochs": 1, "learning_rate": 1,
+                               "gate_enabled": False}))
+    out = tmp_path / "run"
+    assert _run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert echo["learning_rate"] == 1 and isinstance(echo["learning_rate"], int)
+    assert echo["gate_enabled"] is False
+
+
+def test_generate_bad_values_exit_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cases = [
+        ({"episodes": True}, ["--episodes", "true"], "episodes"),
+        ({"episodes": 1}, ["--episodes", "1"], "episodes"),
+        ({"prevalence": "0.1"}, None, "prevalence"),
+        ({"points_max": 10**9}, ["--points-max", str(10**9)], "points"),
+        ({"seed": -1}, ["--seed", "-1"], "seed"),
+        ({"out": 7}, None, "out"),
+    ]
+    given = {"episodes": 20, "out": str(out)}
+    _assert_usage_errors(_bad_value_argvs("generate", given, tmp_path, cases), capsys)
+    assert not out.exists()
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} before every option was checked")
+    return refuse
+
+
+def test_serve_bad_values_exit_2_before_opening_a_socket(tmp_path, capsys, monkeypatch):
+    import fedhosp.cli as cli
+
+    monkeypatch.setattr(cli, "TcpTransport", _refuse("opened a socket"))
+    out = tmp_path / "out"
+    cases = [
+        ({"rounds": 0}, ["--rounds", "0"], "rounds"),
+        ({"rounds": "ten"}, ["--rounds", "ten"], "rounds"),
+        ({"hospitals": 0}, ["--hospitals", "0"], "hospitals"),
+        ({"cohort_fraction": 2}, ["--cohort-fraction", "2"], "cohort"),
+        ({"gate_enabled": "no"}, None, "gate_enabled"),
+        ({"seed": 1.5}, ["--seed", "1.5"], "seed"),
+        ({"model": "mlp", "hidden_dim": 0}, ["--model", "mlp", "--hidden-dim", "0"],
+         "hidden_dim"),
+        ({"listen": 7600}, None, "listen"),
+        ({"listen": "127.0.0.1:99999"}, ["--listen", "127.0.0.1:99999"], "port"),
+        ({"listen": "127.0.0.1:-5"}, ["--listen", "127.0.0.1:-5"], "port"),
+    ]
+    given = {"listen": "127.0.0.1:0", "out": str(out)}
+    _assert_usage_errors(_bad_value_argvs("serve", given, tmp_path, cases), capsys)
+    assert not out.exists()
+
+
+def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, monkeypatch):
+    import fedhosp.cli as cli
+
+    monkeypatch.setattr(cli, "prepare", _refuse("read the shard"))
+    monkeypatch.setattr(cli, "worker_connect", _refuse("connected"))
+    cases = [
+        ({"id": 0}, ["--id", "0"], "id"),
+        ({"id": "1"}, ["--id", "one"], "id"),
+        ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
+        ({"batch_size": 0}, ["--batch-size", "0"], "batch"),
+        ({"learning_rate": "0.1"}, None, "learning_rate"),
+        ({"test_fraction": 1.5}, ["--test-fraction", "1.5"], "test_fraction"),
+        ({"gate_metric": "f1"}, ["--gate-metric", "f1"], "gate"),
+        ({"seed": -1}, ["--seed", "-1"], "seed"),
+        ({"connect": "127.0.0.1:0"}, ["--connect", "127.0.0.1:0"], "port"),
+        ({"connect": "127.0.0.1:65536"}, ["--connect", "127.0.0.1:65536"], "port"),
+    ]
+    given = {"connect": "127.0.0.1:9", "id": 1, "shard": str(tmp_path / "shard")}
+    _assert_usage_errors(_bad_value_argvs("worker", given, tmp_path, cases), capsys)
+
+
+@pytest.mark.parametrize("port", ["99999", "-5"])
+def test_serve_port_out_of_range_is_a_usage_error(capsys, port):
+    assert _run(["serve", "--listen", f"127.0.0.1:{port}", "--rounds", "1"]) == 2
+    assert "must be an integer in 0-65535" in capsys.readouterr().err
+
+
+def test_worker_id_below_1_is_rejected_before_the_shard_is_read(shards, capsys, monkeypatch):
+    import fedhosp.cli as cli
+
+    monkeypatch.setattr(cli, "prepare", _refuse("read the shard"))
+    assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "0",
+                 "--shard", str(shards[0])]) == 2
+    assert "id must be >= 1" in capsys.readouterr().err

@@ -73,6 +73,19 @@ def test_generate_degenerate_prevalence_rejected():
         SyntheticConfig(n_episodes=1)
 
 
+def test_synthetic_size_is_bounded():
+    from fedhosp.data import MAX_SYNTHETIC_POINTS
+
+    SyntheticConfig(n_episodes=MAX_SYNTHETIC_POINTS // (7 * 12), n_variables=7)
+    with pytest.raises(ValueError, match="bound"):
+        SyntheticConfig(n_episodes=MAX_SYNTHETIC_POINTS // (7 * 12) + 1, n_variables=7)
+    with pytest.raises(ValueError, match="bound"):  # empty series count as one
+        SyntheticConfig(n_episodes=2, n_variables=MAX_SYNTHETIC_POINTS,
+                        points_per_variable=(0, 0))
+    with pytest.raises(ValueError, match="n_variables"):
+        SyntheticConfig(n_episodes=10, n_variables=0)
+
+
 def test_csv_round_trip(tmp_path):
     episodes = generate(SyntheticConfig(n_episodes=25, n_variables=3, seed=11))
     m, l = tmp_path / "measurements.csv", tmp_path / "labels.csv"

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from fedhosp.data import SyntheticConfig, generate, save_episodes
+import fedhosp.experiment as experiment
+from fedhosp.data import MAX_SYNTHETIC_POINTS, SyntheticConfig, generate, save_episodes
 from fedhosp.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -91,3 +93,73 @@ def test_comparison_runs_all_four_cells():
     ]
     text = format_comparison(report)
     assert "AUROC" in text and "mlp-federated" in text
+
+
+def test_comparison_prepares_its_data_once(monkeypatch):
+    calls = []
+    real_extract = experiment.extract
+
+    def counting_extract(*args, **kwargs):
+        calls.append(1)
+        return real_extract(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "extract", counting_extract)
+    run_comparison(_cfg(n_episodes=80, rounds=2, n_hospitals=2))
+    assert len(calls) == 2  # train and test rows, shared by all four cells
+
+
+def test_comparison_cells_equal_separate_runs():
+    cfg = _cfg(n_episodes=90, rounds=3, n_hospitals=3, hidden_dim=6, seed=5)
+    cells = run_comparison(cfg)["cells"]
+    for model in ("lr", "mlp"):
+        for mode in ("central", "federated"):
+            alone = run_experiment(replace(cfg, model=model, mode=mode))
+            assert cells[f"{model}-{mode}"] == alone["metrics"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_episodes", True), ("n_episodes", "100"), ("n_episodes", 100.0),
+    ("rounds", "ten"), ("learning_rate", "0.1"), ("learning_rate", False),
+    ("gate_enabled", "no"), ("gate_enabled", 1), ("seed", 1.5),
+    ("out_dir", 7), ("data_dir", b"dir"), ("model", None),
+])
+def test_config_type_errors_name_the_key(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        _cfg(**{key: value})
+
+
+def test_config_keeps_an_int_given_for_a_float():
+    cfg = _cfg(learning_rate=1, prevalence=0.25, effect_size=2)
+    assert type(cfg.learning_rate) is int and type(cfg.effect_size) is int
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"test_fraction": 0.0}, "test_fraction"),
+    ({"rounds": 0}, "rounds must be >= 1"),
+    ({"cohort_fraction": 2}, "cohort_fraction"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"epochs": -1}, "epochs must be >= 0"),
+    ({"learning_rate": 0.0}, "lr and eps must be positive"),
+    ({"model": "mlp", "hidden_dim": 0}, "hidden_dim must be >= 1"),
+    ({"n_hospitals": 0}, "n_hospitals must be >= 1"),
+    ({"partition_strategy": "label_skew", "skew_alpha": 0.0}, "skew_alpha"),
+    ({"gate_metric": "f1"}, "gate_metric"),
+    ({"n_episodes": MAX_SYNTHETIC_POINTS}, "bound"),
+])
+def test_config_range_errors_whatever_the_mode(kw, message):
+    # mode stays central: federation fields are checked all the same
+    with pytest.raises(ValueError, match=message):
+        _cfg(**kw)
+
+
+def test_sub_configs_fan_the_seed_out():
+    cfg = _cfg(seed=10, epochs=7, local_epochs=2, n_hospitals=3, rounds=4)
+    assert cfg.synthetic().seed == 10
+    assert cfg.partition_plan().seed == 12
+    assert cfg.fed_config().seed == 13
+    assert cfg.train_config(cfg.epochs) == experiment.TrainConfig(
+        epochs=7, seed=14, batch_size=8, lr=1e-3)
+    assert cfg.fed_config().rounds == 4 and cfg.partition_plan().n_hospitals == 3
+    assert cfg.stage_seeds == {"data": 10, "split": 11, "partition": 12, "init": 13,
+                               "train": 14}
