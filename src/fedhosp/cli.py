@@ -149,7 +149,7 @@ def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
         writer = csv.writer(f)
         writer.writerow(["episode_id", "label", *feature_names(variables)])
         for eid, label, row in zip(matrix.episode_ids, matrix.labels, matrix.rows):
-            writer.writerow([eid, int(label), *(repr(v) for v in row)])
+            writer.writerow([eid, int(label), *(repr(v) for v in row.tolist())])
     print(f"wrote {matrix.rows.shape[0]} x {matrix.rows.shape[1]} feature matrix to {out}")
     return 0
 
@@ -182,8 +182,6 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
     try:
         workers = wait_for_registrations(listener, range(1, fed_cfg.n_hospitals + 1))
         state, _ = run_server_rounds(workers, arch, fed_cfg)
-        for w in workers.values():
-            w.conn.close()
     finally:
         listener.close()
     print(f"finished {state.round} rounds; best {fed_cfg.gate_metric} "

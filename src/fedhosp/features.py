@@ -265,7 +265,6 @@ class Scaler:
 
     mins: np.ndarray
     maxs: np.ndarray
-    clip: bool = True
 
     def __post_init__(self) -> None:
         if self.mins.shape != self.maxs.shape or self.mins.ndim != 1:
@@ -274,20 +273,20 @@ class Scaler:
             raise ValueError("scaler has max < min for some feature")
 
 
-def fit_scaler(train_rows, clip: bool = True) -> Scaler:
+def fit_scaler(train_rows) -> Scaler:
     """Learn per-feature extremes from >= 1 training rows."""
     x = np.atleast_2d(np.asarray(train_rows, dtype=np.float64))
     if x.shape[0] < 1 or x.size == 0:
         raise ValueError("fit_scaler needs at least one row")
-    return Scaler(mins=x.min(axis=0), maxs=x.max(axis=0), clip=clip)
+    return Scaler(mins=x.min(axis=0), maxs=x.max(axis=0))
 
 
 def transform(scaler: Scaler, rows) -> np.ndarray:
     """x' = 2(x - min)/(max - min) - 1 per feature.
 
     Zero-range features map to 0; out-of-range values are clipped into
-    [-1, 1] when the scaler says so. Training rows land in [-1, 1] exactly,
-    attaining the endpoints at each feature's extremes.
+    [-1, 1]. Training rows land in [-1, 1] exactly, attaining the endpoints
+    at each feature's extremes.
     """
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if x.shape[1] != scaler.mins.size:
@@ -299,6 +298,4 @@ def transform(scaler: Scaler, rows) -> np.ndarray:
     nonzero = span > 0.0
     out = np.zeros_like(x)
     out[:, nonzero] = 2.0 * (x[:, nonzero] - scaler.mins[nonzero]) / span[nonzero] - 1.0
-    if scaler.clip:
-        np.clip(out, -1.0, 1.0, out=out)
-    return out
+    return np.clip(out, -1.0, 1.0, out=out)

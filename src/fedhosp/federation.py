@@ -332,14 +332,24 @@ class RegisteredWorker:
     n_test: int
 
 
+# Seconds an accepted connection has to deliver its Register frame. A peer
+# that connects and then stays silent is closed when it runs out, so it
+# cannot hold up the hospitals that do register.
+REGISTRATION_TIMEOUT_S = 10.0
+# Seconds run_federation waits for each hospital thread once every
+# connection is closed: long enough for a local update in progress to end.
+_JOIN_TIMEOUT_S = 30.0
+
+
 def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker]:
     """Accept connections until every expected hospital id has registered.
 
     A connection whose first message is not a Register, names an unknown id,
-    or repeats an already-registered id is closed (the rejected worker sees
-    its connection drop) and the server keeps waiting for the rest. If
-    waiting fails, every connection registered so far is closed before the
-    error propagates, so no registered worker waits on it forever.
+    repeats an already-registered id, or does not arrive within
+    ``REGISTRATION_TIMEOUT_S`` is closed (the rejected worker sees its
+    connection drop) and the server keeps waiting for the rest. If waiting
+    fails, every connection registered so far is closed before the error
+    propagates, so no registered worker waits on it forever.
     """
     expected = set(int(k) for k in expected_ids)
     if not expected:
@@ -349,7 +359,7 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
         while set(workers) != expected:
             conn = listener.accept()
             try:
-                msg = conn.recv()
+                msg = conn.recv(timeout=REGISTRATION_TIMEOUT_S)
             except tp.TransportError:
                 conn.close()
                 continue
@@ -365,6 +375,21 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
     return workers
 
 
+def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rnd: int) -> list:
+    """Send ``request`` to each listed hospital, then take one checked reply from each."""
+    for k in ids:
+        workers[k].conn.send(request)
+    replies = []
+    for k in ids:
+        msg = workers[k].conn.recv()
+        if not isinstance(msg, reply_type) or msg.hospital_id != k or msg.round != rnd:
+            raise tp.ProtocolError(
+                f"round {rnd}: expected {reply_type.__name__} from hospital {k}, got {msg!r}"
+            )
+        replies.append(msg)
+    return replies
+
+
 def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
                       fed_cfg: FedConfig, evaluate_global=None,
                       ) -> tuple[FederationState, list[EvalResult]]:
@@ -373,47 +398,33 @@ def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
     ``evaluate_global`` (optional) is called with the committed global
     parameters after each round; its results form the returned evaluation
     history. It exists for instrumentation — nothing it sees travels on the
-    wire. On return the workers have been sent Shutdown.
+    wire. On success the workers are sent Shutdown; on every exit, success
+    or any exception, every worker connection is closed, so no worker is
+    left waiting in ``recv``.
     """
     ids = sorted(workers)
     state = FederationState(global_params=init_params(arch, fed_cfg.seed))
     eval_history: list[EvalResult] = []
-    for rnd in range(fed_cfg.rounds):
-        cohort = select_cohort(fed_cfg.n_hospitals, fed_cfg.cohort_fraction,
-                               (fed_cfg.seed, rnd))
-        for k in cohort:
-            workers[k].conn.send(tp.BroadcastModel(rnd, state.global_params))
-        updates, sizes = [], []
-        for k in cohort:
-            msg = workers[k].conn.recv()
-            if not isinstance(msg, tp.LocalUpdate) or msg.hospital_id != k or msg.round != rnd:
-                raise tp.ProtocolError(
-                    f"round {rnd}: expected LocalUpdate from hospital {k}, got {msg!r}"
-                )
-            updates.append(msg.params)
-            sizes.append(msg.n_samples)
-        weights = compute_weights(sizes)
-        candidate = aggregate(updates, weights)
-
-        values, n_tests = [], []
+    try:
+        for rnd in range(fed_cfg.rounds):
+            cohort = select_cohort(fed_cfg.n_hospitals, fed_cfg.cohort_fraction,
+                                   (fed_cfg.seed, rnd))
+            updates = _exchange(workers, cohort, tp.BroadcastModel(rnd, state.global_params),
+                                tp.LocalUpdate, rnd)
+            weights = compute_weights([m.n_samples for m in updates])
+            candidate = aggregate([m.params for m in updates], weights)
+            results = _exchange(workers, ids, tp.EvalRequest(rnd, candidate),
+                                tp.EvalResult, rnd)
+            a_new = weighted_accuracy([m.value for m in results], [m.n_test for m in results])
+            state = gate_and_commit(state, candidate, a_new, weights, cohort,
+                                    gate=fed_cfg.gate_enabled)
+            if evaluate_global is not None:
+                eval_history.append(evaluate_global(state.global_params))
         for k in ids:
-            workers[k].conn.send(tp.EvalRequest(rnd, candidate))
-        for k in ids:
-            msg = workers[k].conn.recv()
-            if not isinstance(msg, tp.EvalResult) or msg.hospital_id != k or msg.round != rnd:
-                raise tp.ProtocolError(
-                    f"round {rnd}: expected EvalResult from hospital {k}, got {msg!r}"
-                )
-            values.append(msg.value)
-            n_tests.append(msg.n_test)
-        a_new = weighted_accuracy(values, n_tests)
-
-        state = gate_and_commit(state, candidate, a_new, weights, cohort,
-                                gate=fed_cfg.gate_enabled)
-        if evaluate_global is not None:
-            eval_history.append(evaluate_global(state.global_params))
-    for k in ids:
-        workers[k].conn.send(tp.Shutdown())
+            workers[k].conn.send(tp.Shutdown())
+    finally:
+        for w in workers.values():
+            w.conn.close()
     return state, eval_history
 
 
@@ -428,17 +439,19 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
     on the hospitals' pooled test sets) is measured on the side and returned
     alongside the final state.
 
-    Raises ``FederationConfigError`` before round 0 when the hospitals do
-    not fit ``fed_cfg``: duplicate ids, the wrong count, or, with the auroc
-    gate, a hospital whose test labels are all one class.
+    Raises ``FederationConfigError`` before any thread starts when the
+    hospitals do not fit ``fed_cfg``: ids other than exactly
+    1..``fed_cfg.n_hospitals``, or, with the auroc gate, a hospital whose
+    test labels are all one class. A transport failure is raised as a
+    ``RuntimeError`` naming the hospital that failed first; any other error
+    propagates unchanged. Either way every hospital thread has been released
+    first.
     """
-    hospitals = list(hospitals)
+    hospitals = sorted(hospitals, key=lambda h: h.hospital_id)
     ids = [h.hospital_id for h in hospitals]
-    if len(set(ids)) != len(ids):
-        raise FederationConfigError(f"hospital ids must be unique, got {ids}")
-    if len(hospitals) != fed_cfg.n_hospitals:
+    if ids != list(range(1, fed_cfg.n_hospitals + 1)):
         raise FederationConfigError(
-            f"fed_cfg expects {fed_cfg.n_hospitals} hospitals, got {len(hospitals)}"
+            f"hospital ids must be exactly 1..{fed_cfg.n_hospitals}, got {ids}"
         )
     if fed_cfg.gate_metric == "auroc":
         for h in hospitals:
@@ -451,29 +464,8 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
     if transport is None:
         transport = tp.InProcessTransport()
     worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)
-
-    listener = transport.listen()
-    failures: list[tuple[int, Exception]] = []
-
-    def run_worker(hospital: HospitalDataset) -> None:
-        conn = transport.connect()
-        try:
-            worker_loop(conn, hospital, arch, worker_cfg, fed_cfg.gate_metric)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the caller below
-            failures.append((hospital.hospital_id, exc))
-            conn.close()  # unblocks the server's recv
-
-    threads = [
-        threading.Thread(target=run_worker, args=(h,), daemon=True, name=f"hospital-{h.hospital_id}")
-        for h in hospitals
-    ]
-    for t in threads:
-        t.start()
-
-    by_id = {h.hospital_id: h for h in sorted(hospitals, key=lambda h: h.hospital_id)}
-    pooled_x = np.vstack([h.test_x for h in by_id.values()])
-    pooled_y = np.concatenate([h.test_y for h in by_id.values()])
-
+    pooled_x = np.vstack([h.test_x for h in hospitals])
+    pooled_y = np.concatenate([h.test_y for h in hospitals])
     last_params, last_result = None, None
 
     def evaluate_global(params: np.ndarray) -> EvalResult:
@@ -484,36 +476,39 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
             last_result = evaluate(forward(arch, params, pooled_x), pooled_y)
         return last_result
 
-    workers: dict[int, RegisteredWorker] = {}
+    failures: list[tuple[int, Exception]] = []
+
+    def run_worker(hospital: HospitalDataset) -> None:
+        conn = transport.connect()
+        try:
+            worker_loop(conn, hospital, arch, worker_cfg, fed_cfg.gate_metric)
+        except Exception as exc:  # noqa: BLE001 - surfaced to the caller below
+            # A closed connection means the server stopped first, and the
+            # server raises its own error; anything else is this hospital's.
+            if not isinstance(exc, tp.TransportClosedError):
+                failures.append((hospital.hospital_id, exc))
+            conn.close()  # unblocks the server's recv
+
+    listener = transport.listen()
+    threads = []
     try:
-        workers = wait_for_registrations(listener, ids)
-        result = run_server_rounds(workers, arch, fed_cfg, evaluate_global)
+        for h in hospitals:
+            t = threading.Thread(target=run_worker, args=(h,), daemon=True,
+                                 name=f"hospital-{h.hospital_id}")
+            t.start()
+            threads.append(t)
+        return run_server_rounds(wait_for_registrations(listener, ids), arch, fed_cfg,
+                                 evaluate_global)
     except tp.TransportError as exc:
-        # Closing the server-side connections ends each healthy worker's
-        # recv, which would otherwise wait for a Shutdown that never comes.
-        # Those workers then record failures of their own, so the first
-        # failure is read before.
-        first_failure = failures[:1]
-        listener.close()
-        for w in workers.values():
-            w.conn.close()
-        for t in threads:
-            t.join(timeout=5.0)
-        if first_failure:
-            hid, worker_exc = first_failure[0]
+        # A failing hospital records its error before it closes the
+        # connection the server then fails on, so failures[0] is the first.
+        if failures:
+            hid, worker_exc = failures[0]
             raise RuntimeError(
                 f"hospital {hid} failed during federation: {worker_exc}"
             ) from worker_exc
         raise RuntimeError(f"federation transport failure: {exc}") from exc
     finally:
         listener.close()
-    for t in threads:
-        t.join(timeout=30.0)
-    for w in workers.values():
-        w.conn.close()
-    if failures:
-        hid, worker_exc = failures[0]
-        raise RuntimeError(
-            f"hospital {hid} failed during federation: {worker_exc}"
-        ) from worker_exc
-    return result
+        for t in threads:
+            t.join(_JOIN_TIMEOUT_S)

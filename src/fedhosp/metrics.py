@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EvalResult", "auroc", "auprc", "accuracy", "evaluate"]
+__all__ = ["DECISION_THRESHOLD", "EvalResult", "auroc", "auprc", "accuracy", "evaluate"]
+
+# A score at or above this predicts the positive class, for ``accuracy``.
+DECISION_THRESHOLD = 0.5
 
 
 def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +75,10 @@ def auprc(scores, labels) -> float:
     return float(precision_at_k[hits == 1].sum() / n_pos)
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
-    """Fraction of correct hard decisions; score >= threshold predicts positive."""
+def accuracy(scores, labels) -> float:
+    """Fraction of correct hard decisions; score >= DECISION_THRESHOLD predicts positive."""
     s, y = _validated(scores, labels)
-    predicted = (s >= threshold).astype(np.int64)
+    predicted = (s >= DECISION_THRESHOLD).astype(np.int64)
     return float(np.mean(predicted == y))
 
 
@@ -93,12 +96,12 @@ class EvalResult:
             raise ValueError("EvalResult needs n >= 1")
 
 
-def evaluate(scores, labels, threshold: float = 0.5) -> EvalResult:
+def evaluate(scores, labels) -> EvalResult:
     """All three metrics over one (scores, labels) sample."""
     s, y = _validated(scores, labels)
     return EvalResult(
         auroc=auroc(s, y),
         auprc=auprc(s, y),
-        accuracy=accuracy(s, y, threshold),
+        accuracy=accuracy(s, y),
         n=int(s.size),
     )

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_PARAMS",
     "ModelArch",
     "AdamState",
     "TrainConfig",
@@ -38,6 +39,13 @@ __all__ = [
 # Predicted probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP]
 # inside the loss so it stays finite for saturated sigmoids.
 PROB_CLAMP = 1e-12
+
+# Bound on ModelArch.n_params: 67x the 14,801 of a 294-input, 50-unit MLP.
+# A federation holds about a dozen float64 vectors of that length per
+# hospital (the model, Adam's workspace, frames on the wire, the server's
+# copies): a 2-hospital in-process run peaks at 217 bytes per parameter,
+# about 0.2 GB at the bound.
+MAX_PARAMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,12 @@ class ModelArch:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.kind == "mlp" and self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1 for mlp, got {self.hidden_dim}")
+        if self.n_params > MAX_PARAMS:
+            raise ValueError(
+                f"{self.kind} with input_dim {self.input_dim} and hidden_dim "
+                f"{self.hidden_dim} has {self.n_params:,} parameters, more than "
+                f"MAX_PARAMS = {MAX_PARAMS:,}"
+            )
 
     @property
     def n_params(self) -> int:
@@ -259,7 +273,6 @@ class TrainConfig:
     epochs: int
     seed: int
     batch_size: int = 8
-    shuffle: bool = True
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -312,7 +325,7 @@ def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,
     grads = workspace.grad
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_x, epoch_y = x[order], y[order]
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size

@@ -34,6 +34,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import make_dataclass
 from typing import Union
 
@@ -234,8 +235,12 @@ class InProcessConnection:
             self._out.put(frame)
             self.bytes_sent += len(frame)
 
-    def recv(self) -> Message:
-        item = self._in.get()
+    def recv(self, timeout: float | None = None) -> Message:
+        """Next message; ``TransportError`` if none arrives within ``timeout`` s."""
+        try:
+            item = self._in.get(timeout=timeout)
+        except queue.Empty:
+            raise TransportError(f"no message within {timeout} s") from None
         if item is _CLOSED:
             self._in.put(_CLOSED)  # keep later recv() calls failing too
             raise TransportClosedError("connection closed")
@@ -330,12 +335,19 @@ class TcpConnection:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _recv_exact(self, n: int, mid_frame: bool) -> bytes:
+    def _recv_exact(self, n: int, mid_frame: bool, deadline: float | None) -> bytes:
         chunks = []
         remaining = n
         while remaining:
             try:
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError
+                    self._sock.settimeout(left)
                 chunk = self._sock.recv(min(remaining, _RECV_CHUNK))
+            except TimeoutError:
+                raise TransportError("no complete message within the deadline") from None
             except OSError as exc:
                 raise TransportClosedError(f"connection lost: {exc}") from None
             if not chunk:
@@ -354,10 +366,18 @@ class TcpConnection:
             raise TransportClosedError(f"send failed: {exc}") from None
         self.bytes_sent += len(frame)
 
-    def recv(self) -> Message:
-        prefix = self._recv_exact(4, mid_frame=False)
-        declared = _U32.unpack(prefix)[0]
-        payload = self._recv_exact(declared, mid_frame=True)
+    def recv(self, timeout: float | None = None) -> Message:
+        """Next message. With a ``timeout`` (s) the whole frame must arrive by
+        then, else ``TransportError`` (part of a frame may have been read, so
+        close the connection); without one the socket stays blocking."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            prefix = self._recv_exact(4, False, deadline)
+            declared = _U32.unpack(prefix)[0]
+            payload = self._recv_exact(declared, True, deadline)
+        finally:
+            if deadline is not None and not self._closed:
+                self._sock.settimeout(None)
         self.bytes_received += 4 + declared
         return decode(prefix + payload)
 

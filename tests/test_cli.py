@@ -14,7 +14,8 @@ import pytest
 
 from fedhosp.cli import main
 from fedhosp.data import load_episodes
-from fedhosp.features import STATS_PER_VARIABLE
+from fedhosp.experiment import ExperimentConfig, load_data
+from fedhosp.features import STATS_PER_VARIABLE, extract
 
 
 def _run(argv):
@@ -54,6 +55,10 @@ def test_extract_writes_feature_table(tmp_path):
     assert header[2].endswith("__full__max")
     assert len(body) == 10
     assert all(len(r) == len(header) for r in body)
+    # every feature cell is a plain number equal to the extracted value
+    matrix = extract(*load_data(ExperimentConfig(data_dir=str(data))))
+    assert [r[0] for r in body] == list(matrix.episode_ids)
+    assert [[float(cell) for cell in r[2:]] for r in body] == matrix.rows.tolist()
 
 
 def test_missing_required_flag_is_usage_error(capsys):
@@ -279,6 +284,8 @@ BAD_EXPERIMENT_VALUES = [
     ({"seed": 1.5}, ["--seed", "1.5"], "seed"),
     ({"out_dir": 7}, None, "out_dir"),
     ({"model": "mlp", "hidden_dim": 0}, ["--model", "mlp", "--hidden-dim", "0"], "hidden_dim"),
+    ({"model": "mlp", "hidden_dim": 10**9}, ["--model", "mlp", "--hidden-dim", str(10**9)],
+     "MAX_PARAMS"),
     ({"test_fraction": 1.0}, ["--test-fraction", "1"], "test_fraction"),
     ({"n_variables": 0}, ["--variables", "0"], "n_variables"),
     ({"points_min": 5, "points_max": 4}, ["--points-min", "5", "--points-max", "4"], "points"),
@@ -361,6 +368,8 @@ def test_serve_bad_values_exit_2_before_opening_a_socket(tmp_path, capsys, monke
         ({"seed": 1.5}, ["--seed", "1.5"], "seed"),
         ({"model": "mlp", "hidden_dim": 0}, ["--model", "mlp", "--hidden-dim", "0"],
          "hidden_dim"),
+        ({"model": "mlp", "hidden_dim": 10**9}, ["--model", "mlp", "--hidden-dim", str(10**9)],
+         "MAX_PARAMS"),
         ({"listen": 7600}, None, "listen"),
         ({"listen": "127.0.0.1:99999"}, ["--listen", "127.0.0.1:99999"], "port"),
         ({"listen": "127.0.0.1:-5"}, ["--listen", "127.0.0.1:-5"], "port"),
@@ -381,6 +390,8 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
         ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
         ({"batch_size": 0}, ["--batch-size", "0"], "batch"),
         ({"learning_rate": "0.1"}, None, "learning_rate"),
+        ({"model": "mlp", "hidden_dim": 10**9}, ["--model", "mlp", "--hidden-dim", str(10**9)],
+         "MAX_PARAMS"),
         ({"test_fraction": 1.5}, ["--test-fraction", "1.5"], "test_fraction"),
         ({"gate_metric": "f1"}, ["--gate-metric", "f1"], "gate"),
         ({"seed": -1}, ["--seed", "-1"], "seed"),

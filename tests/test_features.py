@@ -208,11 +208,6 @@ def test_scaler_examples():
     assert transform(scaler, np.array([[-1.0, 3.0]]))[0, 0] == -1.0
 
 
-def test_scaler_without_clip_extrapolates():
-    scaler = fit_scaler(np.array([[2.0], [6.0]]), clip=False)
-    assert transform(scaler, np.array([[8.0]]))[0, 0] == pytest.approx(2.0)
-
-
 def test_scaled_training_rows_hit_unit_interval_exactly():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(50, 9)) * rng.uniform(0.1, 100, 9)

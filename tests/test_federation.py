@@ -482,6 +482,113 @@ def test_worker_failure_releases_the_healthy_workers(make_transport):
     assert left == []
 
 
+class _NoTransport:
+    """A transport that fails the test if a run opens any connection."""
+
+    def listen(self):
+        raise AssertionError("the run opened a listener")
+
+    connect = listen
+
+
+def test_hospital_ids_other_than_1_to_k_are_rejected_before_any_thread():
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=2, rounds=1)
+    for ids in ((0, 1), (1, 1), (1, 3), (1,), (1, 2, 3)):
+        hospitals = [_hospital(k, seed=k) for k in ids]
+        with pytest.raises(FederationConfigError, match=r"exactly 1\.\.2"):
+            run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), _NoTransport())
+
+
+@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
+                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
+                         ids=["in_process", "tcp"])
+def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals(make_transport):
+    # All-negative test labels pass the accuracy gate, but the pooled AUROC
+    # of round 0 is undefined.
+    hospitals = [_hospital(1, seed=1), _hospital(2, seed=2)]
+    for h in hospitals:
+        h.test_y[:] = 0.0
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=2, rounds=3, gate_metric="accuracy")
+    with pytest.raises(ValueError, match="auroc") as info:
+        run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), make_transport())
+    assert info.type is ValueError
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("hospital-") and t.is_alive()]
+
+
+@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
+                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
+                         ids=["in_process", "tcp"])
+def test_a_failing_round_closes_every_worker_connection(make_transport):
+    transport = make_transport()
+    listener = transport.listen()
+    arch = ModelArch("lr", input_dim=3)
+    ended = {}
+
+    def hospital(h):
+        conn = transport.connect()
+        try:
+            worker_loop(conn, h, arch, TrainConfig(epochs=1, seed=0))
+        except tp.TransportError as exc:
+            ended[h.hospital_id] = type(exc)
+        conn.close()
+
+    threads = [threading.Thread(target=hospital, args=(_hospital(k, seed=k),),
+                                name=f"hospital-{k}", daemon=True) for k in (1, 2)]
+    for t in threads:
+        t.start()
+
+    def evaluate_global(params):
+        raise ZeroDivisionError("evaluation failed")
+
+    try:
+        workers = wait_for_registrations(listener, [1, 2])
+        with pytest.raises(ZeroDivisionError):
+            federation.run_server_rounds(workers, arch, FedConfig(n_hospitals=2, rounds=3),
+                                         evaluate_global)
+    finally:
+        listener.close()
+        for t in threads:
+            t.join(timeout=2.0)
+    assert not any(t.is_alive() for t in threads), "a worker still waits in recv"
+    assert ended == {1: tp.TransportClosedError, 2: tp.TransportClosedError}
+
+
+def test_a_silent_peer_does_not_stall_registration(monkeypatch):
+    import socket
+    import time
+
+    monkeypatch.setattr(federation, "REGISTRATION_TIMEOUT_S", 0.2)
+    transport = tp.TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    silent = socket.create_connection(("127.0.0.1", transport.port))
+    h = _hospital(1)
+    arch = ModelArch("lr", input_dim=3)
+    worker = threading.Thread(
+        target=lambda: worker_loop(transport.connect(), h, arch, TrainConfig(epochs=1, seed=0)),
+        name="hospital-1", daemon=True)
+    worker.start()
+    registered = []
+    server = threading.Thread(
+        target=lambda: registered.append(wait_for_registrations(listener, [1])), daemon=True)
+    start = time.monotonic()
+    server.start()
+    server.join(timeout=5.0)
+    waited = time.monotonic() - start
+    silent.close()  # releases a server still waiting on it
+    server.join(timeout=5.0)
+    listener.close()
+    for w in (registered[0] if registered else {}).values():
+        w.conn.send(tp.Shutdown())
+        w.conn.close()
+    worker.join(timeout=5.0)
+    assert waited < 5.0, "registration still waiting on the silent peer"
+    assert list(registered[0]) == [1]
+    assert not worker.is_alive()
+
+
 def test_worker_loop_round_trip_over_plain_pair():
     transport = tp.InProcessTransport()
     listener = transport.listen()

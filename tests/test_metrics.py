@@ -141,10 +141,6 @@ def test_accuracy_examples():
     assert accuracy([0.7, 0.7, 0.2], [1, 0, 0]) == pytest.approx(2 / 3)
 
 
-def test_accuracy_custom_threshold():
-    assert accuracy([0.6, 0.4], [1, 1], threshold=0.3) == 1.0
-
-
 def test_validation_errors():
     with pytest.raises(ValueError, match="length"):
         accuracy([0.5, 0.5], [1])

@@ -268,9 +268,9 @@ def test_train_solves_separable_problem():
     assert np.mean(predictions == y) == 1.0
 
 
-def test_train_partial_final_batch_and_no_shuffle():
+def test_train_partial_final_batch():
     x, y = _toy_separable(n=10)  # batch_size 8 leaves a final batch of 2
-    cfg = TrainConfig(epochs=2, seed=0, shuffle=False)
+    cfg = TrainConfig(epochs=2, seed=0)
     out = train(LR2, np.zeros(3), x, y, cfg)
     assert out.shape == (3,)
     assert np.all(np.isfinite(out))
@@ -327,7 +327,7 @@ def _reference_train(arch, params, x, y, cfg):
     n = x.shape[0]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             t += 1
@@ -354,8 +354,7 @@ def test_adam_step_matches_reference_bytes():
 @pytest.mark.parametrize("arch", [ModelArch("lr", input_dim=5),
                                   ModelArch("mlp", input_dim=5, hidden_dim=7)],
                          ids=["lr", "mlp"])
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_train_matches_per_step_reference_bytes(arch, shuffle):
+def test_train_matches_per_step_reference_bytes(arch):
     rng = np.random.default_rng(31)
     n = 13  # a multiple of none of the batch sizes above 1
     x = rng.normal(size=(n, arch.input_dim))
@@ -363,8 +362,7 @@ def test_train_matches_per_step_reference_bytes(arch, shuffle):
     start = init_params(arch, 4)
     for batch_size in (1, 3, 8, n, n + 5):
         for epochs in range(4):
-            cfg = TrainConfig(epochs=epochs, seed=9, batch_size=batch_size,
-                              shuffle=shuffle, lr=0.05)
+            cfg = TrainConfig(epochs=epochs, seed=9, batch_size=batch_size, lr=0.05)
             out = train(arch, start, x, y, cfg)
             assert out.tobytes() == _reference_train(arch, start, x, y, cfg).tobytes(), \
                 (batch_size, epochs)
@@ -431,8 +429,7 @@ def test_train_leaves_inputs_untouched_and_returns_unshared_params(arch, with_wo
 
 
 @pytest.mark.parametrize("arch", ARCHS, ids=["lr", "mlp"])
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_train_calls_gradient_and_adam_step_once_per_step(monkeypatch, arch, shuffle):
+def test_train_calls_gradient_and_adam_step_once_per_step(monkeypatch, arch):
     """The benchmark counts training steps by wrapping these two names."""
     from fedhosp import models
 
@@ -454,7 +451,6 @@ def test_train_calls_gradient_and_adam_step_once_per_step(monkeypatch, arch, shu
         for epochs in (0, 1, 3):
             calls.update(gradient=0, adam_step=0)
             models.train(arch, init_params(arch, 1), x, y,
-                         TrainConfig(epochs=epochs, seed=2, batch_size=batch_size,
-                                     shuffle=shuffle))
+                         TrainConfig(epochs=epochs, seed=2, batch_size=batch_size))
             steps = epochs * math.ceil(len(y) / batch_size)
             assert calls == {"gradient": steps, "adam_step": steps}, (batch_size, epochs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -303,6 +304,56 @@ def test_tcp_huge_length_prefix_allocates_only_what_arrives():
         tracemalloc.stop()
         accepted[0].close()
     assert peak < 4 * 2**20
+
+
+def _in_process_pair():
+    transport = tp.InProcessTransport()
+    listener = transport.listen()
+    worker = transport.connect()
+    return worker, listener.accept()
+
+
+@pytest.mark.parametrize("pair", [_in_process_pair, _tcp_pair], ids=["inprocess", "tcp"])
+def test_recv_timeout_expires_and_the_connection_still_works(pair):
+    worker, server = pair()
+    msg = tp.Register(hospital_id=1, n_train=2, n_test=3)
+    try:
+        with pytest.raises(tp.TransportError, match="within"):
+            server.recv(timeout=0.05)
+        worker.send(msg)
+        assert server.recv(timeout=5.0) == msg
+        if isinstance(server, tp.TcpConnection):
+            assert server._sock.gettimeout() is None  # blocking again for round traffic
+        worker.send(msg)
+        assert server.recv() == msg
+    finally:
+        worker.close()
+        server.close()
+
+
+def test_tcp_recv_timeout_is_a_deadline_for_the_whole_frame():
+    client, server = _tcp_pair()
+    frame = tp.encode(tp.Register(hospital_id=1, n_train=2, n_test=3))
+    stop = threading.Event()
+
+    def drip():  # one byte every 50 ms: 25 bytes take 1.25 s
+        for i in range(len(frame)):
+            if stop.wait(0.05):
+                return
+            client._sock.sendall(frame[i:i + 1])
+
+    thread = threading.Thread(target=drip)
+    thread.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(tp.TransportError, match="within"):
+            server.recv(timeout=0.3)
+        assert time.monotonic() - start < 1.0
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        client.close()
+        server.close()
 
 
 def test_connect_refused_is_transport_error():
