@@ -34,6 +34,7 @@ from .data import generate, save_episodes
 from .experiment import (
     CHOICES,
     FIELD_TYPES,
+    REPORT_SCHEMA_VERSION,
     ExperimentConfig,
     ExperimentError,
     check_type,
@@ -188,8 +189,8 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
           f"{state.best_accuracy:.4f} "
           f"({sum(r.committed for r in state.history)} committed)")
     if opts["out"]:
-        report = {"schema_version": 1, "config": {k: opts[k] for k in sorted(opts)},
-                  **federation_report(state)}
+        report = {"schema_version": REPORT_SCHEMA_VERSION,
+                  "config": {k: opts[k] for k in sorted(opts)}, **federation_report(state)}
         write_report(report, Path(opts["out"]) / "report.json")
         print(f"report written to {Path(opts['out']) / 'report.json'}")
     return 0

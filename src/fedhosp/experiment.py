@@ -12,6 +12,7 @@ seeds, so a report is reproducible from its config echo alone.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -42,7 +43,7 @@ from .models import ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "load_data", "prepare",
            "fit", "run_experiment", "run_comparison", "format_comparison",
-           "federation_report", "write_report"]
+           "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -181,12 +182,23 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 
 def load_data(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None):
     """(episodes, ordered variable names): ``variables``, if given, else
-    those observed in ``cfg.data_dir``, or the synthetic data's ``n_variables``."""
+    those observed in ``cfg.data_dir``, or the synthetic data's ``n_variables``.
+
+    A given name that no episode in ``cfg.data_dir`` observes is kept, as a
+    hospital may lack a variable the federation agreed on, and named in one
+    warning on stderr, as its features are all zero.
+    """
     if cfg.data_dir is None:
         return generate(cfg.synthetic()), variable_names(cfg.n_variables)
     data_dir = Path(cfg.data_dir)
     episodes = load_episodes(data_dir / "measurements.csv", data_dir / "labels.csv")
-    variables = variables or tuple(sorted({var for ep in episodes for var in ep.series}))
+    observed = {var for ep in episodes for var in ep.series}
+    if variables:
+        unobserved = [var for var in variables if var not in observed]
+        if unobserved:
+            print(f"warning: no measurements of {', '.join(unobserved)} under {data_dir}; "
+                  f"their features are all zero", file=sys.stderr)
+    variables = variables or tuple(sorted(observed))
     if not variables:
         raise ValueError(f"no measurements found under {data_dir}")
     return episodes, variables

@@ -443,7 +443,8 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
     hospitals do not fit ``fed_cfg``: ids other than exactly
     1..``fed_cfg.n_hospitals``, or, with the auroc gate, a hospital whose
     test labels are all one class. A transport failure is raised as a
-    ``RuntimeError`` naming the hospital that failed first; any other error
+    ``RuntimeError`` naming the hospital that failed first, as is any failure
+    of a hospital thread, from ``transport.connect()`` on; any other error
     propagates unchanged. Either way every hospital thread has been released
     first.
     """
@@ -479,15 +480,20 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
     failures: list[tuple[int, Exception]] = []
 
     def run_worker(hospital: HospitalDataset) -> None:
-        conn = transport.connect()
+        conn = None
         try:
+            conn = transport.connect()
             worker_loop(conn, hospital, arch, worker_cfg, fed_cfg.gate_metric)
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller below
             # A closed connection means the server stopped first, and the
             # server raises its own error; anything else is this hospital's.
             if not isinstance(exc, tp.TransportClosedError):
                 failures.append((hospital.hospital_id, exc))
-            conn.close()  # unblocks the server's recv
+            # Unblocks the server wherever it waits for this hospital: in
+            # accept if it never registered, else in recv.
+            listener.close()
+            if conn is not None:
+                conn.close()
 
     listener = transport.listen()
     threads = []

@@ -19,6 +19,7 @@ parameters, so it stays pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,10 +236,17 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
     Overwrites ``params``, ``state.m`` and ``state.v`` and advances
     ``state.step_count``; ``grads`` is only read. Allocates no vector: the
-    step runs in the workspace's scratch, in the float operation order of
-    the textbook formula ``params - lr * m_hat / (sqrt(v_hat) + eps)``, so
-    results are bit for bit those of the expression written out with
-    temporaries.
+    step runs in the workspace's scratch, so results are bit for bit those
+    of the expression written out with temporaries.
+
+    The update is the textbook ``lr * m_hat / (sqrt(v_hat) + eps)`` in
+    Kingma & Ba's efficient order (arXiv 1412.6980, section 2): with the
+    scalars ``r = sqrt(1 - beta2**t)`` and ``alpha = lr * r / (1 - beta1**t)``
+    it is ``(m / (sqrt(v) + eps * r)) * alpha``, one division and one square
+    root per parameter where the textbook order takes three and one. Both
+    bias corrections fold into ``alpha``; eps is scaled by ``r`` because
+    ``sqrt(v_hat) + eps = (sqrt(v) + eps * r) / r``, so the two orders are
+    equal in exact arithmetic and differ in floats by a few ulp.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and Adam moments must have identical length")
@@ -252,12 +260,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     step *= grads
     v *= b2
     v += step                                     # b2*v + ((1-b2)*g)*g
-    np.divide(m, 1.0 - b1**t, out=step)
-    step *= cfg.lr                                # lr * m_hat
-    np.divide(v, 1.0 - b2**t, out=den)
-    np.sqrt(den, out=den)
-    den += cfg.eps                                # sqrt(v_hat) + eps
-    step /= den
+    r = math.sqrt(1.0 - b2**t)
+    alpha = cfg.lr * r / (1.0 - b1**t)
+    np.sqrt(v, out=den)
+    den += cfg.eps * r                            # sqrt(v) + eps*r
+    np.divide(m, den, out=step)
+    step *= alpha                                 # (m / den) * alpha
     params -= step
     state.step_count = t
 

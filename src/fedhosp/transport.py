@@ -409,6 +409,11 @@ class TcpListener:
         return conn
 
     def close(self) -> None:
+        """Stop listening; an ``accept`` blocked in another thread raises."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # close() alone leaves it blocked
+        except OSError:
+            pass
         self._sock.close()
 
 

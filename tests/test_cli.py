@@ -61,6 +61,29 @@ def test_extract_writes_feature_table(tmp_path):
     assert [[float(cell) for cell in r[2:]] for r in body] == matrix.rows.tolist()
 
 
+@pytest.mark.parametrize("names,unobserved", [("heart_rate,bogus_rate", "bogus_rate"),
+                                               ("heart_rate,systolic_bp", None)],
+                         ids=["bogus", "observed"])
+def test_extract_warns_once_about_variables_never_observed(tmp_path, capsys, names,
+                                                           unobserved):
+    data = tmp_path / "data"
+    _run(["generate", "--episodes", "10", "--variables", "2", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "features.csv"
+    assert _run(["extract", "--data", str(data), "--out", str(out), "--variables", names]) == 0
+    err = capsys.readouterr().err
+    with open(out, newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    assert len(header) == 2 + 2 * STATS_PER_VARIABLE
+    if unobserved is None:
+        assert err == ""
+        return
+    assert err.count("warning") == 1 and unobserved in err and "heart_rate" not in err
+    columns = [i for i, name in enumerate(header) if name.startswith(unobserved + "__")]
+    assert len(columns) == STATS_PER_VARIABLE
+    assert all(float(row[i]) == 0.0 for row in body for i in columns)
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert _run(["generate", "--episodes", "5"]) == 2
     assert "out" in capsys.readouterr().err

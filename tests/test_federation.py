@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -480,6 +481,53 @@ def test_worker_failure_releases_the_healthy_workers(make_transport):
     left = [t for t in threading.enumerate()
             if t not in before and t.name.startswith("hospital-") and t.is_alive()]
     assert left == []
+
+
+class _ConnectFailsIn:
+    """A transport whose ``connect()`` raises in one hospital's thread.
+
+    It raises late, once the other hospitals have had time to register, so
+    the server is waiting in ``accept`` for the one that fails.
+    """
+
+    def __init__(self, inner, hospital_id: int):
+        self._inner = inner
+        self._thread = f"hospital-{hospital_id}"
+
+    def listen(self):
+        return self._inner.listen()
+
+    def connect(self):
+        if threading.current_thread().name == self._thread:
+            time.sleep(0.3)
+            raise tp.TransportError("cannot connect: refused")
+        return self._inner.connect()
+
+
+@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
+                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
+                         ids=["in_process", "tcp"])
+def test_a_hospital_that_cannot_connect_ends_the_run(make_transport):
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=3, rounds=2, seed=0)
+    hospitals = [_hospital(k, seed=k) for k in (1, 2, 3)]
+    raised = []
+
+    def run():
+        try:
+            run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0),
+                           _ConnectFailsIn(make_transport(), 2))
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            raised.append(exc)
+
+    server = threading.Thread(target=run, daemon=True)
+    server.start()
+    server.join(timeout=10.0)
+    assert not server.is_alive(), "the server still waits for hospital 2 to register"
+    assert len(raised) == 1 and type(raised[0]) is RuntimeError
+    assert "hospital 2 failed" in str(raised[0]) and "refused" in str(raised[0])
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("hospital-") and t.is_alive()]
 
 
 class _NoTransport:
