@@ -82,6 +82,8 @@ class HospitalDataset:
                     f"hospital {self.hospital_id}: {part} rows/labels mismatch "
                     f"({x.shape[0]} vs {y.size})"
                 )
+            if not np.isin(y, (0, 1)).all():
+                raise ValueError(f"hospital {self.hospital_id}: {part} labels must be 0 or 1")
 
     @property
     def n_train(self) -> int:
@@ -345,11 +347,11 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
     """Accept connections until every expected hospital id has registered.
 
     A connection whose first message is not a Register, names an unknown id,
-    repeats an already-registered id, or does not arrive within
-    ``REGISTRATION_TIMEOUT_S`` is closed (the rejected worker sees its
-    connection drop) and the server keeps waiting for the rest. If waiting
-    fails, every connection registered so far is closed before the error
-    propagates, so no registered worker waits on it forever.
+    repeats an already-registered id, declares an empty train or test set, or
+    does not arrive within ``REGISTRATION_TIMEOUT_S`` is closed (the rejected
+    worker sees its connection drop) and the server keeps waiting for the
+    rest. If waiting fails, every connection registered so far is closed
+    before the error propagates, so no registered worker waits on it forever.
     """
     expected = set(int(k) for k in expected_ids)
     if not expected:
@@ -364,7 +366,7 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
                 conn.close()
                 continue
             if not isinstance(msg, tp.Register) or msg.hospital_id not in expected \
-                    or msg.hospital_id in workers:
+                    or msg.hospital_id in workers or not msg.n_train or not msg.n_test:
                 conn.close()
                 continue
             workers[msg.hospital_id] = RegisteredWorker(conn, msg.n_train, msg.n_test)
@@ -375,17 +377,29 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
     return workers
 
 
-def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rnd: int) -> list:
-    """Send ``request`` to each listed hospital, then take one checked reply from each."""
+def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rnd: int,
+              n_params: int) -> list:
+    """Send ``request`` to each listed hospital, then take one checked reply from each.
+
+    A reply must carry the hospital's registered train (LocalUpdate) or test
+    (EvalResult) size, and a LocalUpdate a vector of the model's ``n_params``.
+    """
     for k in ids:
         workers[k].conn.send(request)
     replies = []
     for k in ids:
-        msg = workers[k].conn.recv()
+        w = workers[k]
+        msg = w.conn.recv()
         if not isinstance(msg, reply_type) or msg.hospital_id != k or msg.round != rnd:
             raise tp.ProtocolError(
                 f"round {rnd}: expected {reply_type.__name__} from hospital {k}, got {msg!r}"
             )
+        sizes = ((("n_samples", msg.n_samples, w.n_train), ("params", msg.params.size, n_params))
+                 if reply_type is tp.LocalUpdate else (("n_test", msg.n_test, w.n_test),))
+        for field, sent, expected in sizes:
+            if sent != expected:
+                raise tp.ProtocolError(f"round {rnd}: hospital {k} sent a {reply_type.__name__} "
+                                       f"of {field} size {sent}, expected {expected}")
         replies.append(msg)
     return replies
 
@@ -410,11 +424,11 @@ def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
             cohort = select_cohort(fed_cfg.n_hospitals, fed_cfg.cohort_fraction,
                                    (fed_cfg.seed, rnd))
             updates = _exchange(workers, cohort, tp.BroadcastModel(rnd, state.global_params),
-                                tp.LocalUpdate, rnd)
+                                tp.LocalUpdate, rnd, arch.n_params)
             weights = compute_weights([m.n_samples for m in updates])
             candidate = aggregate([m.params for m in updates], weights)
             results = _exchange(workers, ids, tp.EvalRequest(rnd, candidate),
-                                tp.EvalResult, rnd)
+                                tp.EvalResult, rnd, arch.n_params)
             a_new = weighted_accuracy([m.value for m in results], [m.n_test for m in results])
             state = gate_and_commit(state, candidate, a_new, weights, cohort,
                                     gate=fed_cfg.gate_enabled)

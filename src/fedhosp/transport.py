@@ -20,10 +20,10 @@ rows or labels — only parameters, sample counts, and metric scalars — so
 raw data cannot leave a hospital through this layer no matter what the
 caller does.
 
-Two transports implement the same connection interface: an in-process one
-built on queues (every message still passes through encode/decode, so byte
-counts and codec behavior match the network exactly) and a TCP one. A
-federation run is bit-identical across the two.
+Two transports share one connection class: TCP, and an in-process one whose
+pairs are ``socket.socketpair()`` ends. Framing, receive deadlines, close
+and byte counts are one implementation, so the in-process transport behaves
+as the network does, and a federation run is bit-identical across the two.
 """
 
 from __future__ import annotations
@@ -202,58 +202,85 @@ def decode(data: bytes) -> Message:
 # connections
 
 
-class _InProcessState:
-    """Shared close flag for one connection pair."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.closed = False
+# Largest single recv: a frame's buffer grows only with bytes that arrive,
+# never up front to whatever length prefix the peer declared.
+_RECV_CHUNK = 64 * 1024
 
 
-_CLOSED = object()
+class TcpConnection:
+    """Length-prefixed frames over a stream socket: TCP, or a socketpair end."""
 
-
-class InProcessConnection:
-    """One endpoint of an in-process connection pair.
-
-    Frames still pass through encode/decode, so behavior (validation,
-    byte counts) matches the TCP transport exactly.
-    """
-
-    def __init__(self, out_q: queue.Queue, in_q: queue.Queue, state: _InProcessState):
-        self._out = out_q
-        self._in = in_q
-        self._state = state
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
 
+    def _recv_into(self, chunks: list, n: int, deadline: float | None) -> None:
+        """Append the next ``n`` bytes of the frame begun in ``chunks``."""
+        while n:
+            try:
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError
+                    self._sock.settimeout(left)
+                chunk = self._sock.recv(min(n, _RECV_CHUNK))
+            except TimeoutError:
+                raise TransportError("no complete message within the deadline") from None
+            except OSError as exc:
+                raise TransportClosedError(f"connection lost: {exc}") from None
+            if not chunk:
+                if chunks:
+                    raise FramingError("peer closed the connection mid-frame")
+                raise TransportClosedError("peer closed the connection")
+            chunks.append(chunk)
+            n -= len(chunk)
+
     def send(self, msg: Message) -> None:
         frame = encode(msg)
-        with self._state.lock:
-            if self._state.closed:
-                raise TransportClosedError("connection closed")
-            self._out.put(frame)
-            self.bytes_sent += len(frame)
+        try:
+            self._sock.sendall(frame)
+        except OSError as exc:
+            raise TransportClosedError(f"send failed: {exc}") from None
+        self.bytes_sent += len(frame)
 
     def recv(self, timeout: float | None = None) -> Message:
-        """Next message; ``TransportError`` if none arrives within ``timeout`` s."""
+        """Next message. With a ``timeout`` (s) the whole frame must arrive by
+        then, else ``TransportError`` (part of a frame may have been read, so
+        close the connection); without one the socket stays blocking."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        chunks: list[bytes] = []
         try:
-            item = self._in.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(f"no message within {timeout} s") from None
-        if item is _CLOSED:
-            self._in.put(_CLOSED)  # keep later recv() calls failing too
-            raise TransportClosedError("connection closed")
-        self.bytes_received += len(item)
-        return decode(item)
+            self._recv_into(chunks, 4, deadline)
+            self._recv_into(chunks, _U32.unpack(b"".join(chunks))[0], deadline)
+        finally:
+            if deadline is not None and not self._closed:
+                self._sock.settimeout(None)
+        frame = b"".join(chunks)  # the frame's one copy
+        self.bytes_received += len(frame)
+        return decode(frame)
 
     def close(self) -> None:
-        with self._state.lock:
-            if self._state.closed:
-                return
-            self._state.closed = True
-        self._out.put(_CLOSED)
-        self._in.put(_CLOSED)
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
+
+
+class InProcessConnection(TcpConnection):
+    """One end of an in-process connection: a socketpair end, framed as TCP."""
+
+    # bench/tracer.py times a method under the class whose namespace holds
+    # it, so in-process traffic is counted apart from TCP traffic only if
+    # this class names the shared methods itself.
+    send = TcpConnection.send
+    recv = TcpConnection.recv
+    close = TcpConnection.close
 
 
 class InProcessListener:
@@ -262,8 +289,8 @@ class InProcessListener:
 
     def accept(self) -> InProcessConnection:
         conn = self._transport._pending.get()
-        if conn is _CLOSED:
-            self._transport._pending.put(_CLOSED)  # keep later accept() calls failing too
+        if conn is None:  # the listener closed
+            self._transport._pending.put(None)  # keep later accept() calls failing too
             raise TransportClosedError("listener closed")
         return conn
 
@@ -284,34 +311,19 @@ class InProcessListener:
                 except queue.Empty:
                     break
                 pending.close()
-            transport._pending.put(_CLOSED)
+            transport._pending.put(None)
 
 
-class InProcessTransport:
-    """Queue-backed transport for single-process federation runs."""
+class _Transport:
+    """The ledger of every connection a transport made, both ends in-process."""
 
     def __init__(self):
-        self._pending: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
-        self._closed = False
         self.endpoints: list = []
 
-    def listen(self) -> InProcessListener:
-        return InProcessListener(self)
-
-    def connect(self) -> InProcessConnection:
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
-        state = _InProcessState()
-        worker_end = InProcessConnection(a_to_b, b_to_a, state)
-        server_end = InProcessConnection(b_to_a, a_to_b, state)
+    def _track(self, *conns) -> None:
         with self._lock:
-            self.endpoints += [worker_end, server_end]
-            if self._closed:
-                server_end.close()
-            else:
-                self._pending.put(server_end)
-        return worker_end
+            self.endpoints += conns
 
     @property
     def total_wire_bytes(self) -> int:
@@ -320,76 +332,31 @@ class InProcessTransport:
             return sum(e.bytes_sent for e in self.endpoints)
 
 
-# Largest single recv: a frame's buffer grows only with bytes that arrive,
-# never up front to whatever length prefix the peer declared.
-_RECV_CHUNK = 64 * 1024
+class InProcessTransport(_Transport):
+    """Socketpair-backed transport for single-process federation runs."""
 
-
-class TcpConnection:
-    """Socket wrapper speaking length-prefixed frames."""
-
-    def __init__(self, sock: socket.socket):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+    def __init__(self):
+        super().__init__()
+        self._pending: queue.Queue = queue.Queue()
         self._closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
-    def _recv_exact(self, n: int, mid_frame: bool, deadline: float | None) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            try:
-                if deadline is not None:
-                    left = deadline - time.monotonic()
-                    if left <= 0:
-                        raise TimeoutError
-                    self._sock.settimeout(left)
-                chunk = self._sock.recv(min(remaining, _RECV_CHUNK))
-            except TimeoutError:
-                raise TransportError("no complete message within the deadline") from None
-            except OSError as exc:
-                raise TransportClosedError(f"connection lost: {exc}") from None
-            if not chunk:
-                if mid_frame or chunks:
-                    raise FramingError("peer closed the connection mid-frame")
-                raise TransportClosedError("peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def listen(self) -> InProcessListener:
+        return InProcessListener(self)
 
-    def send(self, msg: Message) -> None:
-        frame = encode(msg)
+    def connect(self) -> InProcessConnection:
         try:
-            self._sock.sendall(frame)
+            worker_sock, server_sock = socket.socketpair()
         except OSError as exc:
-            raise TransportClosedError(f"send failed: {exc}") from None
-        self.bytes_sent += len(frame)
-
-    def recv(self, timeout: float | None = None) -> Message:
-        """Next message. With a ``timeout`` (s) the whole frame must arrive by
-        then, else ``TransportError`` (part of a frame may have been read, so
-        close the connection); without one the socket stays blocking."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            prefix = self._recv_exact(4, False, deadline)
-            declared = _U32.unpack(prefix)[0]
-            payload = self._recv_exact(declared, True, deadline)
-        finally:
-            if deadline is not None and not self._closed:
-                self._sock.settimeout(None)
-        self.bytes_received += 4 + declared
-        return decode(prefix + payload)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+            raise TransportError(f"cannot open an in-process connection: {exc}") from None
+        worker_end = InProcessConnection(worker_sock)
+        server_end = InProcessConnection(server_sock)
+        self._track(worker_end, server_end)
+        with self._lock:
+            if self._closed:
+                server_end.close()
+            else:
+                self._pending.put(server_end)
+        return worker_end
 
 
 class TcpListener:
@@ -403,6 +370,7 @@ class TcpListener:
             sock, _ = self._sock.accept()
         except OSError as exc:
             raise TransportClosedError(f"listener closed: {exc}") from None
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock)
         if self._transport is not None:
             self._transport._track(conn)
@@ -417,18 +385,13 @@ class TcpListener:
         self._sock.close()
 
 
-class TcpTransport:
+class TcpTransport(_Transport):
     """TCP loopback/network transport; port 0 binds an ephemeral port."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__()
         self.host = host
         self.port = port
-        self._lock = threading.Lock()
-        self.endpoints: list = []
-
-    def _track(self, conn) -> None:
-        with self._lock:
-            self.endpoints.append(conn)
 
     def listen(self) -> TcpListener:
         listener = server_listen(self.host, self.port, transport=self)
@@ -439,11 +402,6 @@ class TcpTransport:
         conn = worker_connect(self.host, self.port)
         self._track(conn)
         return conn
-
-    @property
-    def total_wire_bytes(self) -> int:
-        with self._lock:
-            return sum(e.bytes_sent for e in self.endpoints)
 
 
 def server_listen(host: str, port: int, transport: TcpTransport | None = None) -> TcpListener:
@@ -466,4 +424,5 @@ def worker_connect(host: str, port: int, timeout: float | None = 30.0) -> TcpCon
     except OSError as exc:
         raise TransportError(f"cannot connect to {host}:{port}: {exc}") from None
     sock.settimeout(None)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return TcpConnection(sock)

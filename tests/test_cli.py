@@ -8,8 +8,10 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from fedhosp.cli import main
@@ -250,6 +252,7 @@ def test_serve_and_workers_over_tcp(tmp_path, shards):
         for proc in [server, *locals().get("workers", [])]:
             if proc.poll() is None:
                 proc.kill()
+                proc.communicate()
     report = json.loads((out / "report.json").read_text())
     assert len(report["rounds"]) == 2
     for entry in report["rounds"]:
@@ -278,6 +281,42 @@ def test_duplicate_worker_id_is_rejected(tmp_path, shards):
         for proc in (server, *workers):
             if proc.poll() is None:
                 proc.kill()
+                proc.communicate()
+
+
+@pytest.mark.parametrize("fault", [{"n_samples": 0}, {"params": np.zeros(7)}],
+                         ids=["no_samples", "7_params"])
+def test_serve_exits_1_on_an_update_that_contradicts_the_registration(capsys, fault):
+    from fedhosp import transport as tp
+
+    port = _free_port()
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(_run([
+        "serve", "--listen", f"127.0.0.1:{port}", "--model", "lr", "--variables", "2",
+        "--hospitals", "1", "--rounds", "1"])), daemon=True)
+    server.start()
+    deadline = time.monotonic() + 20.0
+    while True:
+        try:
+            peer = tp.worker_connect("127.0.0.1", port, timeout=1.0)
+            break
+        except tp.TransportError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+    try:
+        peer.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+        broadcast = peer.recv(timeout=30.0)
+        assert broadcast.params.size != 7
+        update = {"hospital_id": 1, "round": 0, "n_samples": 10, "params": broadcast.params}
+        peer.send(tp.LocalUpdate(**{**update, **fault}))
+        with pytest.raises(tp.TransportClosedError):  # not an EvalRequest
+            peer.recv(timeout=30.0)
+        server.join(timeout=30.0)
+    finally:
+        peer.close()
+    assert codes == [1]
+    assert "round 0: hospital 1 sent a LocalUpdate" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -410,6 +411,7 @@ def test_duplicate_registration_is_rejected():
             outcome[name] = conn.recv()
         except tp.TransportClosedError:
             outcome[name] = "rejected"
+        conn.close()
 
     first = threading.Thread(target=register, args=("first", 0.0))
     second = threading.Thread(target=register, args=("second", 0.2))
@@ -419,6 +421,7 @@ def test_duplicate_registration_is_rejected():
         workers = wait_for_registrations(listener, {1, 2})
         for w in workers.values():
             w.conn.send(tp.Shutdown())
+            w.conn.close()
 
     server = threading.Thread(target=serve)
     server.start()
@@ -430,6 +433,7 @@ def test_duplicate_registration_is_rejected():
         conn = transport.connect()
         conn.send(tp.Register(hospital_id=2, n_train=10, n_test=5))
         outcome["unique"] = conn.recv()
+        conn.close()
 
     late = threading.Thread(target=late_unique)
     late.start()
@@ -450,6 +454,7 @@ def test_failed_registration_closes_the_registered_connections():
         wait_for_registrations(listener, {1, 2})
     with pytest.raises(tp.TransportClosedError):  # the server closed its end
         registered.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+    registered.close()
 
 
 def test_worker_failure_surfaces_with_context():
@@ -637,6 +642,61 @@ def test_a_silent_peer_does_not_stall_registration(monkeypatch):
     assert not worker.is_alive()
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["success", "failing_hospital"])
+def test_run_federation_closes_every_in_process_endpoint(fail):
+    hospitals = [_hospital(1, seed=1), _hospital(2, seed=3)]
+    if fail:  # train rows wider than the model: hospital 2 fails in local training
+        good = hospitals[1]
+        hospitals[1] = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]),
+                                       good.train_y, good.test_x, good.test_y)
+    transport = tp.InProcessTransport()
+    with pytest.raises(RuntimeError, match="hospital 2 failed") if fail else nullcontext():
+        run_federation(hospitals, ModelArch("lr", input_dim=3), FedConfig(n_hospitals=2, rounds=2),
+                       TrainConfig(epochs=1, seed=0), transport)
+    assert len(transport.endpoints) == 4
+    assert all(end._closed for end in transport.endpoints)
+
+
+@pytest.mark.parametrize("sizes", [(0, 5), (10, 0)], ids=["no_train", "no_test"])
+def test_a_registration_with_an_empty_set_is_closed(sizes):
+    transport = tp.InProcessTransport()
+    listener = transport.listen()
+    empty, good = transport.connect(), transport.connect()
+    empty.send(tp.Register(hospital_id=1, n_train=sizes[0], n_test=sizes[1]))
+    good.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+    workers = wait_for_registrations(listener, [1])
+    assert (workers[1].n_train, workers[1].n_test) == (10, 5)
+    with pytest.raises(tp.TransportClosedError):
+        empty.recv(timeout=5.0)
+    for conn in (empty, good, workers[1].conn):
+        conn.close()
+
+
+@pytest.mark.parametrize("update, result, fault", [
+    ((0, np.zeros(4)), 5, "n_samples size 0, expected 10"),
+    ((10, np.zeros(7)), 5, "params size 7, expected 4"),
+    ((10, np.zeros(4)), 6, "n_test size 6, expected 5"),
+], ids=["n_samples", "params", "n_test"])
+def test_a_reply_that_contradicts_the_registration_is_a_protocol_error(update, result, fault):
+    transport = tp.InProcessTransport()
+    listener = transport.listen()
+    peer = transport.connect()
+    # The whole one-round session, buffered until the server reads it.
+    for msg in (tp.Register(hospital_id=1, n_train=10, n_test=5),
+                tp.LocalUpdate(1, 0, *update), tp.EvalResult(1, 0, 0.5, result)):
+        peer.send(msg)
+    workers = wait_for_registrations(listener, [1])
+    listener.close()
+    with pytest.raises(tp.ProtocolError, match=f"round 0: hospital 1 .*{fault}"):
+        federation.run_server_rounds(workers, ModelArch("lr", input_dim=3),
+                                     FedConfig(n_hospitals=1, rounds=1))
+    with pytest.raises(tp.TransportClosedError):  # after the requests, the server's close
+        while True:
+            peer.recv(timeout=5.0)
+    peer.close()
+    assert all(end._closed for end in transport.endpoints)
+
+
 def test_worker_loop_round_trip_over_plain_pair():
     transport = tp.InProcessTransport()
     listener = transport.listen()
@@ -661,6 +721,7 @@ def test_worker_loop_round_trip_over_plain_pair():
     assert result.hospital_id == 5 and 0.0 <= result.value <= 1.0
     conn.send(tp.Shutdown())
     worker.join(timeout=10)
+    conn.close()
     assert not worker.is_alive()
 
 
@@ -669,3 +730,6 @@ def test_hospital_dataset_validation():
         HospitalDataset(1, np.zeros((2, 3)), np.zeros(2), np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError, match="mismatch"):
         HospitalDataset(1, np.zeros((2, 3)), np.zeros(3), np.zeros((1, 3)), np.zeros(1))
+    for part, train_y, test_y in (("train", [0, 2], [0, 1]), ("test", [0, 1], [1, 2])):
+        with pytest.raises(ValueError, match=f"hospital 3: {part} labels must be 0 or 1"):
+            HospitalDataset(3, np.zeros((2, 3)), train_y, np.zeros((2, 3)), test_y)

@@ -171,6 +171,8 @@ def test_in_process_send_recv_identity():
         assert server.recv() == msg
     server.send(tp.Shutdown())
     assert worker.recv() == tp.Shutdown()
+    worker.close()
+    server.close()
 
 
 def test_in_process_byte_counters_match_frames():
@@ -184,6 +186,8 @@ def test_in_process_byte_counters_match_frames():
     assert worker.bytes_sent == len(tp.encode(msg))
     assert server.bytes_received == worker.bytes_sent
     assert transport.total_wire_bytes == worker.bytes_sent
+    worker.close()
+    server.close()
 
 
 def test_in_process_close_unblocks_peer():
@@ -206,6 +210,7 @@ def test_in_process_close_unblocks_peer():
     assert results == ["closed"]
     with pytest.raises(tp.TransportClosedError):
         worker.send(tp.Shutdown())
+    server.close()
 
 
 @pytest.mark.parametrize("make_transport", [tp.InProcessTransport, tp.TcpTransport],
@@ -268,49 +273,40 @@ def test_tcp_clean_close_signals_end_of_session():
     server.close()
 
 
-def test_tcp_mid_frame_close_is_a_framing_error():
-    listener = tp.server_listen("127.0.0.1", 0)
-    host, port = listener.address
-    accepted = []
-    thread = threading.Thread(target=lambda: accepted.append(listener.accept()))
-    thread.start()
-    raw = socket.create_connection((host, port))
-    thread.join(timeout=5)
-    listener.close()
-    raw.sendall(struct.pack("<I", 64) + b"\x02\x00")  # declares 64, sends 2
-    raw.close()
-    with pytest.raises(tp.FramingError, match="mid-frame"):
-        accepted[0].recv()
-    accepted[0].close()
-
-
-def test_tcp_huge_length_prefix_allocates_only_what_arrives():
-    listener = tp.server_listen("127.0.0.1", 0)
-    host, port = listener.address
-    accepted = []
-    thread = threading.Thread(target=lambda: accepted.append(listener.accept()))
-    thread.start()
-    raw = socket.create_connection((host, port))
-    thread.join(timeout=5)
-    listener.close()
-    raw.sendall(struct.pack("<I", 0xFFFFFFFF) + b"\x02\x00")  # declares 4 GiB, sends 2
-    raw.close()
-    tracemalloc.start()
-    try:
-        with pytest.raises(tp.FramingError, match="mid-frame"):
-            accepted[0].recv()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        accepted[0].close()
-    assert peak < 4 * 2**20
-
-
 def _in_process_pair():
     transport = tp.InProcessTransport()
     listener = transport.listen()
     worker = transport.connect()
     return worker, listener.accept()
+
+
+PAIRS = pytest.mark.parametrize("pair", [_in_process_pair, _tcp_pair], ids=["inprocess", "tcp"])
+
+
+@PAIRS
+def test_mid_frame_close_is_a_framing_error(pair):
+    worker, server = pair()
+    worker._sock.sendall(struct.pack("<I", 64) + b"\x02\x00")  # declares 64, sends 2
+    worker.close()
+    with pytest.raises(tp.FramingError, match="mid-frame"):
+        server.recv()
+    server.close()
+
+
+@PAIRS
+def test_huge_length_prefix_allocates_only_what_arrives(pair):
+    worker, server = pair()
+    worker._sock.sendall(struct.pack("<I", 0xFFFFFFFF) + b"\x02\x00")  # declares 4 GiB, sends 2
+    worker.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(tp.FramingError, match="mid-frame"):
+            server.recv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        server.close()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("pair", [_in_process_pair, _tcp_pair], ids=["inprocess", "tcp"])
@@ -331,8 +327,9 @@ def test_recv_timeout_expires_and_the_connection_still_works(pair):
         server.close()
 
 
-def test_tcp_recv_timeout_is_a_deadline_for_the_whole_frame():
-    client, server = _tcp_pair()
+@PAIRS
+def test_recv_timeout_is_a_deadline_for_the_whole_frame(pair):
+    client, server = pair()
     frame = tp.encode(tp.Register(hospital_id=1, n_train=2, n_test=3))
     stop = threading.Event()
 
