@@ -47,7 +47,13 @@ from .experiment import (
     write_report,
 )
 from .features import STATS_PER_VARIABLE, extract, feature_names
-from .federation import run_server_rounds, wait_for_registrations, worker_loop
+from .federation import (
+    FederationConfigError,
+    check_gate_labels,
+    run_server_rounds,
+    wait_for_registrations,
+    worker_loop,
+)
 from .transport import TcpTransport, TransportError, worker_connect
 
 __all__ = ["main"]
@@ -202,6 +208,10 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
         raise UsageError(f"id must be >= 1 (hospital ids are 1-based), got {opts['id']}")
     data = prepare(replace(cfg, data_dir=opts["shard"]), _variable_names(opts["variables"]))
     hospital = data.as_hospital(opts["id"])
+    try:
+        check_gate_labels(hospital, cfg.gate_metric)
+    except FederationConfigError as exc:
+        raise UsageError(f"shard {opts['shard']}: {exc}") from None
     arch = cfg.arch(STATS_PER_VARIABLE * len(data.variables))
     conn = worker_connect(host, port)
     print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "

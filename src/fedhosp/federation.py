@@ -36,6 +36,7 @@ __all__ = [
     "FedConfig",
     "GATE_METRICS",
     "FederationConfigError",
+    "check_gate_labels",
     "compute_weights",
     "aggregate",
     "local_update",
@@ -230,6 +231,21 @@ def local_update(hospital: HospitalDataset, global_params: np.ndarray,
     return params, hospital.n_train
 
 
+def check_gate_labels(hospital: HospitalDataset, gate_metric: str) -> None:
+    """Raise ``FederationConfigError`` if the gate cannot score this hospital's test set.
+
+    AUROC is undefined on test labels of one class, so the auroc gate needs both.
+    """
+    if gate_metric != "auroc":
+        return
+    labels = np.unique(hospital.test_y)
+    if labels.size < 2:
+        raise FederationConfigError(
+            f"hospital {hospital.hospital_id}: the auroc gate needs both classes in "
+            f"its test labels, got only {labels.tolist()}"
+        )
+
+
 def local_test_accuracy(hospital: HospitalDataset, params: np.ndarray,
                         arch: ModelArch, gate_metric: str = "accuracy") -> tuple[float, int]:
     """Gate metric of the given parameters on this hospital's test set."""
@@ -382,7 +398,8 @@ def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rn
     """Send ``request`` to each listed hospital, then take one checked reply from each.
 
     A reply must carry the hospital's registered train (LocalUpdate) or test
-    (EvalResult) size, and a LocalUpdate a vector of the model's ``n_params``.
+    (EvalResult) size, a LocalUpdate a vector of the model's ``n_params``, and
+    an EvalResult a metric value in [0, 1], as accuracy and AUROC are.
     """
     for k in ids:
         workers[k].conn.send(request)
@@ -400,6 +417,9 @@ def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rn
             if sent != expected:
                 raise tp.ProtocolError(f"round {rnd}: hospital {k} sent a {reply_type.__name__} "
                                        f"of {field} size {sent}, expected {expected}")
+        if reply_type is tp.EvalResult and not 0.0 <= msg.value <= 1.0:
+            raise tp.ProtocolError(f"round {rnd}: hospital {k} sent an EvalResult value "
+                                   f"{msg.value!r} outside [0, 1]")
         replies.append(msg)
     return replies
 
@@ -468,14 +488,8 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
         raise FederationConfigError(
             f"hospital ids must be exactly 1..{fed_cfg.n_hospitals}, got {ids}"
         )
-    if fed_cfg.gate_metric == "auroc":
-        for h in hospitals:
-            labels = np.unique(h.test_y)
-            if labels.size < 2:
-                raise FederationConfigError(
-                    f"hospital {h.hospital_id}: the auroc gate needs both classes in "
-                    f"its test labels, got only {labels.tolist()}"
-                )
+    for h in hospitals:
+        check_gate_labels(h, fed_cfg.gate_metric)
     if transport is None:
         transport = tp.InProcessTransport()
     worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)

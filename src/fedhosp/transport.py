@@ -2,14 +2,14 @@
 
 ``_SCHEMA`` below is the single definition of the vocabulary: one row per
 message gives its type tag, name, docstring and fields in wire order. The
-message classes, their validation, ``encode`` and ``decode`` are all built
-from those rows.
+message classes, their validation, and the one ``struct.Struct`` per frame
+head that ``encode`` and ``decode`` use are all built from those rows.
 
 Wire format: every frame is a 4-byte little-endian payload length followed
 by the payload; the payload is a 1-byte type tag and the message fields in
 schema order. Integers are little-endian (u32/u64), floats IEEE-754
 little-endian 64-bit, parameter vectors a u32 element count followed by the
-elements. Example frames::
+elements, which decode as a read-only view of the frame. Example frames::
 
     Shutdown                            01 00 00 00   06
     BroadcastModel(round=0, [1.0])      11 00 00 00   02  00 00 00 00
@@ -24,6 +24,8 @@ Two transports share one connection class: TCP, and an in-process one whose
 pairs are ``socket.socketpair()`` ends. Framing, receive deadlines, close
 and byte counts are one implementation, so the in-process transport behaves
 as the network does, and a federation run is bit-identical across the two.
+A connection reads ahead into one buffer, so a small frame costs one system
+call; the buffer still grows only with bytes that arrive.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ __all__ = [
 
 _U32 = struct.Struct("<I")
 
-# (tag, name, docstring, ((field, wire type), ...) in wire order)
+# (tag, name, docstring, ((field, wire type), ...) in wire order; params, if any, last)
 _SCHEMA = (
     (0x01, "Register", "Worker announces itself: identity plus local train/test sizes.",
      (("hospital_id", "u32"), ("n_train", "u64"), ("n_test", "u64"))),
@@ -78,8 +80,8 @@ _SCHEMA = (
     (0x06, "Shutdown", "Server ends the session.", ()),
 )
 
-# Wire type -> struct of its fixed part; "params" is a u32 count, then that many f64s.
-_WIRE = {"u32": _U32, "u64": struct.Struct("<Q"), "f64": struct.Struct("<d"), "params": _U32}
+# Wire type -> struct code of its head part; "params" is a u32 count, then that many f64s.
+_CODE = {"u32": "I", "u64": "Q", "f64": "d", "params": "I"}
 _INT_MAX = {"u32": 2**32 - 1, "u64": 2**64 - 1}
 _ANNOTATION = {"u32": int, "u64": int, "f64": float, "params": np.ndarray}
 
@@ -103,7 +105,7 @@ class TransportClosedError(TransportError):
 class _Message:
     """Validation and equality shared by the classes built from ``_SCHEMA``.
 
-    Each subclass carries its row as ``TAG`` and ``FIELDS``.
+    Each subclass carries its row as ``TAG`` and ``FIELDS``, and its frame head as ``HEAD``.
     """
 
     def __post_init__(self) -> None:
@@ -135,7 +137,9 @@ MESSAGE_TYPES: tuple[type, ...] = tuple(
     make_dataclass(
         name, [(field, _ANNOTATION[wire]) for field, wire in fields],
         bases=(_Message,), frozen=True, eq=False,
-        namespace={"__doc__": doc, "__module__": __name__, "TAG": tag, "FIELDS": fields},
+        namespace={"__doc__": doc, "__module__": __name__, "TAG": tag, "FIELDS": fields,
+                   "HEAD": struct.Struct("<IB" + "".join(_CODE[wire] for _, wire in fields)),
+                   "COUNTED": fields[-1:] == (("params", "params"),)},  # params follow HEAD
     )
     for tag, name, doc, fields in _SCHEMA
 )
@@ -150,15 +154,12 @@ def encode(msg: Message) -> bytes:
     cls = type(msg)
     if cls not in MESSAGE_TYPES:
         raise ProtocolError(f"not a protocol message: {cls.__name__}")
-    parts = [bytes([cls.TAG])]
-    for name, wire in cls.FIELDS:
-        value = getattr(msg, name)
-        if wire == "params":
-            parts += [_U32.pack(value.size), value.astype("<f8").tobytes()]
-        else:
-            parts.append(_WIRE[wire].pack(value))
-    payload = b"".join(parts)
-    return _U32.pack(len(payload)) + payload
+    head, values = cls.HEAD, [getattr(msg, name) for name, _ in cls.FIELDS]
+    if not cls.COUNTED:
+        return head.pack(head.size - 4, cls.TAG, *values)
+    *values, params = values
+    return (head.pack(head.size - 4 + 8 * params.size, cls.TAG, *values, params.size)
+            + params.astype("<f8", copy=False).tobytes())
 
 
 def decode(data: bytes) -> Message:
@@ -177,21 +178,18 @@ def decode(data: bytes) -> Message:
     cls = _BY_TAG.get(data[4])
     if cls is None:
         raise ProtocolError(f"unknown message type tag 0x{data[4]:02X}")
-    values, pos = [], 5
+    end = cls.HEAD.size
     try:
-        for _, wire in cls.FIELDS:
-            value = _WIRE[wire].unpack_from(data, pos)[0]
-            pos += _WIRE[wire].size
-            if wire == "params":
-                value = np.frombuffer(data, "<f8", value, pos).astype(np.float64)
-                pos += 8 * value.size
-            values.append(value)
+        values = list(cls.HEAD.unpack_from(data)[2:])
+        if cls.COUNTED:
+            values[-1] = np.frombuffer(data, "<f8", values[-1], end)
+            end += 8 * values[-1].size
     except (struct.error, ValueError):  # a field runs past the end of the payload
         raise ProtocolError(
             f"payload too short for {cls.__name__}: {declared - 1} bytes after the tag"
         ) from None
-    if pos != len(data):
-        raise ProtocolError(f"payload has {len(data) - pos} unexpected trailing bytes")
+    if end != len(data):
+        raise ProtocolError(f"payload has {len(data) - end} unexpected trailing bytes")
     try:
         return cls(*values)
     except ValueError as exc:  # field validation in _Message.__post_init__
@@ -202,8 +200,8 @@ def decode(data: bytes) -> Message:
 # connections
 
 
-# Largest single recv: a frame's buffer grows only with bytes that arrive,
-# never up front to whatever length prefix the peer declared.
+# Largest single recv. The read-ahead buffer grows only with bytes that
+# arrive, never up front to whatever length prefix the peer declared.
 _RECV_CHUNK = 64 * 1024
 
 
@@ -213,29 +211,32 @@ class TcpConnection:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._closed = False
+        self._buffer = b""  # received, not yet returned by recv
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _recv_into(self, chunks: list, n: int, deadline: float | None) -> None:
-        """Append the next ``n`` bytes of the frame begun in ``chunks``."""
-        while n:
+    def _fill(self, need: int, deadline: float | None) -> None:
+        """Receive until the buffer holds at least ``need`` bytes."""
+        chunks, have = [self._buffer], len(self._buffer)
+        while have < need:
             try:
                 if deadline is not None:
                     left = deadline - time.monotonic()
                     if left <= 0:
                         raise TimeoutError
                     self._sock.settimeout(left)
-                chunk = self._sock.recv(min(n, _RECV_CHUNK))
+                chunk = self._sock.recv(_RECV_CHUNK)
             except TimeoutError:
                 raise TransportError("no complete message within the deadline") from None
             except OSError as exc:
                 raise TransportClosedError(f"connection lost: {exc}") from None
             if not chunk:
-                if chunks:
+                if have:
                     raise FramingError("peer closed the connection mid-frame")
                 raise TransportClosedError("peer closed the connection")
             chunks.append(chunk)
-            n -= len(chunk)
+            have += len(chunk)
+        self._buffer = b"".join(chunks)  # no copy when one chunk holds it all
 
     def send(self, msg: Message) -> None:
         frame = encode(msg)
@@ -250,15 +251,15 @@ class TcpConnection:
         then, else ``TransportError`` (part of a frame may have been read, so
         close the connection); without one the socket stays blocking."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        chunks: list[bytes] = []
         try:
-            self._recv_into(chunks, 4, deadline)
-            self._recv_into(chunks, _U32.unpack(b"".join(chunks))[0], deadline)
+            self._fill(4, deadline)
+            end = 4 + _U32.unpack_from(self._buffer)[0]
+            self._fill(end, deadline)
         finally:
             if deadline is not None and not self._closed:
                 self._sock.settimeout(None)
-        frame = b"".join(chunks)  # the frame's one copy
-        self.bytes_received += len(frame)
+        frame, self._buffer = self._buffer[:end], self._buffer[end:]
+        self.bytes_received += end
         return decode(frame)
 
     def close(self) -> None:
@@ -345,11 +346,9 @@ class InProcessTransport(_Transport):
 
     def connect(self) -> InProcessConnection:
         try:
-            worker_sock, server_sock = socket.socketpair()
+            worker_end, server_end = map(InProcessConnection, socket.socketpair())
         except OSError as exc:
             raise TransportError(f"cannot open an in-process connection: {exc}") from None
-        worker_end = InProcessConnection(worker_sock)
-        server_end = InProcessConnection(server_sock)
         self._track(worker_end, server_end)
         with self._lock:
             if self._closed:

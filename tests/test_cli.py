@@ -464,6 +464,36 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
     _assert_usage_errors(_bad_value_argvs("worker", given, tmp_path, cases), capsys)
 
 
+@pytest.mark.parametrize("gate, code", [("auroc", 2), ("accuracy", 1)])
+def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connecting(
+        shards, capsys, monkeypatch, gate, code):
+    from dataclasses import replace
+
+    import fedhosp.cli as cli
+    from fedhosp.transport import TransportError
+
+    # A shard's own split is stratified, so it keeps both classes in its test
+    # side; the one-class test side is made after that split.
+    real_prepare = cli.prepare
+
+    def prepare_one_class(*args, **kwargs):
+        data = real_prepare(*args, **kwargs)
+        return replace(data, test=replace(data.test, labels=np.zeros_like(data.test.labels)))
+
+    def refuse_to_connect(host, port):
+        raise TransportError(f"cannot connect to {host}:{port}: refused by the test")
+
+    monkeypatch.setattr(cli, "prepare", prepare_one_class)
+    monkeypatch.setattr(cli, "worker_connect", refuse_to_connect)
+    assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "1", "--shard", str(shards[0]),
+                 "--gate-metric", gate]) == code
+    err = capsys.readouterr().err
+    if gate == "auroc":
+        assert f"error: shard {shards[0]}: hospital 1: the auroc gate needs both classes" in err
+    else:  # the accuracy gate scores one class: the worker goes on to connect
+        assert "refused by the test" in err
+
+
 @pytest.mark.parametrize("port", ["99999", "-5"])
 def test_serve_port_out_of_range_is_a_usage_error(capsys, port):
     assert _run(["serve", "--listen", f"127.0.0.1:{port}", "--rounds", "1"]) == 2

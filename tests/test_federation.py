@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from contextlib import nullcontext
@@ -695,6 +696,33 @@ def test_a_reply_that_contradicts_the_registration_is_a_protocol_error(update, r
             peer.recv(timeout=5.0)
     peer.close()
     assert all(end._closed for end in transport.endpoints)
+
+
+@pytest.mark.parametrize("make_transport", [tp.InProcessTransport, tp.TcpTransport],
+                         ids=["inprocess", "tcp"])
+@pytest.mark.parametrize("value, accepted", [(5.0, False), (-0.1, False), (0.0, True), (1.0, True)])
+def test_an_eval_result_value_outside_0_1_is_a_protocol_error(make_transport, value, accepted):
+    transport = make_transport()
+    listener = transport.listen()
+    peer = transport.connect()
+    # The whole one-round session, buffered until the server reads it.
+    for msg in (tp.Register(hospital_id=1, n_train=10, n_test=5),
+                tp.LocalUpdate(1, 0, 10, np.zeros(4)), tp.EvalResult(1, 0, value, 5)):
+        peer.send(msg)
+    workers = wait_for_registrations(listener, [1])
+    listener.close()
+    run = functools.partial(federation.run_server_rounds, workers,
+                            ModelArch("lr", input_dim=3), FedConfig(n_hospitals=1, rounds=1))
+    try:
+        if accepted:
+            state, _ = run()
+            assert [(r.candidate_accuracy, r.committed) for r in state.history] == [(value, True)]
+        else:
+            with pytest.raises(tp.ProtocolError,
+                               match=rf"round 0: hospital 1 .*{value} outside \[0, 1\]"):
+                run()
+    finally:
+        peer.close()
 
 
 def test_worker_loop_round_trip_over_plain_pair():

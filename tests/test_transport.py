@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import struct
 import threading
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedhosp import transport as tp
@@ -89,6 +90,10 @@ def _framed(tag: int, body: bytes) -> bytes:
     st.binary(max_size=64),
     st.builds(_framed, st.integers(1, 6), st.binary(max_size=64)),
 ))
+@example(_framed(0x02, struct.pack("<II", 0, 0)))  # params count 0
+@example(_framed(0x02, struct.pack("<II", 0, 2) + bytes(8)))  # count one element past the payload
+@example(_framed(0x04, struct.pack("<II", 0, 0xFFFFFFFF)))  # count 0xFFFFFFFF
+@example(_framed(0x01, bytes(19)))  # Register's head one byte short
 @settings(max_examples=500, deadline=None)
 def test_decode_fuzz_rejects_or_round_trips_exactly(frame):
     """Any byte string is either a typed error or the canonical frame of a message."""
@@ -97,6 +102,40 @@ def test_decode_fuzz_rejects_or_round_trips_exactly(frame):
     except tp.TransportError:
         return
     assert tp.encode(msg) == frame
+
+
+# sha256 of one frame of each type, with params of the two sizes the
+# benchmark ships (LR and MLP): a codec change must not move a byte.
+_PARAMS = {n: np.random.default_rng(11).normal(size=n) for n in (295, 14_801)}
+FRAME_DIGESTS = [
+    (tp.BroadcastModel(round=7, params=_PARAMS[295]),
+     "e9f56265b673e55d155fa7136aa568ce2d792b37edd6f582290c932908d816ba"),
+    (tp.LocalUpdate(hospital_id=2, round=7, n_samples=1234, params=_PARAMS[295]),
+     "a3029f1e6b198a067d4ad3670a72d546f8545e4cbef3dbfff68a3e21317e5dbb"),
+    (tp.EvalRequest(round=7, params=_PARAMS[295]),
+     "7919cad367b6303d6c5f5fbd385d1d848a1040566314015917e5f875339f9f70"),
+    (tp.BroadcastModel(round=7, params=_PARAMS[14_801]),
+     "6d494151fa01433e2da67b288045e5bd13757faff00c8ba8ed8f51e9ffdabe0b"),
+    (tp.LocalUpdate(hospital_id=2, round=7, n_samples=1234, params=_PARAMS[14_801]),
+     "82ebe1320b0d8de76b3531921a8c569f05d0965a5790df3c5ffb39deebe8bd01"),
+    (tp.EvalRequest(round=7, params=_PARAMS[14_801]),
+     "d8e0adb21d8f2fbc1aabd30539e38da9b78683bfb956011908d4814caa03d32d"),
+    (tp.Register(hospital_id=3, n_train=1234, n_test=321),
+     "cdae591228636e4de644ddf1f3328d64083d898bb5931746767b8cfc0efd0fed"),
+    (tp.EvalResult(hospital_id=3, round=7, value=0.8125, n_test=321),
+     "743baabe932e368987073a1495d1549364230e9181248616c19632400ce0f1cb"),
+    (tp.Shutdown(),
+     "e796ab719977ae4dc43c484a30b263fcedaf016d07eb4c1cd6edeb0551d39aaf"),
+]
+
+
+@pytest.mark.parametrize("msg, digest", FRAME_DIGESTS, ids=[
+    type(m).__name__ + (f"-{m.params.size}" if hasattr(m, "params") else "")
+    for m, _ in FRAME_DIGESTS])
+def test_frame_bytes_are_pinned_by_digest(msg, digest):
+    frame = tp.encode(msg)
+    assert hashlib.sha256(frame).hexdigest() == digest
+    assert tp.decode(frame) == msg
 
 
 def test_decode_unknown_tag():
@@ -360,3 +399,66 @@ def test_connect_refused_is_transport_error():
     sock.close()  # nothing listening here any more
     with pytest.raises(tp.TransportError, match="cannot connect"):
         tp.worker_connect("127.0.0.1", port, timeout=2.0)
+
+
+@PAIRS
+def test_two_frames_in_one_write_come_back_in_order(pair):
+    worker, server = pair()
+    first = tp.Register(hospital_id=1, n_train=2, n_test=3)
+    second = tp.LocalUpdate(hospital_id=1, round=0, n_samples=2, params=np.arange(3.0))
+    frames = [tp.encode(first), tp.encode(second)]
+    try:
+        worker._sock.sendall(b"".join(frames))
+        assert server.recv(timeout=5.0) == first
+        assert server.recv(timeout=5.0) == second
+        assert server.bytes_received == sum(map(len, frames))
+    finally:
+        worker.close()
+        server.close()
+
+
+@PAIRS
+def test_a_large_frame_dripped_in_pieces_decodes_whole(pair):
+    worker, server = pair()
+    msg = tp.BroadcastModel(round=4, params=np.random.default_rng(3).normal(size=14_801))
+    frame = tp.encode(msg)
+    cuts = [0, 2, 7, *range(10_007, len(frame), 10_007), len(frame)]  # the prefix split too
+
+    def drip():
+        for start, stop in zip(cuts, cuts[1:]):
+            worker._sock.sendall(frame[start:stop])
+            time.sleep(0.002)
+
+    thread = threading.Thread(target=drip)
+    thread.start()
+    try:
+        assert server.recv(timeout=10.0) == msg
+        assert server.bytes_received == len(frame)
+    finally:
+        thread.join(timeout=5)
+        worker.close()
+        server.close()
+
+
+@PAIRS
+def test_received_params_are_a_read_only_view_that_training_copies(pair):
+    from fedhosp.federation import HospitalDataset, local_update
+    from fedhosp.models import ModelArch, TrainConfig
+
+    worker, server = pair()
+    rng = np.random.default_rng(0)
+    hospital = HospitalDataset(1, rng.normal(size=(8, 3)), np.arange(8) % 2,
+                               rng.normal(size=(4, 3)), np.arange(4) % 2)
+    try:
+        server.send(tp.BroadcastModel(round=0, params=np.array([0.5, -0.25, 1.0, 0.0])))
+        received = worker.recv(timeout=5.0).params
+        assert not received.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            received[0] = 1.0
+        params, _ = local_update(hospital, received, ModelArch("lr", input_dim=3),
+                                 TrainConfig(epochs=1, seed=0))
+        assert params.flags.writeable
+        assert not np.shares_memory(params, received)
+    finally:
+        worker.close()
+        server.close()
