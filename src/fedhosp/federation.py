@@ -196,26 +196,35 @@ def aggregate(updates, weights) -> np.ndarray:
     ±0 keeps a sign that does not depend on the listing order, and a single
     update comes back bit for bit, ``-0.0`` included.
     """
-    stacked = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if stacked.shape[0] != weights.size:
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(f"weights must be finite and non-negative, got {weights.tolist()}")
+    terms = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
+    if terms.shape[0] != weights.size:
         raise ValueError(
-            f"got {stacked.shape[0]} updates but {weights.size} weights"
+            f"got {terms.shape[0]} updates but {weights.size} weights"
         )
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-    terms = weights[:, None] * stacked
+    # At most K+3 parameter-sized vectors at a time: the stacked copy, weighted
+    # and sorted in place, the envelope's two bounds and one comparator
+    # scratch, which is freed before the sum is made.
+    lo, hi = terms.min(axis=0), terms.max(axis=0)
+    terms *= weights[:, None]  # in place: np.stack copied the caller's updates
+    low = np.empty_like(lo)
     for i, j in _sorting_network(len(terms)):
         # minimum(a, b) and maximum(b, a) break a tie the same way, so the
         # pair is permuted, never duplicated, even for +0.0 against -0.0.
-        low = np.minimum(terms[i], terms[j])
+        np.minimum(terms[i], terms[j], out=low)
         np.maximum(terms[j], terms[i], out=terms[j])
         terms[i] = low
+    del low
     # Starting from -0.0, not numpy's +0.0, a sum of zeros is -0.0 exactly
     # when every term is, as in IEEE addition; any other sum is unchanged.
     summed = terms.sum(axis=0, initial=-0.0)
-    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-    return np.where(summed < lo, lo, np.where(summed > hi, hi, summed))
+    np.copyto(summed, lo, where=summed < lo)
+    np.copyto(summed, hi, where=summed > hi)
+    return summed
 
 
 def local_update(hospital: HospitalDataset, global_params: np.ndarray,
@@ -264,6 +273,9 @@ def weighted_accuracy(values, n_tests) -> float:
         raise ValueError("weighted_accuracy of an empty evaluation is undefined")
     if values.size != n_tests.size:
         raise ValueError(f"values and sizes disagree in length: {values.size} vs {n_tests.size}")
+    if not (np.all(np.isfinite(n_tests) & (n_tests >= 0)) and n_tests.sum() > 0):
+        raise ValueError(f"test sizes must be finite and non-negative with a positive sum, "
+                         f"got {n_tests.tolist()}")
     return float((values * n_tests).sum() / n_tests.sum())
 
 

@@ -42,10 +42,14 @@ __all__ = [
 PROB_CLAMP = 1e-12
 
 # Bound on ModelArch.n_params: 67x the 14,801 of a 294-input, 50-unit MLP.
-# A federation holds about a dozen float64 vectors of that length per
-# hospital (the model, Adam's workspace, frames on the wire, the server's
-# copies): a 2-hospital in-process run peaks at 217 bytes per parameter,
-# about 0.2 GB at the bound.
+# A federation holds about two dozen float64 vectors of that length (per
+# hospital the model, Adam's four-vector workspace and frames on the wire;
+# the server's copies and its aggregate). Measured as the growth of peak RSS
+# (ru_maxrss) over the RSS before the call, a 2-round, 2-hospital in-process
+# run_federation of a 5000-input, 50-unit MLP (250,101 parameters) peaks at
+# about 205 bytes per parameter (268-270 before frames were encoded with
+# one copy, the aggregate worked in place and Adam's workspace lost its
+# fifth vector): about 0.2 GB at the bound.
 MAX_PARAMS = 1_000_000
 
 
@@ -210,7 +214,7 @@ class AdamState:
 
     Mutable: ``adam_step`` advances it in place, ``reset`` returns it to a
     fresh state. ``grad`` is where ``train`` has ``gradient`` write each
-    step's gradient; two more vectors are ``adam_step``'s scratch. The
+    step's gradient; one more vector is ``adam_step``'s scratch. The
     hyperparameters live in ``TrainConfig``. A workspace serves one caller
     at a time, so give each thread its own.
     """
@@ -221,7 +225,6 @@ class AdamState:
         self.step_count = 0
         self.grad = np.zeros(n_params)
         self._step = np.empty(n_params)
-        self._den = np.empty(n_params)
 
     def reset(self) -> None:
         """Zero the moments and the step count, as for a new optimizer."""
@@ -252,7 +255,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
         raise ValueError("params, grads and Adam moments must have identical length")
     t = state.step_count + 1
     b1, b2 = cfg.beta1, cfg.beta2
-    m, v, step, den = state.m, state.v, state._step, state._den
+    m, v, step = state.m, state.v, state._step
     np.multiply(grads, 1.0 - b1, out=step)
     m *= b1
     m += step                                     # b1*m + (1-b1)*g
@@ -262,9 +265,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     v += step                                     # b2*v + ((1-b2)*g)*g
     r = math.sqrt(1.0 - b2**t)
     alpha = cfg.lr * r / (1.0 - b1**t)
-    np.sqrt(v, out=den)
-    den += cfg.eps * r                            # sqrt(v) + eps*r
-    np.divide(m, den, out=step)
+    np.sqrt(v, out=step)
+    step += cfg.eps * r                           # den = sqrt(v) + eps*r
+    np.divide(m, step, out=step)
     step *= alpha                                 # (m / den) * alpha
     params -= step
     state.step_count = t

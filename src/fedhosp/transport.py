@@ -158,8 +158,10 @@ def encode(msg: Message) -> bytes:
     if not cls.COUNTED:
         return head.pack(head.size - 4, cls.TAG, *values)
     *values, params = values
-    return (head.pack(head.size - 4 + 8 * params.size, cls.TAG, *values, params.size)
-            + params.astype("<f8", copy=False).tobytes())
+    # One copy of the parameters: join reads the array's buffer directly,
+    # which ascontiguousarray leaves as it is when already contiguous "<f8".
+    return b"".join((head.pack(head.size - 4 + 8 * params.size, cls.TAG, *values, params.size),
+                     np.ascontiguousarray(params, "<f8")))
 
 
 def decode(data: bytes) -> Message:

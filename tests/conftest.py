@@ -1,4 +1,4 @@
-"""Suite-wide fixtures."""
+"""Suite-wide fixtures and Hypothesis settings."""
 
 from __future__ import annotations
 
@@ -6,6 +6,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples and replays nothing from a local
+# example database, so a pass or a failure does not depend on past runs.
+# Each test's own max_examples still applies.
+settings.register_profile("fedhosp", derandomize=True, database=None)
+settings.load_profile("fedhosp")
 
 
 @pytest.fixture(autouse=True)

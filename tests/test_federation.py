@@ -159,6 +159,15 @@ def test_aggregate_errors():
         aggregate([np.zeros(2), np.zeros(2)], [0.5, 0.6])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [2.0, -1.0], [np.inf, 0.0], [-np.inf, 1.0]],
+                         ids=["nan", "negative", "inf", "-inf"])
+def test_aggregate_rejects_non_finite_or_negative_weights(weights):
+    with np.errstate(all="raise"):  # rejected before any arithmetic on them
+        with pytest.raises(ValueError, match="finite and non-negative") as err:
+            aggregate([np.ones(2), np.zeros(2)], weights)
+    assert str(weights[1]) in str(err.value) and str(weights[0]) in str(err.value)
+
+
 def test_local_update_zero_epochs_identity():
     h = _hospital()
     arch = ModelArch("lr", input_dim=3)
@@ -212,6 +221,15 @@ def test_weighted_accuracy_examples():
     assert weighted_accuracy([0.42], [7]) == 0.42
     with pytest.raises(ValueError, match="empty"):
         weighted_accuracy([], [])
+
+
+@pytest.mark.parametrize("n_tests", [[0], [0, 0], [5, -1], [-3, 3]],
+                         ids=["zero", "zeros", "negative", "zero-sum-with-negative"])
+def test_weighted_accuracy_rejects_negative_sizes_or_a_zero_total(n_tests):
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="non-negative with a positive sum"):
+            weighted_accuracy([0.5] * len(n_tests), n_tests)
+    assert weighted_accuracy([0.5, 0.9], [0, 4]) == 0.9  # an empty test set alone is fine
 
 
 def test_gate_commits_on_equal_or_better():

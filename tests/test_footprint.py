@@ -1,0 +1,59 @@
+"""Memory footprint of a round's parameter-sized work, measured by tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a call
+counts the parameter-sized vectors it holds at once.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fedhosp import transport as tp
+from fedhosp.federation import aggregate, compute_weights
+from fedhosp.models import AdamState, TrainConfig, adam_step
+
+N = 100_000
+VECTOR = 8 * N  # bytes of one float64 parameter vector
+
+
+def _traced(fn):
+    """(result, bytes still held after the call, peak bytes during it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_aggregate_holds_at_most_k_plus_4_vectors(k):
+    rng = np.random.default_rng(k)
+    updates = [rng.normal(size=N) for _ in range(k)]
+    weights = compute_weights(rng.integers(1, 100, k))
+    out, held, peak = _traced(lambda: aggregate(updates, weights))
+    assert out.shape == (N,)
+    assert held < 1.01 * VECTOR  # only the result outlives the call
+    assert peak <= (k + 4.5) * VECTOR, f"peak {peak / VECTOR:.2f} vectors"
+
+
+def test_encode_of_a_broadcast_makes_one_frame():
+    msg = tp.BroadcastModel(round=3, params=np.random.default_rng(0).normal(size=N))
+    frame, _, peak = _traced(lambda: tp.encode(msg))
+    assert len(frame) == VECTOR + 13
+    assert peak <= 1.1 * len(frame), f"peak {peak / len(frame):.2f} frames"
+
+
+def test_adam_workspace_holds_four_vectors_and_a_step_allocates_none():
+    state, held, _ = _traced(lambda: AdamState(N))
+    vectors = [a for a in vars(state).values() if isinstance(a, np.ndarray)]
+    assert [a.size for a in vectors] == [N] * 4
+    assert 4 * VECTOR <= held < 4.01 * VECTOR
+    params, grads = np.zeros(N), np.ones(N)
+    _, _, peak = _traced(lambda: adam_step(params, grads, state, TrainConfig(epochs=1, seed=0)))
+    assert peak < 0.01 * VECTOR

@@ -458,8 +458,7 @@ def test_train_leaves_inputs_untouched_and_returns_unshared_params(arch, with_wo
         assert [a.tobytes() for a in (params, x, y)] == before
         others = [params, x, y]
         if workspace is not None:
-            others += [workspace.m, workspace.v, workspace.grad,
-                       workspace._step, workspace._den]
+            others += [workspace.m, workspace.v, workspace.grad, workspace._step]
         assert not any(np.shares_memory(out, a) for a in others)
 
 

@@ -138,6 +138,26 @@ def test_frame_bytes_are_pinned_by_digest(msg, digest):
     assert tp.decode(frame) == msg
 
 
+_P = _PARAMS[295]
+
+
+@pytest.mark.parametrize("params", [
+    _P[::2],
+    _P.astype(">f8"),
+    tp.decode(tp.encode(tp.BroadcastModel(round=0, params=_P))).params,
+    np.array([]),
+], ids=["strided", "big-endian", "read-only-view", "empty"])
+def test_any_params_layout_encodes_as_a_contiguous_native_copy(params):
+    native = np.array(params, dtype=np.float64, order="C")
+    for cls, fields in ((tp.BroadcastModel, {"round": 4}), (tp.EvalRequest, {"round": 4}),
+                        (tp.LocalUpdate, {"hospital_id": 1, "round": 4, "n_samples": 9})):
+        assert tp.encode(cls(**fields, params=params)) == tp.encode(cls(**fields, params=native))
+    frame = tp.encode(tp.BroadcastModel(round=4, params=params))
+    assert type(frame) is bytes
+    assert len(frame) == 13 + 8 * native.size
+    assert frame[13:] == native.astype("<f8").tobytes()
+
+
 def test_decode_unknown_tag():
     frame = struct.pack("<IB", 1, 0xFF)
     with pytest.raises(tp.ProtocolError, match="0xFF"):
