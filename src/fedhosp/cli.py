@@ -38,6 +38,7 @@ from .experiment import (
     ExperimentConfig,
     ExperimentError,
     check_type,
+    config_dict,
     federation_report,
     format_comparison,
     load_data,
@@ -196,7 +197,8 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
           f"({sum(r.committed for r in state.history)} committed)")
     if opts["out"]:
         report = {"schema_version": REPORT_SCHEMA_VERSION,
-                  "config": {k: opts[k] for k in sorted(opts)}, **federation_report(state)}
+                  "config": config_dict(replace(cfg, mode="federated")),
+                  **federation_report(state)}
         write_report(report, Path(opts["out"]) / "report.json")
         print(f"report written to {Path(opts['out']) / 'report.json'}")
     return 0

@@ -43,7 +43,7 @@ from .models import ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "load_data", "prepare",
            "fit", "run_experiment", "run_comparison", "format_comparison",
-           "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
+           "config_dict", "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -168,7 +168,7 @@ def _jsonable(value):
     return value
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
+def config_dict(cfg: ExperimentConfig) -> dict:
     """Config as recorded in reports: the experiment parameters only.
 
     ``out_dir`` names where the report lands, not what was computed, so it is
@@ -247,7 +247,7 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
     arch = cfg.arch(STATS_PER_VARIABLE * len(data.variables))
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "config": _config_dict(cfg),
+        "config": config_dict(cfg),
         "variables": list(data.variables),
         "arch": {"kind": arch.kind, "input_dim": arch.input_dim,
                  "hidden_dim": arch.hidden_dim if arch.kind == "mlp" else None,
@@ -319,7 +319,7 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
     }
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "config": _config_dict(cfg),
+        "config": config_dict(cfg),
         "cells": cells,
     }
     if cfg.out_dir is not None:

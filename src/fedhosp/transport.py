@@ -15,6 +15,14 @@ elements, which decode as a read-only view of the frame. Example frames::
     BroadcastModel(round=0, [1.0])      11 00 00 00   02  00 00 00 00
                                         01 00 00 00   00 00 00 00 00 00 f0 3f
 
+Each message is checked once per hop. The constructor checks every field:
+an int in its u32/u64 range, a finite real, finite params that form a flat
+vector (converted to float64). ``decode`` runs only the part the head
+struct cannot guarantee, that f64 fields and params are finite: unpacking
+"I"/"Q" yields ints in range, and params decode as a flat float64 view. It
+then builds the message without rerunning the constructor, and raises its
+messages as ``ProtocolError``.
+
 The message vocabulary deliberately has no variant that could carry feature
 rows or labels — only parameters, sample counts, and metric scalars — so
 raw data cannot leave a hospital through this layer no matter what the
@@ -24,8 +32,10 @@ Two transports share one connection class: TCP, and an in-process one whose
 pairs are ``socket.socketpair()`` ends. Framing, receive deadlines, close
 and byte counts are one implementation, so the in-process transport behaves
 as the network does, and a federation run is bit-identical across the two.
-A connection reads ahead into one buffer, so a small frame costs one system
-call; the buffer still grows only with bytes that arrive.
+A connection reads ahead into one buffer and reads a frame in one pass,
+parsing its length prefix once, as soon as the 4 bytes are in. A small
+frame costs one system call, a frame already in the buffer none; the buffer
+still grows only with bytes that arrive.
 """
 
 from __future__ import annotations
@@ -102,6 +112,15 @@ class TransportClosedError(TransportError):
     """The peer (or this side) closed the connection."""
 
 
+def _check_finite(name: str, wire: str, value) -> None:
+    """The check a decoded field still needs: an f64 or params field is finite."""
+    if wire == "params":
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} contain non-finite values")
+    elif wire == "f64" and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 class _Message:
     """Validation and equality shared by the classes built from ``_SCHEMA``.
 
@@ -112,17 +131,18 @@ class _Message:
         for name, wire in self.FIELDS:
             value = getattr(self, name)
             if wire == "params":
-                value = np.asarray(value, dtype=np.float64)
+                if type(value) is not np.ndarray or value.dtype != np.float64:
+                    value = np.asarray(value, dtype=np.float64)
+                    object.__setattr__(self, name, value)
                 if value.ndim != 1:
                     raise ValueError(f"{name} must be a flat vector, got shape {value.shape}")
-                if not np.all(np.isfinite(value)):
-                    raise ValueError(f"{name} contain non-finite values")
-                object.__setattr__(self, name, value)
             elif wire == "f64":
-                if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                if type(value) is not float and not isinstance(value, numbers.Real):
                     raise ValueError(f"{name} must be a finite number, got {value!r}")
-            elif not isinstance(value, (int, np.integer)) or not 0 <= value <= _INT_MAX[wire]:
+            elif not ((type(value) is int or isinstance(value, (int, np.integer)))
+                      and 0 <= value <= _INT_MAX[wire]):
                 raise ValueError(f"{name} must be a {wire}, got {value!r}")
+            _check_finite(name, wire, value)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and all(
@@ -165,16 +185,19 @@ def encode(msg: Message) -> bytes:
 
 
 def decode(data: bytes) -> Message:
-    """Parse one complete frame back into a message (inverse of encode)."""
-    if len(data) < 4:
-        raise FramingError(f"frame shorter than its length prefix: {len(data)} bytes")
+    """Parse one complete frame back into a message (inverse of encode).
+
+    Checks what the head struct cannot guarantee, that floats and params are
+    finite, and builds the message without rerunning its constructor's checks.
+    """
+    size = len(data)
+    if size < 4:
+        raise FramingError(f"frame shorter than its length prefix: {size} bytes")
     declared = _U32.unpack_from(data)[0]
-    if len(data) < 4 + declared:
-        raise FramingError(
-            f"frame declares {declared} payload bytes, only {len(data) - 4} available"
-        )
-    if len(data) > 4 + declared:
-        raise FramingError(f"frame has {len(data) - 4 - declared} trailing bytes")
+    if size < 4 + declared:
+        raise FramingError(f"frame declares {declared} payload bytes, only {size - 4} available")
+    if size > 4 + declared:
+        raise FramingError(f"frame has {size - 4 - declared} trailing bytes")
     if declared == 0:
         raise ProtocolError("empty payload (missing type tag)")
     cls = _BY_TAG.get(data[4])
@@ -190,12 +213,16 @@ def decode(data: bytes) -> Message:
         raise ProtocolError(
             f"payload too short for {cls.__name__}: {declared - 1} bytes after the tag"
         ) from None
-    if end != len(data):
-        raise ProtocolError(f"payload has {len(data) - end} unexpected trailing bytes")
+    if end != size:
+        raise ProtocolError(f"payload has {size - end} unexpected trailing bytes")
     try:
-        return cls(*values)
-    except ValueError as exc:  # field validation in _Message.__post_init__
+        for (name, wire), value in zip(cls.FIELDS, values):
+            _check_finite(name, wire, value)
+    except ValueError as exc:
         raise ProtocolError(str(exc)) from None
+    msg = object.__new__(cls)
+    msg.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return msg
 
 
 # --------------------------------------------------------------------------
@@ -217,10 +244,15 @@ class TcpConnection:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _fill(self, need: int, deadline: float | None) -> None:
-        """Receive until the buffer holds at least ``need`` bytes."""
-        chunks, have = [self._buffer], len(self._buffer)
-        while have < need:
+    def _read_frame(self, deadline: float | None) -> bytes:
+        """The next whole frame, read in one pass: its length is parsed once,
+        as soon as the 4 prefix bytes are in, and reads go on until it is whole."""
+        chunks, have, end = [self._buffer], len(self._buffer), None
+        while end is None or have < end:
+            if end is None and have >= 4:
+                chunks = [b"".join(chunks)]  # the prefix may span chunks
+                end = 4 + _U32.unpack_from(chunks[0])[0]
+                continue
             try:
                 if deadline is not None:
                     left = deadline - time.monotonic()
@@ -238,7 +270,12 @@ class TcpConnection:
                 raise TransportClosedError("peer closed the connection")
             chunks.append(chunk)
             have += len(chunk)
-        self._buffer = b"".join(chunks)  # no copy when one chunk holds it all
+        data = b"".join(chunks)  # no copy when one chunk holds it all
+        if have == end:
+            self._buffer = b""
+            return data
+        self._buffer = data[end:]
+        return data[:end]
 
     def send(self, msg: Message) -> None:
         frame = encode(msg)
@@ -254,14 +291,11 @@ class TcpConnection:
         close the connection); without one the socket stays blocking."""
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            self._fill(4, deadline)
-            end = 4 + _U32.unpack_from(self._buffer)[0]
-            self._fill(end, deadline)
+            frame = self._read_frame(deadline)
         finally:
             if deadline is not None and not self._closed:
                 self._sock.settimeout(None)
-        frame, self._buffer = self._buffer[:end], self._buffer[end:]
-        self.bytes_received += end
+        self.bytes_received += len(frame)
         return decode(frame)
 
     def close(self) -> None:

@@ -319,6 +319,49 @@ def test_serve_exits_1_on_an_update_that_contradicts_the_registration(capsys, fa
     assert "round 0: hospital 1 sent a LocalUpdate" in capsys.readouterr().err
 
 
+def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path):
+    from fedhosp import transport as tp
+
+    port = _free_port()
+    config = tmp_path / "serve.json"
+    config.write_text(json.dumps({"rounds": 2, "hospitals": 1}))
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(_run([
+        "serve", "--config", str(config), "--listen", f"127.0.0.1:{port}", "--model", "lr",
+        "--variables", "2", "--seed", "5", "--out", str(tmp_path / "served")])), daemon=True)
+    server.start()
+    deadline = time.monotonic() + 20.0
+    while True:
+        try:
+            peer = tp.worker_connect("127.0.0.1", port, timeout=1.0)
+            break
+        except tp.TransportError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+    try:  # a hospital that returns what it is sent and scores it 0.5
+        peer.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+        while not isinstance(msg := peer.recv(timeout=30.0), tp.Shutdown):
+            if isinstance(msg, tp.BroadcastModel):
+                peer.send(tp.LocalUpdate(hospital_id=1, round=msg.round, n_samples=10,
+                                         params=msg.params))
+            else:
+                peer.send(tp.EvalResult(hospital_id=1, round=msg.round, value=0.5, n_test=5))
+        server.join(timeout=30.0)
+    finally:
+        peer.close()
+    assert codes == [0]
+    served = json.loads((tmp_path / "served" / "report.json").read_text())["config"]
+    assert _run(["train", "--mode", "federated", "--episodes", "60", "--rounds", "1",
+                 "--out", str(tmp_path / "trained")]) == 0
+    trained = json.loads((tmp_path / "trained" / "report.json").read_text())["config"]
+    assert sorted(served) == sorted(trained)
+    assert {k: served[k] for k in ("mode", "model", "n_variables", "n_hospitals", "rounds",
+                                   "seed")} == {"mode": "federated", "model": "lr",
+                                                "n_variables": 2, "n_hospitals": 1,
+                                                "rounds": 2, "seed": 5}
+
+
 # --------------------------------------------------------------------------
 # every option value is checked before any stage runs
 

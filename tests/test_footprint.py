@@ -6,6 +6,7 @@ counts the parameter-sized vectors it holds at once.
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,42 @@ def test_encode_of_a_broadcast_makes_one_frame():
     frame, _, peak = _traced(lambda: tp.encode(msg))
     assert len(frame) == VECTOR + 13
     assert peak <= 1.1 * len(frame), f"peak {peak / len(frame):.2f} frames"
+
+
+@pytest.mark.parametrize("kind", ["inprocess", "tcp"])
+def test_recv_of_a_frame_peaks_at_two_frames_and_keeps_one(kind):
+    if kind == "inprocess":
+        transport = tp.InProcessTransport()
+        listener = transport.listen()
+        worker = transport.connect()
+        server = listener.accept()
+    else:
+        listener = tp.server_listen("127.0.0.1", 0)
+        accepted = []
+        thread = threading.Thread(target=lambda: accepted.append(listener.accept()))
+        thread.start()
+        worker = tp.worker_connect(*listener.address)
+        thread.join(timeout=5)
+        listener.close()
+        server = accepted[0]
+    msg = tp.BroadcastModel(round=3, params=np.random.default_rng(0).normal(size=N))
+    frame = tp.encode(msg)
+    sender = threading.Thread(target=lambda: worker._sock.sendall(frame))  # allocates nothing
+    try:
+        def receive():
+            sender.start()
+            return server.recv(timeout=10.0)
+
+        got, held, peak = _traced(receive)
+    finally:
+        sender.join(timeout=5)
+        worker.close()
+        server.close()
+    assert got == msg
+    # The chunks and their one join: 2.002-2.003 frames before the one-pass read too.
+    assert peak <= 2.01 * len(frame), f"peak {peak / len(frame):.3f} frames"
+    assert held < 1.01 * len(frame)  # the frame, kept alive by its params view
+    assert type(got.params.base) is bytes and len(got.params.base) == len(frame)
 
 
 def test_adam_workspace_holds_four_vectors_and_a_step_allocates_none():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhosp.metrics import EvalResult, _average_ranks, accuracy, auprc, auroc, evaluate
+from fedhosp.metrics import EvalResult, accuracy, auprc, auroc, evaluate
 
 
 def _pairwise_auroc(scores, labels):
@@ -24,6 +24,27 @@ def _pairwise_auroc(scores, labels):
             elif p == n:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties replaced by the mean rank of their group."""
+    order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    # sorted positions i..j (0-based) of one tie group share ((i+1) + (j+1)) / 2
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    last = np.append(first[1:], scores.size) - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    return ranks
+
+
+def _rank_auroc(scores, labels):
+    """The average-rank (Mann-Whitney U) formula: the oracle for counting."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    u = _average_ranks(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def _loop_average_ranks(scores):
@@ -83,6 +104,51 @@ def test_auroc_equals_pairwise_oracle_exactly():
         labels[rng.permutation(n)[: int(rng.integers(1, n))] ] = 1
         scores = rng.choice(grid, size=n)
         assert auroc(scores, labels) == _pairwise_auroc(scores, labels)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_counting_auroc_equals_the_average_rank_formula_bit_for_bit(data):
+    palette = data.draw(st.lists(st.sampled_from([-0.0, 0.0]) | st.floats(allow_nan=False),
+                                 min_size=1, max_size=5))
+    n = data.draw(st.integers(2, 60))
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+                                .filter(lambda ls: 0 < sum(ls) < len(ls))))
+    scores = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+    got, want = auroc(scores, labels), _rank_auroc(scores, labels)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _int_label_auprc_and_accuracy(scores, labels):
+    """AUPRC and accuracy computed over int64 labels, as before the labels became a mask."""
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(labels).astype(np.int64)
+    hits = y[np.argsort(-s, kind="stable")]
+    precision_at_k = np.cumsum(hits) / np.arange(1, y.size + 1)
+    predicted = (s >= 0.5).astype(np.int64)
+    return (float(precision_at_k[hits == 1].sum() / int(y.sum())),
+            float(np.mean(predicted == y)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_auprc_and_accuracy_equal_the_int_label_formulas_bit_for_bit(data):
+    n = data.draw(st.integers(1, 50))
+    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+                       .filter(lambda ls: 1 in ls))
+    scores = np.array(data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+                                         | st.floats(allow_nan=False), min_size=n, max_size=n)))
+    want = _int_label_auprc_and_accuracy(scores, labels)
+    for form in (labels, np.array(labels, dtype=float), np.array(labels, dtype=bool)):
+        got = (auprc(scores, form), accuracy(scores, form))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_counting_auroc_equals_the_average_rank_formula_at_scale():
+    rng = np.random.default_rng(13)
+    scores = rng.choice([-0.0, 0.0, 0.125, 0.5, 1.0], size=200_001)
+    labels = (rng.random(scores.size) < 0.3).astype(int)
+    assert np.float64(auroc(scores, labels)).tobytes() == \
+        np.float64(_rank_auroc(scores, labels)).tobytes()
 
 
 @given(st.data())

@@ -184,6 +184,60 @@ def test_decode_rejects_non_finite_params():
         tp.decode(frame)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                                     ids=["nan", "+inf", "-inf"])
+
+
+def _constructor_error(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@NON_FINITE
+def test_decode_rejects_a_non_finite_eval_value_with_the_constructor_message(bad):
+    frame = struct.pack("<IBIIdQ", 25, 0x05, 1, 9, bad, 100)
+    expected = _constructor_error(lambda: tp.EvalResult(hospital_id=1, round=9, value=bad,
+                                                        n_test=100))
+    with pytest.raises(tp.ProtocolError) as info:
+        tp.decode(frame)
+    assert str(info.value) == expected == f"value must be a finite number, got {bad!r}"
+
+
+@NON_FINITE
+@pytest.mark.parametrize("msg", [
+    tp.BroadcastModel(round=3, params=np.array([1.5, -2.0])),
+    tp.LocalUpdate(hospital_id=2, round=3, n_samples=512, params=np.array([0.25])),
+    tp.EvalRequest(round=9, params=np.array([0.5, 0.75, 1.0])),
+], ids=lambda m: type(m).__name__)
+def test_decode_rejects_a_non_finite_last_param_with_the_constructor_message(msg, bad):
+    frame = tp.encode(msg)[:-8] + struct.pack("<d", bad)
+    params = np.append(msg.params[:-1], bad)
+    fields = {name: getattr(msg, name) for name, _ in msg.FIELDS}
+    expected = _constructor_error(lambda: type(msg)(**{**fields, "params": params}))
+    with pytest.raises(tp.ProtocolError) as info:
+        tp.decode(frame)
+    assert str(info.value) == expected == "params contain non-finite values"
+
+
+_INT_FIELD_CASES = [
+    (msg, name, value)
+    for msg in ALL_FIXED
+    for name, wire in msg.FIELDS if wire in ("u32", "u64")
+    for value in (0, 2 ** (32 if wire == "u32" else 64) - 1)
+]
+
+
+@pytest.mark.parametrize("msg, name, value", _INT_FIELD_CASES, ids=[
+    f"{type(m).__name__}.{n}={v}" for m, n, v in _INT_FIELD_CASES])
+def test_int_fields_at_their_bounds_decode_to_the_constructed_message(msg, name, value):
+    built = type(msg)(**{**{n: getattr(msg, n) for n, _ in msg.FIELDS}, name: value})
+    decoded = tp.decode(tp.encode(built))
+    assert decoded == built
+    assert type(getattr(decoded, name)) is int and getattr(decoded, name) == value
+    assert hash(decoded) == hash(built)
+
+
 def test_decode_short_payload():
     payload = b"\x02" + struct.pack("<I", 0)  # BroadcastModel missing its params
     frame = struct.pack("<I", len(payload)) + payload
@@ -432,6 +486,53 @@ def test_two_frames_in_one_write_come_back_in_order(pair):
         assert server.recv(timeout=5.0) == first
         assert server.recv(timeout=5.0) == second
         assert server.bytes_received == sum(map(len, frames))
+    finally:
+        worker.close()
+        server.close()
+
+
+class _CountingSocket:
+    """A socket that counts its ``recv`` calls and delegates everything else."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.recv_calls = 0
+
+    def recv(self, size):
+        self.recv_calls += 1
+        return self._sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _wait_until_readable(sock, n_bytes):
+    """Until ``n_bytes`` sit in the socket's receive queue, so one recv can take them."""
+    deadline = time.monotonic() + 5.0
+    while len(sock.recv(n_bytes, socket.MSG_PEEK)) < n_bytes:
+        assert time.monotonic() < deadline, "bytes never arrived"
+        time.sleep(0.001)
+
+
+@PAIRS
+def test_a_small_frame_costs_one_socket_recv_and_a_buffered_one_none(pair):
+    worker, server = pair()
+    first = tp.Register(hospital_id=1, n_train=2, n_test=3)
+    second = tp.EvalResult(hospital_id=1, round=0, value=0.5, n_test=3)
+    third = tp.BroadcastModel(round=1, params=np.arange(295.0))
+    try:
+        frames = tp.encode(first) + tp.encode(second)
+        worker._sock.sendall(frames)
+        _wait_until_readable(server._sock, len(frames))
+        server._sock = counting = _CountingSocket(server._sock)
+        assert server.recv(timeout=5.0) == first
+        assert counting.recv_calls == 1
+        assert server.recv(timeout=5.0) == second  # already in the buffer
+        assert counting.recv_calls == 1
+        worker.send(third)
+        _wait_until_readable(counting._sock, len(tp.encode(third)))
+        assert server.recv() == third
+        assert counting.recv_calls == 2
     finally:
         worker.close()
         server.close()
