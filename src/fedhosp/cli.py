@@ -34,20 +34,19 @@ from .data import generate, save_episodes
 from .experiment import (
     CHOICES,
     FIELD_TYPES,
-    REPORT_SCHEMA_VERSION,
     ExperimentConfig,
     ExperimentError,
     check_type,
-    config_dict,
     federation_report,
     format_comparison,
     load_data,
     prepare,
+    report_header,
     run_comparison,
     run_experiment,
     write_report,
 )
-from .features import STATS_PER_VARIABLE, extract, feature_names
+from .features import extract, feature_names
 from .federation import (
     FederationConfigError,
     check_gate_labels,
@@ -181,7 +180,7 @@ def cmd_compare(cfg: ExperimentConfig, opts: dict) -> int:
 
 def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
     host, port = _parse_endpoint(opts["listen"], lowest_port=0)
-    arch = cfg.arch(STATS_PER_VARIABLE * cfg.n_variables)
+    arch = cfg.arch(cfg.n_variables)
     fed_cfg = cfg.fed_config()
     transport = TcpTransport(host, port)
     listener = transport.listen()
@@ -196,9 +195,10 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
           f"{state.best_accuracy:.4f} "
           f"({sum(r.committed for r in state.history)} committed)")
     if opts["out"]:
-        report = {"schema_version": REPORT_SCHEMA_VERSION,
-                  "config": config_dict(replace(cfg, mode="federated")),
-                  **federation_report(state)}
+        # The workers hold every setting serve does not take; it never learns them.
+        report = {**report_header(replace(cfg, mode="federated")), **federation_report(state)}
+        taken = {"mode", *(_CONFIG_FIELD.get(n, n) for n in opts)}
+        report["config"] = {k: v if k in taken else None for k, v in report["config"].items()}
         write_report(report, Path(opts["out"]) / "report.json")
         print(f"report written to {Path(opts['out']) / 'report.json'}")
     return 0
@@ -214,7 +214,7 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
         check_gate_labels(hospital, cfg.gate_metric)
     except FederationConfigError as exc:
         raise UsageError(f"shard {opts['shard']}: {exc}") from None
-    arch = cfg.arch(STATS_PER_VARIABLE * len(data.variables))
+    arch = cfg.arch(len(data.variables))
     conn = worker_connect(host, port)
     print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
           f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)

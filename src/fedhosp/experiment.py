@@ -43,7 +43,7 @@ from .models import ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "load_data", "prepare",
            "fit", "run_experiment", "run_comparison", "format_comparison",
-           "config_dict", "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
+           "report_header", "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -88,26 +88,26 @@ class ExperimentConfig:
     # data source
     data_dir: str | None = None
     n_episodes: int = 2000
-    n_variables: int = 7
-    prevalence: float = 0.15
-    effect_size: float = 1.0
-    points_min: int = 4
-    points_max: int = 12
+    n_variables: int = SyntheticConfig.n_variables
+    prevalence: float = SyntheticConfig.prevalence
+    effect_size: float = SyntheticConfig.effect_size
+    points_min: int = SyntheticConfig.points_per_variable[0]
+    points_max: int = SyntheticConfig.points_per_variable[1]
     test_fraction: float = 0.2
     # model / training
-    hidden_dim: int = 50
+    hidden_dim: int = ModelArch.hidden_dim
     epochs: int = 100
-    batch_size: int = 8
-    learning_rate: float = 1e-3
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.lr
     # federation
     n_hospitals: int = 2
     rounds: int = 100
-    local_epochs: int = 1
-    cohort_fraction: float = 1.0
-    gate_enabled: bool = True
-    gate_metric: str = "accuracy"
+    local_epochs: int = FedConfig.local_epochs
+    cohort_fraction: float = FedConfig.cohort_fraction
+    gate_enabled: bool = FedConfig.gate_enabled
+    gate_metric: str = FedConfig.gate_metric
     partition_strategy: str = "equal_iid"
-    skew_alpha: float = 0.5
+    skew_alpha: float = PartitionPlan.skew_alpha
     seed: int = 0
     out_dir: str | None = None
 
@@ -125,7 +125,7 @@ class ExperimentConfig:
         self.fed_config()
         self.train_config(self.epochs)
         self.train_config(self.local_epochs)
-        self.arch(STATS_PER_VARIABLE * self.n_variables)
+        self.arch(self.n_variables)
 
     @property
     def stage_seeds(self) -> dict[str, int]:
@@ -149,8 +149,9 @@ class ExperimentConfig:
         return TrainConfig(epochs=epochs, seed=self.stage_seeds["train"],
                            batch_size=self.batch_size, lr=self.learning_rate)
 
-    def arch(self, input_dim: int) -> ModelArch:
-        return ModelArch(self.model, input_dim=input_dim, hidden_dim=self.hidden_dim)
+    def arch(self, n_variables: int) -> ModelArch:
+        return ModelArch(self.model, input_dim=STATS_PER_VARIABLE * n_variables,
+                         hidden_dim=self.hidden_dim)
 
 
 FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -168,16 +169,17 @@ def _jsonable(value):
     return value
 
 
-def config_dict(cfg: ExperimentConfig) -> dict:
-    """Config as recorded in reports: the experiment parameters only.
+def report_header(cfg: ExperimentConfig) -> dict:
+    """What every report starts with: the schema version and ``config``, the
+    experiment parameters only.
 
     ``out_dir`` names where the report lands, not what was computed, so it is
     left out — two runs of the same experiment produce byte-identical reports
     no matter where they are written.
     """
-    fields = _jsonable(asdict(cfg))
-    del fields["out_dir"]
-    return fields
+    config = _jsonable(asdict(cfg))
+    del config["out_dir"]
+    return {"schema_version": REPORT_SCHEMA_VERSION, "config": config}
 
 
 def load_data(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None):
@@ -244,10 +246,9 @@ def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> 
 def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
     """Train and evaluate ``cfg``'s (model, mode) cell on ``data``; returns its report."""
     train_fm, test_fm = data.train, data.test
-    arch = cfg.arch(STATS_PER_VARIABLE * len(data.variables))
+    arch = cfg.arch(len(data.variables))
     report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "config": config_dict(cfg),
+        **report_header(cfg),
         "variables": list(data.variables),
         "arch": {"kind": arch.kind, "input_dim": arch.input_dim,
                  "hidden_dim": arch.hidden_dim if arch.kind == "mlp" else None,
@@ -317,11 +318,7 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
         f"{model}-{mode}": fit(replace(cfg, model=model, mode=mode), data)["metrics"]
         for model in MODELS for mode in MODES
     }
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "config": config_dict(cfg),
-        "cells": cells,
-    }
+    report = {**report_header(cfg), "cells": cells}
     if cfg.out_dir is not None:
         write_report(report, Path(cfg.out_dir) / "comparison.json")
     return report

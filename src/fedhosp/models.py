@@ -1,9 +1,11 @@
 """Binary classifiers on flat parameter vectors, trained with mini-batch Adam.
 
-Two model families are supported: logistic regression and a one-hidden-layer
-MLP with ReLU activation. All parameters of a model live in a single 1-D
-float64 vector so they can be averaged coordinate-wise and shipped between
-processes without any knowledge of the layer structure. Layouts:
+Two model families are supported: a one-hidden-layer MLP with ReLU
+activation, and logistic regression, which is that MLP without its hidden
+layer. All parameters of a model live in a single 1-D float64 vector so they
+can be averaged coordinate-wise and shipped between processes without any
+knowledge of the layer structure. ``_layers`` is the one statement of the
+layouts; parameters and gradients are read through its views:
 
     lr:  [w (input_dim), b]
     mlp: [W1 (input_dim * hidden_dim, row-major), b1 (hidden_dim),
@@ -47,9 +49,7 @@ PROB_CLAMP = 1e-12
 # the server's copies and its aggregate). Measured as the growth of peak RSS
 # (ru_maxrss) over the RSS before the call, a 2-round, 2-hospital in-process
 # run_federation of a 5000-input, 50-unit MLP (250,101 parameters) peaks at
-# about 205 bytes per parameter (268-270 before frames were encoded with
-# one copy, the aggregate worked in place and Adam's workspace lost its
-# fifth vector): about 0.2 GB at the bound.
+# about 205 bytes per parameter: about 0.2 GB at the bound.
 MAX_PARAMS = 1_000_000
 
 
@@ -95,28 +95,45 @@ def _check_params(arch: ModelArch, params: np.ndarray) -> np.ndarray:
     return params
 
 
-def _unpack_mlp(arch: ModelArch, params: np.ndarray):
+def _check_rows(arch: ModelArch, x, y=None):
+    """``x`` as a float64 matrix of ``arch.input_dim`` columns; with labels, at
+    least one row and ``y`` as a flat float64 vector of one label per row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:  # np.atleast_2d's result, at a fraction of its call cost
+        x = x.reshape(1, -1)
+    if x.shape[1] != arch.input_dim:
+        raise ValueError(
+            f"feature length mismatch: expected {arch.input_dim}, got {x.shape[1]}"
+        )
+    if y is None:
+        return x, None
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape[0] == 0:
+        raise ValueError("cannot learn from an empty batch")
+    if y.size != x.shape[0]:
+        raise ValueError(f"row and label counts differ: {x.shape[0]} rows vs {y.size} labels")
+    return x, y
+
+
+def _layers(arch: ModelArch, vec: np.ndarray):
+    """Views of a vector in the parameter layout: the hidden layer ``(W1, b1)``,
+    or None for lr, and the output weights. The output bias is ``vec[-1]``."""
+    if arch.kind == "lr":
+        return None, vec[:-1]
     d, h = arch.input_dim, arch.hidden_dim
-    w1 = params[: d * h].reshape(d, h)
-    b1 = params[d * h : d * h + h]
-    w2 = params[d * h + h : d * h + 2 * h]
-    b2 = params[d * h + 2 * h]
-    return w1, b1, w2, b2
+    return (vec[: d * h].reshape(d, h), vec[d * h : d * h + h]), vec[d * h + h : -1]
 
 
 def init_params(arch: ModelArch, seed: int) -> np.ndarray:
     """Glorot-uniform weights, zero biases; deterministic in (arch, seed)."""
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.n_params)
-    if arch.kind == "lr":
-        bound = np.sqrt(6.0 / (arch.input_dim + 1))
-        params[: arch.input_dim] = rng.uniform(-bound, bound, arch.input_dim)
-    else:
-        d, h = arch.input_dim, arch.hidden_dim
-        bound1 = np.sqrt(6.0 / (d + h))
-        bound2 = np.sqrt(6.0 / (h + 1))
-        params[: d * h] = rng.uniform(-bound1, bound1, d * h)
-        params[d * h + h : d * h + 2 * h] = rng.uniform(-bound2, bound2, h)
+    hidden, w_out = _layers(arch, params)
+    if hidden is not None:
+        bound = np.sqrt(6.0 / (arch.input_dim + arch.hidden_dim))
+        hidden[0][:] = rng.uniform(-bound, bound, hidden[0].shape)
+    bound = np.sqrt(6.0 / (w_out.size + 1))
+    w_out[:] = rng.uniform(-bound, bound, w_out.size)
     return params
 
 
@@ -133,20 +150,12 @@ def forward(arch: ModelArch, params: np.ndarray, x) -> float | np.ndarray:
     shape (n, input_dim) (returns an array of n probabilities).
     """
     params = _check_params(arch, params)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"feature length mismatch: expected {arch.input_dim}, got {x2.shape[1]}"
-        )
-    if arch.kind == "lr":
-        z = x2 @ params[: arch.input_dim] + params[arch.input_dim]
-    else:
-        w1, b1, w2, b2 = _unpack_mlp(arch, params)
-        hidden = np.maximum(x2 @ w1 + b1, 0.0)
-        z = hidden @ w2 + b2
-    p = _sigmoid(z)
+    single = np.ndim(x) == 1
+    x, _ = _check_rows(arch, x)
+    hidden, w_out = _layers(arch, params)
+    if hidden is not None:
+        x = np.maximum(x @ hidden[0] + hidden[1], 0.0)
+    p = _sigmoid(x @ w_out + params[-1])
     return float(p[0]) if single else p
 
 
@@ -170,42 +179,24 @@ def gradient(arch: ModelArch, params: np.ndarray, batch_x, batch_y,
     given (a float64 vector of that length, overwritten), else a new one.
     """
     params = _check_params(arch, params)
-    x = np.atleast_2d(np.asarray(batch_x, dtype=np.float64))
-    y = np.asarray(batch_y, dtype=np.float64).reshape(-1)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("gradient of an empty batch is undefined")
-    if x.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"feature length mismatch: expected {arch.input_dim}, got {x.shape[1]}"
-        )
-    if y.size != n:
-        raise ValueError(f"batch size mismatch: {n} rows vs {y.size} labels")
-    if out is None:
-        grad = np.empty_like(params)
-    elif out.shape != params.shape or out.dtype != np.float64:
+    x, y = _check_rows(arch, batch_x, batch_y)
+    grad = np.empty_like(params) if out is None else out
+    if grad.shape != params.shape or grad.dtype != np.float64:
         raise ValueError(f"out must be a float64 vector of {params.size} elements")
-    else:
-        grad = out
 
-    if arch.kind == "lr":
-        p = _sigmoid(x @ params[: arch.input_dim] + params[arch.input_dim])
-        delta = (p - y) / n
-        np.matmul(x.T, delta, out=grad[: arch.input_dim])
-        grad[arch.input_dim] = delta.sum()
-    else:
-        d, h = arch.input_dim, arch.hidden_dim
-        w1, b1, w2, _ = _unpack_mlp(arch, params)
-        z1 = x @ w1 + b1
-        hidden = np.maximum(z1, 0.0)
-        p = _sigmoid(hidden @ w2 + params[-1])
-        delta = (p - y) / n
-        d_hidden = np.outer(delta, w2)
-        d_z1 = np.where(z1 > 0.0, d_hidden, 0.0)
-        np.matmul(x.T, d_z1, out=grad[: d * h].reshape(d, h))
-        grad[d * h : d * h + h] = d_z1.sum(axis=0)
-        np.matmul(hidden.T, delta, out=grad[d * h + h : d * h + 2 * h])
-        grad[-1] = delta.sum()
+    hidden, w_out = _layers(arch, params)
+    g_hidden, g_out = _layers(arch, grad)
+    a = x  # the output unit's input
+    if hidden is not None:
+        z1 = x @ hidden[0] + hidden[1]
+        a = np.maximum(z1, 0.0)
+    delta = (_sigmoid(a @ w_out + params[-1]) - y) / x.shape[0]
+    if hidden is not None:
+        d_z1 = np.where(z1 > 0.0, np.outer(delta, w_out), 0.0)
+        np.matmul(x.T, d_z1, out=g_hidden[0])
+        g_hidden[1][:] = d_z1.sum(axis=0)
+    np.matmul(a.T, delta, out=g_out)
+    grad[-1] = delta.sum()
     return grad
 
 
@@ -313,17 +304,8 @@ def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,
     in (params, x, y, cfg).
     """
     params = _check_params(arch, params).copy()
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    x, y = _check_rows(arch, x, y)
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if x.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"feature length mismatch: expected {arch.input_dim}, got {x.shape[1]}"
-        )
-    if y.size != n:
-        raise ValueError(f"dataset size mismatch: {n} rows vs {y.size} labels")
     if workspace is None:
         workspace = AdamState(params.size)
     elif workspace.m.shape != params.shape:

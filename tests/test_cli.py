@@ -319,9 +319,13 @@ def test_serve_exits_1_on_an_update_that_contradicts_the_registration(capsys, fa
     assert "round 0: hospital 1 sent a LocalUpdate" in capsys.readouterr().err
 
 
-def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path):
+@pytest.fixture(scope="module")
+def served_config(tmp_path_factory):
+    """The config of a 2-round serve report; its one hospital returns what it
+    is sent and scores it 0.5."""
     from fedhosp import transport as tp
 
+    tmp_path = tmp_path_factory.mktemp("serve")
     port = _free_port()
     config = tmp_path / "serve.json"
     config.write_text(json.dumps({"rounds": 2, "hospitals": 1}))
@@ -339,7 +343,7 @@ def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path):
             if time.monotonic() > deadline:
                 raise
             time.sleep(0.05)
-    try:  # a hospital that returns what it is sent and scores it 0.5
+    try:
         peer.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
         while not isinstance(msg := peer.recv(timeout=30.0), tp.Shutdown):
             if isinstance(msg, tp.BroadcastModel):
@@ -351,7 +355,11 @@ def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path):
     finally:
         peer.close()
     assert codes == [0]
-    served = json.loads((tmp_path / "served" / "report.json").read_text())["config"]
+    return json.loads((tmp_path / "served" / "report.json").read_text())["config"]
+
+
+def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path, served_config):
+    served = served_config
     assert _run(["train", "--mode", "federated", "--episodes", "60", "--rounds", "1",
                  "--out", str(tmp_path / "trained")]) == 0
     trained = json.loads((tmp_path / "trained" / "report.json").read_text())["config"]
@@ -360,6 +368,12 @@ def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path):
                                    "seed")} == {"mode": "federated", "model": "lr",
                                                 "n_variables": 2, "n_hospitals": 1,
                                                 "rounds": 2, "seed": 5}
+
+
+def test_serve_report_config_is_null_for_the_settings_the_workers_hold(served_config):
+    held = ("local_epochs", "batch_size", "learning_rate", "test_fraction", "n_episodes")
+    assert {k: served_config[k] for k in held} == dict.fromkeys(held)
+    assert served_config["gate_enabled"] is True and served_config["hidden_dim"] == 50
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script, and README's library quickstart, runs to completion."""
 
 from __future__ import annotations
 
@@ -13,11 +13,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(script, tmp_path):
+def _assert_runs(script: Path, cwd: Path) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(script, tmp_path):
+    _assert_runs(script, tmp_path)
+
+
+def test_readme_quickstart_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
+    script = tmp_path / "quickstart.py"
+    script.write_text(section.split("```python\n", 1)[1].split("```", 1)[0])
+    _assert_runs(script, tmp_path)

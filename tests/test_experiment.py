@@ -8,7 +8,13 @@ from dataclasses import replace
 import pytest
 
 import fedhosp.experiment as experiment
-from fedhosp.data import MAX_SYNTHETIC_POINTS, SyntheticConfig, generate, save_episodes
+from fedhosp.data import (
+    MAX_SYNTHETIC_POINTS,
+    PartitionPlan,
+    SyntheticConfig,
+    generate,
+    save_episodes,
+)
 from fedhosp.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -17,6 +23,8 @@ from fedhosp.experiment import (
     run_experiment,
     write_report,
 )
+from fedhosp.federation import FedConfig
+from fedhosp.models import ModelArch, TrainConfig
 
 
 def _cfg(**kw):
@@ -163,3 +171,14 @@ def test_sub_configs_fan_the_seed_out():
     assert cfg.fed_config().rounds == 4 and cfg.partition_plan().n_hospitals == 3
     assert cfg.stage_seeds == {"data": 10, "split": 11, "partition": 12, "init": 13,
                                "train": 14}
+
+
+def test_default_sub_configs_take_every_default_from_their_owners():
+    cfg = ExperimentConfig()
+    seeds = cfg.stage_seeds
+    assert cfg.synthetic() == SyntheticConfig(cfg.n_episodes, seed=seeds["data"])
+    assert cfg.partition_plan() == PartitionPlan(cfg.partition_strategy, cfg.n_hospitals,
+                                                 seed=seeds["partition"])
+    assert cfg.fed_config() == FedConfig(cfg.n_hospitals, cfg.rounds, seed=seeds["init"])
+    assert cfg.train_config(1) == TrainConfig(epochs=1, seed=seeds["train"])
+    assert cfg.arch(7) == ModelArch(cfg.model, input_dim=42 * 7)

@@ -282,10 +282,40 @@ def test_train_rejects_empty_dataset():
 
 
 # --------------------------------------------------------------------------
-# reference implementations: the textbook gradient, the Adam update in its
-# documented float order and the per-step training loop, written out with
-# temporaries. The optimised code must match them byte for byte. The
-# textbook Adam update is a second oracle, matched within TEXTBOOK_RTOL.
+# reference implementations: Glorot initialisation, the forward pass, the
+# textbook gradient, the Adam update in its documented float order and the
+# per-step training loop, written out with temporaries. The optimised code
+# must match them byte for byte. The textbook Adam update is a second
+# oracle, matched within TEXTBOOK_RTOL.
+
+
+def _reference_init_params(arch, seed):
+    rng = np.random.default_rng(seed)
+    params = np.zeros(arch.n_params)
+    d = arch.input_dim
+    if arch.kind == "lr":
+        bound = np.sqrt(6.0 / (d + 1))
+        params[:d] = rng.uniform(-bound, bound, d)
+        return params
+    h = arch.hidden_dim
+    bound1 = np.sqrt(6.0 / (d + h))
+    bound2 = np.sqrt(6.0 / (h + 1))
+    params[: d * h] = rng.uniform(-bound1, bound1, d * h)
+    params[d * h + h : d * h + 2 * h] = rng.uniform(-bound2, bound2, h)
+    return params
+
+
+def _reference_forward(arch, params, x):
+    x = np.atleast_2d(x)
+    if arch.kind == "lr":
+        z = x @ params[:-1] + params[-1]
+    else:
+        d, h = arch.input_dim, arch.hidden_dim
+        w1 = params[: d * h].reshape(d, h)
+        b1 = params[d * h : d * h + h]
+        w2 = params[d * h + h : d * h + 2 * h]
+        z = np.maximum(x @ w1 + b1, 0.0) @ w2 + params[-1]
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 def _reference_gradient(arch, params, x, y):
@@ -343,6 +373,21 @@ def _reference_train(arch, params, x, y, cfg):
             grads = _reference_gradient(arch, params, x[idx], y[idx])
             params, m, v = _reference_adam_step(params, grads, m, v, t, cfg)
     return params
+
+
+@pytest.mark.parametrize("arch", [ModelArch("lr", input_dim=5),
+                                  ModelArch("mlp", input_dim=5, hidden_dim=7),
+                                  ModelArch("lr", input_dim=294),
+                                  ModelArch("mlp", input_dim=294, hidden_dim=50)],
+                         ids=["lr", "mlp", "lr-294", "mlp-294x50"])
+def test_init_params_and_forward_match_reference_bytes(arch):
+    x = np.random.default_rng(6).normal(size=(37, arch.input_dim))
+    for seed in range(3):
+        params = init_params(arch, seed)
+        assert params.tobytes() == _reference_init_params(arch, seed).tobytes()
+        expected = _reference_forward(arch, params, x)
+        assert forward(arch, params, x).tobytes() == expected.tobytes()
+        assert forward(arch, params, x[0]) == _reference_forward(arch, params, x[0])[0]
 
 
 def test_adam_step_matches_reference_bytes():
