@@ -11,11 +11,13 @@ Subcommands:
 
 Every option has a config-file equivalent: pass ``--config FILE`` pointing at
 a flat JSON object (``{"n_episodes": 200, "seed": 7}``); explicit flags win
-over the file. A key is the option's name: for train and compare its
-ExperimentConfig field, which differs from the flag for ``n_episodes``
-(--episodes), ``n_variables`` (--variables), ``n_hospitals`` (--hospitals),
-``partition_strategy`` (--partition), ``out_dir`` (--out) and ``gate_enabled``
-(--gate/--no-gate); generate and serve name the first three by their flag.
+over the file. In every command a key is the ExperimentConfig field its flag
+sets, or the flag's name for an option that sets no field (``listen``,
+``connect``, ``id``, ``shard``, extract's ``data`` and ``out``, and the
+``variables`` names of extract and worker). A field's flag is its name, except
+``n_episodes`` (--episodes), ``n_variables`` (--variables), ``n_hospitals``
+(--hospitals), ``partition_strategy`` (--partition), ``out_dir`` (--out) and
+``gate_enabled`` (--gate/--no-gate).
 Every command checks every value through ExperimentConfig before any stage.
 Exit codes: 0 success, 1 runtime failure, 2 usage/config errors.
 """
@@ -54,7 +56,7 @@ from .federation import (
     wait_for_registrations,
     worker_loop,
 )
-from .transport import TcpTransport, TransportError, worker_connect
+from .transport import TcpTransport, TransportError
 
 __all__ = ["main"]
 
@@ -94,18 +96,20 @@ def _variable_names(text: str | None) -> tuple[str, ...] | None:
 
 
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-# option name -> ExperimentConfig field, where generate and serve name it by its flag
-_CONFIG_FIELD = {"episodes": "n_episodes", "variables": "n_variables", "hospitals": "n_hospitals"}
 # ExperimentConfig field -> flag, where the two differ
-_FLAG = {**{f: f"--{name}" for name, f in _CONFIG_FIELD.items()},
+_FLAG = {"n_episodes": "--episodes", "n_variables": "--variables", "n_hospitals": "--hospitals",
          "partition_strategy": "--partition", "out_dir": "--out", "gate_enabled": "--gate"}
+
+
+def _flag(name: str) -> str:
+    """The flag of an option: ``_FLAG``'s, else its name with dashes."""
+    return _FLAG.get(name, "--" + name.replace("_", "-"))
 
 
 def _defaults(command: str) -> dict:
     """The command's options by name: ExperimentConfig's defaults, else None."""
     _, _, names, own, required = _COMMANDS[command]
-    return {**{n: None if n in required else _CONFIG_DEFAULTS[_CONFIG_FIELD.get(n, n)]
-               for n in names},
+    return {**{n: None if n in required else _CONFIG_DEFAULTS[n] for n in names},
             **dict.fromkeys(own)}
 
 
@@ -125,11 +129,11 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     opts = {**defaults, **config, **cli}
     missing = [k for k in required if opts[k] is None]
     if missing:
-        raise UsageError(f"missing required option(s): {', '.join(sorted(missing))}")
+        raise UsageError(f"missing required option(s): {', '.join(map(_flag, sorted(missing)))}")
     for name, (kind, _) in own.items():
         if opts[name] is not None:
             check_type(name, opts[name], kind)
-    cfg = ExperimentConfig(**{_CONFIG_FIELD.get(n, n): opts[n] for n in names})
+    cfg = ExperimentConfig(**{n: opts[n] for n in names})
     return cfg, opts
 
 
@@ -139,7 +143,7 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
 
 def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
     episodes = generate(cfg.synthetic())
-    out = Path(opts["out"])
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_episodes(episodes, out / "measurements.csv", out / "labels.csv")
     print(f"wrote {len(episodes)} episodes to {out}/measurements.csv and {out}/labels.csv")
@@ -194,13 +198,13 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
     print(f"finished {state.round} rounds; best {fed_cfg.gate_metric} "
           f"{state.best_accuracy:.4f} "
           f"({sum(r.committed for r in state.history)} committed)")
-    if opts["out"]:
+    if cfg.out_dir:
         # The workers hold every setting serve does not take; it never learns them.
         report = {**report_header(replace(cfg, mode="federated")), **federation_report(state)}
-        taken = {"mode", *(_CONFIG_FIELD.get(n, n) for n in opts)}
+        taken = {"mode", *opts}
         report["config"] = {k: v if k in taken else None for k, v in report["config"].items()}
-        write_report(report, Path(opts["out"]) / "report.json")
-        print(f"report written to {Path(opts['out']) / 'report.json'}")
+        write_report(report, Path(cfg.out_dir) / "report.json")
+        print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
     return 0
 
 
@@ -215,7 +219,7 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
     except FederationConfigError as exc:
         raise UsageError(f"shard {opts['shard']}: {exc}") from None
     arch = cfg.arch(len(data.variables))
-    conn = worker_connect(host, port)
+    conn = TcpTransport(host, port).connect()
     print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
           f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)
     worker_loop(conn, hospital, arch, cfg.train_config(cfg.local_epochs), cfg.gate_metric)
@@ -229,13 +233,13 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
 
 _VARIABLE_NAMES = (str, "comma-separated variable names (default: observed)")
 
-# command -> (function, help, ExperimentConfig options by name,
+# command -> (function, help, the ExperimentConfig fields it takes,
 #             other options: name -> (type, help), required options)
 _COMMANDS = {
     "generate": (cmd_generate, "write synthetic episode CSVs",
-                 ("episodes", "variables", "prevalence", "effect_size", "points_min",
-                  "points_max", "seed"),
-                 {"out": (str, "output directory")}, ("episodes", "out")),
+                 ("n_episodes", "n_variables", "prevalence", "effect_size", "points_min",
+                  "points_max", "seed", "out_dir"),
+                 {}, ("n_episodes", "out_dir")),
     "extract": (cmd_extract, "episodes -> feature-matrix CSV", (),
                 {"data": (str, "directory with measurements.csv and labels.csv"),
                  "out": (str, "output CSV path"), "variables": _VARIABLE_NAMES},
@@ -243,10 +247,9 @@ _COMMANDS = {
     "train": (cmd_train, "run one experiment and report metrics", tuple(_CONFIG_DEFAULTS), {}, ()),
     "compare": (cmd_compare, "run all four model x mode cells", tuple(_CONFIG_DEFAULTS), {}, ()),
     "serve": (cmd_serve, "federation server over TCP",
-              ("model", "variables", "hidden_dim", "hospitals", "rounds", "cohort_fraction",
-               "gate_enabled", "gate_metric", "seed"),
-              {"listen": (str, "HOST:PORT to listen on (port 0: any free port)"),
-               "out": (str, "directory for the final report JSON")}, ("listen",)),
+              ("model", "n_variables", "hidden_dim", "n_hospitals", "rounds", "cohort_fraction",
+               "gate_enabled", "gate_metric", "seed", "out_dir"),
+              {"listen": (str, "HOST:PORT to listen on (port 0: any free port)")}, ("listen",)),
     "worker": (cmd_worker, "one hospital process",
                ("model", "hidden_dim", "test_fraction", "local_epochs", "batch_size",
                 "learning_rate", "gate_metric", "seed"),
@@ -258,16 +261,13 @@ _COMMANDS = {
 }
 
 
-def _add_field_option(parser: argparse.ArgumentParser, name: str, default) -> None:
-    """A flag typed by the annotation of the ExperimentConfig field behind ``name``."""
-    field = _CONFIG_FIELD.get(name, name)
-    flag = _FLAG.get(field, "--" + field.replace("_", "-"))
+def _add_field_option(parser: argparse.ArgumentParser, field: str, default) -> None:
+    """A flag typed by the annotation of the ExperimentConfig ``field`` it sets."""
     kind = FIELD_TYPES[field]
-    if kind is bool:
-        parser.add_argument(flag, dest=name, action="store_true", default=None)
-        parser.add_argument("--no-" + flag[2:], dest=name, action="store_false", default=None)
+    if kind is bool:  # --gate and --no-gate
+        parser.add_argument(_flag(field), dest=field, action=argparse.BooleanOptionalAction)
         return
-    parser.add_argument(flag, dest=name, type=(get_args(kind) or (kind,))[0],
+    parser.add_argument(_flag(field), dest=field, type=(get_args(kind) or (kind,))[0],
                         choices=CHOICES.get(field),
                         help=None if default is None else f"default: {default}")
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             _add_field_option(p, name, defaults[name])
         for name, (kind, text) in own.items():
-            p.add_argument(f"--{name}", type=kind, help=text)
+            p.add_argument(_flag(name), type=kind, help=text)
         p.set_defaults(func=func)
     return parser
 

@@ -306,14 +306,16 @@ def gate_and_commit(state: FederationState, candidate: np.ndarray, a_new: float,
 def select_cohort(n_hospitals: int, cohort_fraction: float, round_seed) -> tuple[int, ...]:
     """Sample max(1, ceil(C*K)) hospital ids without replacement, sorted.
 
-    ``round_seed`` is any numpy-acceptable seed; pass e.g. (seed, round) so
-    the draw is deterministic per round.
+    A product C*K within 1e-9 of an integer counts as that integer, so float
+    error cannot add a hospital: 0.28 * 25 evaluates to 7.000000000000001,
+    and the cohort is 7. ``round_seed`` is any numpy-acceptable seed; pass
+    e.g. (seed, round) so the draw is deterministic per round.
     """
     if n_hospitals < 1:
         raise ValueError(f"n_hospitals must be >= 1, got {n_hospitals}")
     if not 0.0 < cohort_fraction <= 1.0:
         raise ValueError(f"cohort_fraction must lie in (0,1], got {cohort_fraction}")
-    size = max(1, math.ceil(cohort_fraction * n_hospitals))
+    size = max(1, math.ceil(cohort_fraction * n_hospitals - 1e-9))
     if size == n_hospitals:  # the draw's only possible outcome; skip the Generator
         return tuple(range(1, n_hospitals + 1))
     rng = np.random.default_rng(round_seed)

@@ -69,8 +69,6 @@ __all__ = [
     "decode",
     "InProcessTransport",
     "TcpTransport",
-    "server_listen",
-    "worker_connect",
 ]
 
 _U32 = struct.Struct("<I")
@@ -395,7 +393,7 @@ class InProcessTransport(_Transport):
 
 
 class TcpListener:
-    def __init__(self, sock: socket.socket, transport: "TcpTransport | None" = None):
+    def __init__(self, sock: socket.socket, transport: "TcpTransport"):
         self._sock = sock
         self._transport = transport
         self.address = sock.getsockname()[:2]
@@ -407,8 +405,7 @@ class TcpListener:
             raise TransportClosedError(f"listener closed: {exc}") from None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock)
-        if self._transport is not None:
-            self._transport._track(conn)
+        self._transport._track(conn)
         return conn
 
     def close(self) -> None:
@@ -420,6 +417,10 @@ class TcpListener:
         self._sock.close()
 
 
+# Seconds a worker waits for the server to accept its connection.
+_CONNECT_TIMEOUT = 30.0
+
+
 class TcpTransport(_Transport):
     """TCP loopback/network transport; port 0 binds an ephemeral port."""
 
@@ -429,35 +430,26 @@ class TcpTransport(_Transport):
         self.port = port
 
     def listen(self) -> TcpListener:
-        listener = server_listen(self.host, self.port, transport=self)
-        self.port = listener.address[1]
-        return listener
+        """Bind and listen; ``port`` becomes the bound port."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            sock.bind((self.host, self.port))
+            sock.listen()
+        except OSError as exc:
+            sock.close()
+            raise TransportError(f"cannot listen on {self.host}:{self.port}: {exc}") from None
+        self.port = sock.getsockname()[1]
+        return TcpListener(sock, self)
 
     def connect(self) -> TcpConnection:
-        conn = worker_connect(self.host, self.port)
+        """Dial the federation server."""
+        try:
+            sock = socket.create_connection((self.host, self.port), timeout=_CONNECT_TIMEOUT)
+        except OSError as exc:
+            raise TransportError(f"cannot connect to {self.host}:{self.port}: {exc}") from None
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = TcpConnection(sock)
         self._track(conn)
         return conn
-
-
-def server_listen(host: str, port: int, transport: TcpTransport | None = None) -> TcpListener:
-    """Bind and listen; returns a listener whose .address has the real port."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        sock.bind((host, port))
-        sock.listen()
-    except OSError as exc:
-        sock.close()
-        raise TransportError(f"cannot listen on {host}:{port}: {exc}") from None
-    return TcpListener(sock, transport)
-
-
-def worker_connect(host: str, port: int, timeout: float | None = 30.0) -> TcpConnection:
-    """Dial the federation server."""
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        raise TransportError(f"cannot connect to {host}:{port}: {exc}") from None
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return TcpConnection(sock)

@@ -14,10 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from fedhosp.cli import main
+from fedhosp.cli import _flag, main
 from fedhosp.data import load_episodes
 from fedhosp.experiment import ExperimentConfig, load_data
 from fedhosp.features import STATS_PER_VARIABLE, extract
+from fedhosp.transport import TcpTransport, TransportError
 
 
 def _run(argv):
@@ -41,6 +42,33 @@ def test_generate_is_deterministic(tmp_path):
                      "--out", str(out)]) == 0
     assert (a / "measurements.csv").read_bytes() == (b / "measurements.csv").read_bytes()
     assert (a / "labels.csv").read_bytes() == (b / "labels.csv").read_bytes()
+
+
+def test_generate_takes_field_names_from_a_config_file(tmp_path):
+    out = tmp_path / "data"
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_episodes": 40, "n_variables": 3, "seed": 5}))
+    assert _run(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    episodes = load_episodes(out / "measurements.csv", out / "labels.csv")
+    assert len(episodes) == 40
+    assert {len(e.series) for e in episodes} == {3}
+
+
+@pytest.mark.parametrize("command, old, field", [
+    ("generate", "episodes", "n_episodes"), ("generate", "variables", "n_variables"),
+    ("generate", "out", "out_dir"), ("serve", "hospitals", "n_hospitals"),
+    ("serve", "variables", "n_variables"), ("serve", "out", "out_dir"),
+])
+def test_a_flag_name_as_a_config_key_is_unknown(tmp_path, capsys, command, old, field):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({old: 40}))
+    required = {"generate": ["--episodes", "40", "--out", str(tmp_path / "data")],
+                "serve": ["--listen", "127.0.0.1:0"]}[command]
+    assert _run([command, "--config", str(cfg), *required]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config keys ['{old}']; valid keys: [" in err
+    assert f"'{field}'" in err.partition("valid keys:")[2]
+    assert not (tmp_path / "data").exists()
 
 
 def test_extract_writes_feature_table(tmp_path):
@@ -199,6 +227,18 @@ def _wait_for_listen(port, timeout=20.0):
     raise TimeoutError(f"nothing listening on port {port}")
 
 
+def _connect_when_listening(port, timeout=20.0):
+    """A raw protocol peer, connected as soon as the server listens on ``port``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return TcpTransport("127.0.0.1", port).connect()
+        except TransportError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
 def _spawn(args):
     return subprocess.Popen(
         [sys.executable, "-m", "fedhosp", *args],
@@ -295,15 +335,7 @@ def test_serve_exits_1_on_an_update_that_contradicts_the_registration(capsys, fa
         "serve", "--listen", f"127.0.0.1:{port}", "--model", "lr", "--variables", "2",
         "--hospitals", "1", "--rounds", "1"])), daemon=True)
     server.start()
-    deadline = time.monotonic() + 20.0
-    while True:
-        try:
-            peer = tp.worker_connect("127.0.0.1", port, timeout=1.0)
-            break
-        except tp.TransportError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.05)
+    peer = _connect_when_listening(port)
     try:
         peer.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
         broadcast = peer.recv(timeout=30.0)
@@ -328,21 +360,13 @@ def served_config(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("serve")
     port = _free_port()
     config = tmp_path / "serve.json"
-    config.write_text(json.dumps({"rounds": 2, "hospitals": 1}))
+    config.write_text(json.dumps({"rounds": 2, "n_hospitals": 1}))
     codes = []
     server = threading.Thread(target=lambda: codes.append(_run([
         "serve", "--config", str(config), "--listen", f"127.0.0.1:{port}", "--model", "lr",
         "--variables", "2", "--seed", "5", "--out", str(tmp_path / "served")])), daemon=True)
     server.start()
-    deadline = time.monotonic() + 20.0
-    while True:
-        try:
-            peer = tp.worker_connect("127.0.0.1", port, timeout=1.0)
-            break
-        except tp.TransportError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.05)
+    peer = _connect_when_listening(port)
     try:
         peer.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
         while not isinstance(msg := peer.recv(timeout=30.0), tp.Shutdown):
@@ -416,7 +440,7 @@ BAD_EXPERIMENT_VALUES = [
 def _bad_value_argvs(command, given, tmp_path, cases):
     """(argv, expected text) per case: the bad values from a config file that
     also holds ``given``, then as flags after ``given``'s own flags."""
-    given_flags = [x for k, v in given.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+    given_flags = [x for k, v in given.items() for x in (_flag(k), str(v))]
     for i, (config, flags, named) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps({**given, **config}))
@@ -431,6 +455,9 @@ def _assert_usage_errors(argvs, capsys):
         err = capsys.readouterr().err
         assert "error:" in err and named in err, (argv, err)
         assert "stage" not in err, (argv, err)
+        # the bad value was refused, not the key or flag that carried it
+        for wrong_refusal in ("unknown config keys", "unrecognized arguments"):
+            assert wrong_refusal not in err, (argv, err)
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
@@ -455,14 +482,14 @@ def test_config_file_types_are_checked_not_converted(tmp_path):
 def test_generate_bad_values_exit_2_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     cases = [
-        ({"episodes": True}, ["--episodes", "true"], "episodes"),
-        ({"episodes": 1}, ["--episodes", "1"], "episodes"),
+        ({"n_episodes": True}, ["--episodes", "true"], "episodes"),
+        ({"n_episodes": 1}, ["--episodes", "1"], "episodes"),
         ({"prevalence": "0.1"}, None, "prevalence"),
         ({"points_max": 10**9}, ["--points-max", str(10**9)], "points"),
         ({"seed": -1}, ["--seed", "-1"], "seed"),
-        ({"out": 7}, None, "out"),
+        ({"out_dir": 7}, None, "out_dir"),
     ]
-    given = {"episodes": 20, "out": str(out)}
+    given = {"n_episodes": 20, "out_dir": str(out)}
     _assert_usage_errors(_bad_value_argvs("generate", given, tmp_path, cases), capsys)
     assert not out.exists()
 
@@ -481,7 +508,7 @@ def test_serve_bad_values_exit_2_before_opening_a_socket(tmp_path, capsys, monke
     cases = [
         ({"rounds": 0}, ["--rounds", "0"], "rounds"),
         ({"rounds": "ten"}, ["--rounds", "ten"], "rounds"),
-        ({"hospitals": 0}, ["--hospitals", "0"], "hospitals"),
+        ({"n_hospitals": 0}, ["--hospitals", "0"], "n_hospitals"),
         ({"cohort_fraction": 2}, ["--cohort-fraction", "2"], "cohort"),
         ({"gate_enabled": "no"}, None, "gate_enabled"),
         ({"seed": 1.5}, ["--seed", "1.5"], "seed"),
@@ -493,7 +520,7 @@ def test_serve_bad_values_exit_2_before_opening_a_socket(tmp_path, capsys, monke
         ({"listen": "127.0.0.1:99999"}, ["--listen", "127.0.0.1:99999"], "port"),
         ({"listen": "127.0.0.1:-5"}, ["--listen", "127.0.0.1:-5"], "port"),
     ]
-    given = {"listen": "127.0.0.1:0", "out": str(out)}
+    given = {"listen": "127.0.0.1:0", "out_dir": str(out)}
     _assert_usage_errors(_bad_value_argvs("serve", given, tmp_path, cases), capsys)
     assert not out.exists()
 
@@ -502,7 +529,7 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
     import fedhosp.cli as cli
 
     monkeypatch.setattr(cli, "prepare", _refuse("read the shard"))
-    monkeypatch.setattr(cli, "worker_connect", _refuse("connected"))
+    monkeypatch.setattr(TcpTransport, "connect", _refuse("connected"))
     cases = [
         ({"id": 0}, ["--id", "0"], "id"),
         ({"id": "1"}, ["--id", "one"], "id"),
@@ -527,7 +554,6 @@ def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connectin
     from dataclasses import replace
 
     import fedhosp.cli as cli
-    from fedhosp.transport import TransportError
 
     # A shard's own split is stratified, so it keeps both classes in its test
     # side; the one-class test side is made after that split.
@@ -537,11 +563,12 @@ def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connectin
         data = real_prepare(*args, **kwargs)
         return replace(data, test=replace(data.test, labels=np.zeros_like(data.test.labels)))
 
-    def refuse_to_connect(host, port):
-        raise TransportError(f"cannot connect to {host}:{port}: refused by the test")
+    def refuse_to_connect(transport):
+        raise TransportError(
+            f"cannot connect to {transport.host}:{transport.port}: refused by the test")
 
     monkeypatch.setattr(cli, "prepare", prepare_one_class)
-    monkeypatch.setattr(cli, "worker_connect", refuse_to_connect)
+    monkeypatch.setattr(TcpTransport, "connect", refuse_to_connect)
     assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "1", "--shard", str(shards[0]),
                  "--gate-metric", gate]) == code
     err = capsys.readouterr().err
@@ -555,6 +582,15 @@ def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connectin
 def test_serve_port_out_of_range_is_a_usage_error(capsys, port):
     assert _run(["serve", "--listen", f"127.0.0.1:{port}", "--rounds", "1"]) == 2
     assert "must be an integer in 0-65535" in capsys.readouterr().err
+
+
+def test_serve_on_a_port_in_use_exits_1(capsys):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        port = sock.getsockname()[1]
+        assert _run(["serve", "--listen", f"127.0.0.1:{port}", "--rounds", "1"]) == 1
+    assert f"error: cannot listen on 127.0.0.1:{port}" in capsys.readouterr().err
 
 
 def test_worker_id_below_1_is_rejected_before_the_shard_is_read(shards, capsys, monkeypatch):

@@ -163,6 +163,38 @@ def test_save_quotes_awkward_ids_and_names_like_csv_writer(tmp_path):
     assert load_episodes(tmp_path / "m.csv", tmp_path / "l.csv") == episodes
 
 
+# Text the CSV layer must quote or keep: separators, quotes, both line ends,
+# spaces, and (at size 0) the empty string.
+_AWKWARD_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), max_size=4)
+_VALUES = st.one_of(st.sampled_from([-0.0, 1e-300, 1e300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_HOURS = st.one_of(st.sampled_from([0.0, HORIZON_HOURS]),
+                   st.floats(0.0, HORIZON_HOURS))
+_SERIES = st.dictionaries(  # a saved series has points; an episode may have none
+    _AWKWARD_TEXT,
+    st.lists(st.tuples(_HOURS, _VALUES), min_size=1, max_size=4).map(sorted),
+    max_size=3,
+)
+_EPISODES = st.lists(
+    st.builds(Episode, episode_id=_AWKWARD_TEXT, series=_SERIES, label=st.integers(0, 1)),
+    max_size=5, unique_by=lambda ep: ep.episode_id,
+)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """One directory every example overwrites."""
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=40, deadline=None)
+@given(episodes=_EPISODES)
+def test_csv_round_trip_of_awkward_text_and_floats(csv_dir, episodes):
+    _assert_same_csv_bytes(episodes, csv_dir)
+    loaded = load_episodes(csv_dir / "m.csv", csv_dir / "l.csv")
+    assert repr(loaded) == repr(episodes)  # repr tells -0.0 from 0.0
+
+
 def test_round_trip_keeps_episode_without_measurements(tmp_path):
     episodes = [
         Episode("a", {"hr": [(1.0, 2.5)]}, 1),

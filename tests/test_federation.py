@@ -278,6 +278,13 @@ def test_full_cohort_equals_the_random_draw(k):
             assert select_cohort(k, fraction, seed) == tuple(sorted(int(i) + 1 for i in drawn))
 
 
+@pytest.mark.parametrize("k, fraction, size", [(25, 0.28, 7), (25, 0.56, 14), (25, 0.29, 8),
+                                               (10, 0.3, 3), (10, 0.31, 4)])
+def test_cohort_size_ignores_float_error_in_the_product(k, fraction, size):
+    # 0.28 * 25 and 0.56 * 25 evaluate just above 7 and 14
+    assert len(select_cohort(k, fraction, round_seed=0)) == size
+
+
 def test_fed_config_validation():
     with pytest.raises(ValueError, match="cohort_fraction"):
         FedConfig(n_hospitals=2, rounds=1, cohort_fraction=0.0)

@@ -58,11 +58,12 @@ def test_recv_of_a_frame_peaks_at_two_frames_and_keeps_one(kind):
         worker = transport.connect()
         server = listener.accept()
     else:
-        listener = tp.server_listen("127.0.0.1", 0)
+        transport = tp.TcpTransport("127.0.0.1", 0)
+        listener = transport.listen()
         accepted = []
         thread = threading.Thread(target=lambda: accepted.append(listener.accept()))
         thread.start()
-        worker = tp.worker_connect(*listener.address)
+        worker = transport.connect()
         thread.join(timeout=5)
         listener.close()
         server = accepted[0]

@@ -353,12 +353,12 @@ def test_listener_close_releases_a_connection_never_accepted(make_transport):
 
 
 def _tcp_pair():
-    listener = tp.server_listen("127.0.0.1", 0)
-    host, port = listener.address
+    transport = tp.TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
     accepted = []
     thread = threading.Thread(target=lambda: accepted.append(listener.accept()))
     thread.start()
-    client = tp.worker_connect(host, port)
+    client = transport.connect()
     thread.join(timeout=5)
     listener.close()
     return client, accepted[0]
@@ -472,7 +472,16 @@ def test_connect_refused_is_transport_error():
     port = sock.getsockname()[1]
     sock.close()  # nothing listening here any more
     with pytest.raises(tp.TransportError, match="cannot connect"):
-        tp.worker_connect("127.0.0.1", port, timeout=2.0)
+        tp.TcpTransport("127.0.0.1", port).connect()
+
+
+def test_listen_on_a_port_in_use_is_transport_error():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        port = sock.getsockname()[1]
+        with pytest.raises(tp.TransportError, match="cannot listen"):
+            tp.TcpTransport("127.0.0.1", port).listen()
 
 
 @PAIRS
