@@ -44,6 +44,7 @@ __all__ = [
     "weighted_accuracy",
     "gate_and_commit",
     "select_cohort",
+    "Hospital",
     "worker_loop",
     "wait_for_registrations",
     "run_server_rounds",
@@ -327,34 +328,50 @@ def select_cohort(n_hospitals: int, cohort_fraction: float, round_seed) -> tuple
 # protocol loops
 
 
+@dataclass(eq=False)
+class Hospital:
+    """One hospital's side of the protocol: ``handle`` answers one server message.
+
+    A LocalUpdate trains with seed ``train_cfg.seed + round``, so every round
+    reshuffles differently but reproducibly. One Adam ``workspace`` serves
+    every round: allocating it per round re-faults its pages each time.
+    """
+
+    data: HospitalDataset
+    arch: ModelArch
+    train_cfg: TrainConfig
+    gate_metric: str = "accuracy"
+
+    def __post_init__(self) -> None:
+        self.workspace = AdamState(self.arch.n_params)
+
+    def register(self) -> tp.Register:
+        return tp.Register(self.data.hospital_id, self.data.n_train, self.data.n_test)
+
+    def handle(self, msg: tp.Message) -> tp.Message | None:
+        """The reply to ``msg``; None at Shutdown, ``ProtocolError`` for any other message."""
+        h = self.data
+        if isinstance(msg, tp.BroadcastModel):
+            cfg = replace(self.train_cfg, seed=(self.train_cfg.seed + msg.round) % 2**64)
+            params, n_samples = local_update(h, msg.params, self.arch, cfg, self.workspace)
+            return tp.LocalUpdate(h.hospital_id, msg.round, n_samples, params)
+        if isinstance(msg, tp.EvalRequest):
+            value, n_test = local_test_accuracy(h, msg.params, self.arch, self.gate_metric)
+            return tp.EvalResult(h.hospital_id, msg.round, value, n_test)
+        if isinstance(msg, tp.Shutdown):
+            return None
+        raise tp.ProtocolError(f"hospital {h.hospital_id}: unexpected {type(msg).__name__}")
+
+
 def worker_loop(conn, hospital: HospitalDataset, arch: ModelArch,
                 train_cfg: TrainConfig, gate_metric: str = "accuracy") -> None:
-    """Serve one hospital over an established connection until Shutdown.
-
-    Registers first, then answers BroadcastModel with a LocalUpdate (trained
-    with seed ``train_cfg.seed + round`` so every round reshuffles
-    differently but reproducibly) and EvalRequest with an EvalResult. One
-    optimizer workspace serves every round: allocating it per round makes
-    the allocator return and re-fault its pages each time.
-    """
-    workspace = AdamState(arch.n_params)
-    conn.send(tp.Register(hospital.hospital_id, hospital.n_train, hospital.n_test))
-    while True:
-        msg = conn.recv()
-        if isinstance(msg, tp.Shutdown):
-            conn.close()
-            return
-        if isinstance(msg, tp.BroadcastModel):
-            cfg = replace(train_cfg, seed=(train_cfg.seed + msg.round) % 2**64)
-            params, n_samples = local_update(hospital, msg.params, arch, cfg, workspace)
-            conn.send(tp.LocalUpdate(hospital.hospital_id, msg.round, n_samples, params))
-        elif isinstance(msg, tp.EvalRequest):
-            value, n_test = local_test_accuracy(hospital, msg.params, arch, gate_metric)
-            conn.send(tp.EvalResult(hospital.hospital_id, msg.round, value, n_test))
-        else:
-            raise tp.ProtocolError(
-                f"hospital {hospital.hospital_id}: unexpected {type(msg).__name__}"
-            )
+    """Serve ``Hospital(hospital, ...)`` over an established connection:
+    register, then answer every message until Shutdown, and close."""
+    peer = Hospital(hospital, arch, train_cfg, gate_metric)
+    conn.send(peer.register())
+    while (reply := peer.handle(conn.recv())) is not None:
+        conn.send(reply)
+    conn.close()
 
 
 @dataclass(eq=False)
@@ -368,7 +385,7 @@ class RegisteredWorker:
 # that connects and then stays silent is closed when it runs out, so it
 # cannot hold up the hospitals that do register.
 REGISTRATION_TIMEOUT_S = 10.0
-# Seconds run_federation waits for each hospital thread once every
+# Seconds run_federation waits for each TCP hospital's thread once every
 # connection is closed: long enough for a local update in progress to end.
 _JOIN_TIMEOUT_S = 30.0
 
@@ -479,22 +496,22 @@ def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
 def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
                    train_cfg: TrainConfig, transport=None,
                    ) -> tuple[FederationState, list[EvalResult]]:
-    """Simulate a whole federation: server plus one worker thread per hospital.
+    """Simulate a whole federation: the server plus one ``Hospital`` per dataset.
 
-    ``transport`` defaults to a fresh InProcessTransport; pass a TcpTransport
-    to run the identical protocol over loopback TCP — the final parameters
-    are bit-identical either way. Per-round model quality (all three metrics
-    on the hospitals' pooled test sets) is measured on the side and returned
-    alongside the final state.
+    Over the default InProcessTransport the hospitals answer inline in the
+    caller's thread; over a TcpTransport each runs in a thread of its own.
+    The final parameters are bit-identical either way. Per-round model
+    quality (all three metrics on the hospitals' pooled test sets) is
+    measured on the side and returned alongside the final state.
 
-    Raises ``FederationConfigError`` before any thread starts when the
+    Raises ``FederationConfigError`` before any connection when the
     hospitals do not fit ``fed_cfg``: ids other than exactly
     1..``fed_cfg.n_hospitals``, or, with the auroc gate, a hospital whose
     test labels are all one class. A transport failure is raised as a
     ``RuntimeError`` naming the hospital that failed first, as is any failure
-    of a hospital thread, from ``transport.connect()`` on; any other error
-    propagates unchanged. Either way every hospital thread has been released
-    first.
+    of a hospital, from ``transport.connect`` on; any other error propagates
+    unchanged. Either way every connection is closed and every hospital
+    thread released first.
     """
     hospitals = sorted(hospitals, key=lambda h: h.hospital_id)
     ids = [h.hospital_id for h in hospitals]
@@ -521,7 +538,7 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
 
     failures: list[tuple[int, Exception]] = []
 
-    def run_worker(hospital: HospitalDataset) -> None:
+    def run_worker(hospital: HospitalDataset) -> None:  # one TCP hospital's thread
         conn = None
         try:
             conn = transport.connect()
@@ -538,18 +555,28 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
                 conn.close()
 
     listener = transport.listen()
+    inline = isinstance(transport, tp.InProcessTransport)
     threads = []
     try:
         for h in hospitals:
-            t = threading.Thread(target=run_worker, args=(h,), daemon=True,
-                                 name=f"hospital-{h.hospital_id}")
-            t.start()
-            threads.append(t)
+            if inline:
+                try:
+                    transport.connect(Hospital(h, arch, worker_cfg, fed_cfg.gate_metric))
+                except Exception as exc:  # noqa: BLE001 - the server then fails in accept
+                    failures.append((h.hospital_id, exc))
+            else:
+                threads.append(threading.Thread(target=run_worker, args=(h,), daemon=True,
+                                                name=f"hospital-{h.hospital_id}"))
+                threads[-1].start()
         return run_server_rounds(wait_for_registrations(listener, ids), arch, fed_cfg,
                                  evaluate_global)
     except tp.TransportError as exc:
-        # A failing hospital records its error before it closes the
-        # connection the server then fails on, so failures[0] is the first.
+        # A failing hospital records its error before the server fails on
+        # the connection it closed, so failures[0] is the first. An inline
+        # hospital's error is kept by its connection.
+        if inline:
+            failures += [(c.peer.data.hospital_id, c.error) for c in transport.endpoints
+                         if c.error is not None]
         if failures:
             hid, worker_exc = failures[0]
             raise RuntimeError(

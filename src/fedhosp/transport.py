@@ -28,24 +28,21 @@ rows or labels — only parameters, sample counts, and metric scalars — so
 raw data cannot leave a hospital through this layer no matter what the
 caller does.
 
-Two transports share one connection class: TCP, and an in-process one whose
-pairs are ``socket.socketpair()`` ends. Framing, receive deadlines, close
-and byte counts are one implementation, so the in-process transport behaves
-as the network does, and a federation run is bit-identical across the two.
-A connection reads ahead into one buffer and reads a frame in one pass,
-parsing its length prefix once, as soon as the 4 bytes are in. A small
-frame costs one system call, a frame already in the buffer none; the buffer
-still grows only with bytes that arrive.
+A TCP connection reads ahead into one buffer and reads a frame in one pass,
+parsing its length prefix once, as soon as the 4 bytes are in: a small frame
+costs one system call, and the buffer grows only with bytes that arrive.
+The in-process transport, with no socket and no thread, hands each frame to
+a peer answered inline. Both encode and decode every frame once per hop, so
+byte counts match and a federation run is bit-identical across the two.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
-import queue
 import socket
 import struct
-import threading
 import time
 from dataclasses import make_dataclass
 from typing import Union
@@ -307,96 +304,96 @@ class TcpConnection:
         self._sock.close()
 
 
-class InProcessConnection(TcpConnection):
-    """One end of an in-process connection: a socketpair end, framed as TCP."""
+class InProcessConnection:
+    """The server's end of a connection to a peer answered inline: ``send``
+    hands the decoded frame to ``peer.handle`` and queues its encoded reply,
+    the ``peer.register()`` Register first. A peer that raises closes the
+    connection, as a failed TCP worker's socket closes, and leaves its
+    exception in ``error``."""
 
-    # bench/tracer.py times a method under the class whose namespace holds
-    # it, so in-process traffic is counted apart from TCP traffic only if
-    # this class names the shared methods itself.
-    send = TcpConnection.send
-    recv = TcpConnection.recv
-    close = TcpConnection.close
+    def __init__(self, peer):
+        self.peer, self.error, self._closed = peer, None, False
+        self._replies: collections.deque[bytes] = collections.deque()
+        self.bytes_sent = self.bytes_received = 0  # to and from the peer
+        self._answer(peer.register)
+
+    def _answer(self, ask) -> None:
+        """Queue the encoded reply ``ask()`` returns, if any; if it raises, close."""
+        try:
+            reply = ask()
+            frame = b"" if reply is None else encode(reply)
+        except Exception as exc:
+            self.error = exc
+            self.close()
+            raise TransportClosedError(f"the peer failed: {exc}") from exc
+        if frame:
+            self.bytes_received += len(frame)
+            self._replies.append(frame)
+
+    def send(self, msg: Message) -> None:
+        if self._closed:
+            raise TransportClosedError("connection closed")
+        frame = encode(msg)
+        self.bytes_sent += len(frame)
+        self._answer(lambda: self.peer.handle(decode(frame)))
+
+    def recv(self, timeout: float | None = None) -> Message:
+        """The next reply. The peer answers within ``send``: none waiting fails at once."""
+        if self._closed:
+            raise TransportClosedError("connection closed")
+        if not self._replies:
+            raise TransportError("no message waiting: the peer has answered every frame sent")
+        return decode(self._replies.popleft())
+
+    def close(self) -> None:
+        self._closed = True
+        self._replies.clear()
 
 
 class InProcessListener:
-    def __init__(self, transport: "InProcessTransport"):
-        self._transport = transport
+    """Hands the server the connections made to its transport, in order."""
+
+    def __init__(self, pending: collections.deque):
+        self._pending = pending
 
     def accept(self) -> InProcessConnection:
-        conn = self._transport._pending.get()
-        if conn is None:  # the listener closed
-            self._transport._pending.put(None)  # keep later accept() calls failing too
-            raise TransportClosedError("listener closed")
-        return conn
+        if not self._pending:
+            raise TransportClosedError("no connection waiting to be accepted")
+        return self._pending.popleft()
 
     def close(self) -> None:
-        """Stop accepting and close every connection not yet accepted.
-
-        Its worker's ``recv`` then raises ``TransportClosedError``, as a
-        closed TCP listener resets the connections in its backlog.
-        """
-        transport = self._transport
-        with transport._lock:
-            if transport._closed:
-                return
-            transport._closed = True
-            while True:
-                try:
-                    pending = transport._pending.get_nowait()
-                except queue.Empty:
-                    break
-                pending.close()
-            transport._pending.put(None)
+        """Close the connections never accepted."""
+        while self._pending:
+            self._pending.popleft().close()
 
 
-class _Transport:
-    """The ledger of every connection a transport made, both ends in-process."""
+class InProcessTransport:
+    """Peers in the server's own process, answered inline in its thread."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.endpoints: list = []
+        self.endpoints: list[InProcessConnection] = []
+        self._pending: collections.deque = collections.deque()
 
-    def _track(self, *conns) -> None:
-        with self._lock:
-            self.endpoints += conns
+    def listen(self) -> InProcessListener:
+        return InProcessListener(self._pending)
+
+    def connect(self, peer) -> InProcessConnection:
+        """The server's end of a new connection to ``peer``, waiting to be accepted."""
+        conn = InProcessConnection(peer)
+        self.endpoints.append(conn)
+        self._pending.append(conn)
+        return conn
 
     @property
     def total_wire_bytes(self) -> int:
-        """Every frame counted once, at its sender."""
-        with self._lock:
-            return sum(e.bytes_sent for e in self.endpoints)
-
-
-class InProcessTransport(_Transport):
-    """Socketpair-backed transport for single-process federation runs."""
-
-    def __init__(self):
-        super().__init__()
-        self._pending: queue.Queue = queue.Queue()
-        self._closed = False
-
-    def listen(self) -> InProcessListener:
-        return InProcessListener(self)
-
-    def connect(self) -> InProcessConnection:
-        try:
-            worker_end, server_end = map(InProcessConnection, socket.socketpair())
-        except OSError as exc:
-            raise TransportError(f"cannot open an in-process connection: {exc}") from None
-        self._track(worker_end, server_end)
-        with self._lock:
-            if self._closed:
-                server_end.close()
-            else:
-                self._pending.put(server_end)
-        return worker_end
+        """Every frame both ways, counted once, at its sender."""
+        return sum(e.bytes_sent + e.bytes_received for e in self.endpoints)
 
 
 class TcpListener:
     def __init__(self, sock: socket.socket, transport: "TcpTransport"):
         self._sock = sock
-        self._transport = transport
-        self.address = sock.getsockname()[:2]
+        self._endpoints = transport.endpoints
 
     def accept(self) -> TcpConnection:
         try:
@@ -405,7 +402,7 @@ class TcpListener:
             raise TransportClosedError(f"listener closed: {exc}") from None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock)
-        self._transport._track(conn)
+        self._endpoints.append(conn)
         return conn
 
     def close(self) -> None:
@@ -421,13 +418,21 @@ class TcpListener:
 _CONNECT_TIMEOUT = 30.0
 
 
-class TcpTransport(_Transport):
-    """TCP loopback/network transport; port 0 binds an ephemeral port."""
+class TcpTransport:
+    """TCP loopback/network transport; port 0 binds an ephemeral port.
+
+    ``endpoints`` is the ledger of every connection it made, at either end.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        super().__init__()
         self.host = host
         self.port = port
+        self.endpoints: list[TcpConnection] = []
+
+    @property
+    def total_wire_bytes(self) -> int:
+        """Every frame counted once, at its sender."""
+        return sum(e.bytes_sent for e in self.endpoints)
 
     def listen(self) -> TcpListener:
         """Bind and listen; ``port`` becomes the bound port."""
@@ -451,5 +456,5 @@ class TcpTransport(_Transport):
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock)
-        self._track(conn)
+        self.endpoints.append(conn)
         return conn

@@ -16,6 +16,7 @@ from fedhosp.federation import (
     FedConfig,
     FederationConfigError,
     FederationState,
+    Hospital,
     HospitalDataset,
     aggregate,
     compute_weights,
@@ -44,6 +45,20 @@ def _hospital(hid=1, n_train=24, n_test=12, d=3, seed=0, separation=2.0):
     train_x, train_y = draw(n_train)
     test_x, test_y = draw(n_test)
     return HospitalDataset(hid, train_x, train_y, test_x, test_y)
+
+
+class _Scripted:
+    """An inline peer: registers with ``first``, then answers each message it
+    is sent with the next of ``replies`` (None once they run out)."""
+
+    def __init__(self, first, *replies):
+        self.first, self.replies = first, list(replies)
+
+    def register(self):
+        return self.first
+
+    def handle(self, msg):
+        return self.replies.pop(0) if self.replies else None
 
 
 def test_compute_weights_examples():
@@ -421,66 +436,25 @@ def test_tcp_and_in_process_runs_are_bit_identical():
 
 
 def test_duplicate_registration_is_rejected():
-    import threading
-
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    outcome = {}
-
-    def register(name, delay):
-        import time
-
-        time.sleep(delay)
-        conn = transport.connect()
-        conn.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
-        try:
-            outcome[name] = conn.recv()
-        except tp.TransportClosedError:
-            outcome[name] = "rejected"
-        conn.close()
-
-    first = threading.Thread(target=register, args=("first", 0.0))
-    second = threading.Thread(target=register, args=("second", 0.2))
-    first.start(), second.start()
-
-    def serve():
-        workers = wait_for_registrations(listener, {1, 2})
-        for w in workers.values():
-            w.conn.send(tp.Shutdown())
-            w.conn.close()
-
-    server = threading.Thread(target=serve)
-    server.start()
-
-    def late_unique():
-        import time
-
-        time.sleep(0.4)
-        conn = transport.connect()
-        conn.send(tp.Register(hospital_id=2, n_train=10, n_test=5))
-        outcome["unique"] = conn.recv()
-        conn.close()
-
-    late = threading.Thread(target=late_unique)
-    late.start()
-    for t in (first, second, late, server):
-        t.join(timeout=10)
-    assert outcome["second"] == "rejected"  # duplicate id: connection dropped
-    assert outcome["first"] == tp.Shutdown()
-    assert outcome["unique"] == tp.Shutdown()
+    first, second, unique = (transport.connect(_Scripted(tp.Register(k, 10, 5)))
+                             for k in (1, 1, 2))
+    workers = wait_for_registrations(listener, {1, 2})
+    assert workers[1].conn is first and workers[2].conn is unique
+    assert second._closed  # duplicate id: connection dropped
+    assert not first._closed and not unique._closed
+    for w in workers.values():
+        w.conn.close()
 
 
 def test_failed_registration_closes_the_registered_connections():
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    registered = transport.connect()
-    registered.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
-    listener.close()  # the wait for hospital 2 fails at its next accept
-    with pytest.raises(tp.TransportClosedError):
+    registered = transport.connect(_Scripted(tp.Register(hospital_id=1, n_train=10, n_test=5)))
+    with pytest.raises(tp.TransportClosedError):  # no hospital 2 to accept
         wait_for_registrations(listener, {1, 2})
-    with pytest.raises(tp.TransportClosedError):  # the server closed its end
-        registered.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
-    registered.close()
+    assert registered._closed
 
 
 def test_worker_failure_surfaces_with_context():
@@ -515,7 +489,7 @@ def test_worker_failure_releases_the_healthy_workers(make_transport):
 
 
 class _ConnectFailsIn:
-    """A transport whose ``connect()`` raises in one hospital's thread.
+    """A TCP transport whose ``connect()`` raises in one hospital's thread.
 
     It raises late, once the other hospitals have had time to register, so
     the server is waiting in ``accept`` for the one that fails.
@@ -535,19 +509,32 @@ class _ConnectFailsIn:
         return self._inner.connect()
 
 
-@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
-                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
+class _InlineConnectFailsFor(tp.InProcessTransport):
+    """An in-process transport whose ``connect(peer)`` raises for one hospital."""
+
+    def __init__(self, hospital_id: int):
+        super().__init__()
+        self._hospital_id = hospital_id
+
+    def connect(self, peer):
+        if peer.data.hospital_id == self._hospital_id:
+            raise tp.TransportError("cannot connect: refused")
+        return super().connect(peer)
+
+
+@pytest.mark.parametrize("make_transport", [lambda: _InlineConnectFailsFor(2),
+                                            lambda: _ConnectFailsIn(tp.TcpTransport(), 2)],
                          ids=["in_process", "tcp"])
 def test_a_hospital_that_cannot_connect_ends_the_run(make_transport):
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=3, rounds=2, seed=0)
     hospitals = [_hospital(k, seed=k) for k in (1, 2, 3)]
+    transport = make_transport()
     raised = []
 
     def run():
         try:
-            run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0),
-                           _ConnectFailsIn(make_transport(), 2))
+            run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
         except Exception as exc:  # noqa: BLE001 - inspected below
             raised.append(exc)
 
@@ -559,6 +546,8 @@ def test_a_hospital_that_cannot_connect_ends_the_run(make_transport):
     assert "hospital 2 failed" in str(raised[0]) and "refused" in str(raised[0])
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("hospital-") and t.is_alive()]
+    endpoints = getattr(transport, "_inner", transport).endpoints
+    assert endpoints and all(end._closed for end in endpoints)
 
 
 class _NoTransport:
@@ -590,9 +579,11 @@ def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals(mak
         h.test_y[:] = 0.0
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=3, gate_metric="accuracy")
+    transport = make_transport()
     with pytest.raises(ValueError, match="auroc") as info:
-        run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), make_transport())
+        run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
     assert info.type is ValueError
+    assert transport.endpoints and all(end._closed for end in transport.endpoints)
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("hospital-") and t.is_alive()]
 
@@ -614,10 +605,15 @@ def test_a_failing_round_closes_every_worker_connection(make_transport):
             ended[h.hospital_id] = type(exc)
         conn.close()
 
-    threads = [threading.Thread(target=hospital, args=(_hospital(k, seed=k),),
-                                name=f"hospital-{k}", daemon=True) for k in (1, 2)]
+    inline = isinstance(transport, tp.InProcessTransport)
+    threads = [] if inline else [
+        threading.Thread(target=hospital, args=(_hospital(k, seed=k),), name=f"hospital-{k}",
+                         daemon=True) for k in (1, 2)]
     for t in threads:
         t.start()
+    if inline:
+        for k in (1, 2):
+            transport.connect(Hospital(_hospital(k, seed=k), arch, TrainConfig(epochs=1, seed=0)))
 
     def evaluate_global(params):
         raise ZeroDivisionError("evaluation failed")
@@ -632,7 +628,8 @@ def test_a_failing_round_closes_every_worker_connection(make_transport):
         for t in threads:
             t.join(timeout=2.0)
     assert not any(t.is_alive() for t in threads), "a worker still waits in recv"
-    assert ended == {1: tp.TransportClosedError, 2: tp.TransportClosedError}
+    assert all(end._closed for end in transport.endpoints)
+    assert inline or ended == {1: tp.TransportClosedError, 2: tp.TransportClosedError}
 
 
 def test_a_silent_peer_does_not_stall_registration(monkeypatch):
@@ -679,23 +676,54 @@ def test_run_federation_closes_every_in_process_endpoint(fail):
     with pytest.raises(RuntimeError, match="hospital 2 failed") if fail else nullcontext():
         run_federation(hospitals, ModelArch("lr", input_dim=3), FedConfig(n_hospitals=2, rounds=2),
                        TrainConfig(epochs=1, seed=0), transport)
-    assert len(transport.endpoints) == 4
+    assert len(transport.endpoints) == 2
     assert all(end._closed for end in transport.endpoints)
+
+
+@pytest.mark.parametrize("make_transport", [lambda: None, tp.InProcessTransport],
+                         ids=["default", "in_process"])
+def test_an_in_process_run_starts_no_thread_and_opens_no_socket(make_transport, monkeypatch):
+    import socket
+
+    hospitals = [_hospital(1, seed=1), _hospital(2, seed=3)]
+    arch = ModelArch("lr", input_dim=3)
+    fed, cfg = FedConfig(n_hospitals=2, rounds=3), TrainConfig(epochs=1, seed=0)
+    expected, _ = run_federation(hospitals, arch, fed, cfg, tp.TcpTransport())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-process run started a thread or opened a socket")
+
+    for owner, name in ((threading, "Thread"), (socket, "socket"), (socket, "socketpair")):
+        monkeypatch.setattr(owner, name, refuse)
+    state, _ = run_federation(hospitals, arch, fed, cfg, make_transport())
+    assert np.array_equal(state.global_params, expected.global_params)
+
+
+def test_hospital_answers_one_message_at_a_time():
+    h = _hospital(4, n_train=16)
+    arch = ModelArch("lr", input_dim=3)
+    peer = Hospital(h, arch, TrainConfig(epochs=1, seed=0))
+    assert peer.register() == tp.Register(4, 16, 12)
+    params = init_params(arch, 1)
+    update = peer.handle(tp.BroadcastModel(2, params))
+    assert (update.hospital_id, update.round, update.n_samples) == (4, 2, 16)
+    result = peer.handle(tp.EvalRequest(2, update.params))
+    assert (result.hospital_id, result.round, result.n_test) == (4, 2, 12)
+    assert peer.handle(tp.Shutdown()) is None
+    with pytest.raises(tp.ProtocolError, match="hospital 4: unexpected Register"):
+        peer.handle(tp.Register(4, 16, 12))
 
 
 @pytest.mark.parametrize("sizes", [(0, 5), (10, 0)], ids=["no_train", "no_test"])
 def test_a_registration_with_an_empty_set_is_closed(sizes):
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    empty, good = transport.connect(), transport.connect()
-    empty.send(tp.Register(hospital_id=1, n_train=sizes[0], n_test=sizes[1]))
-    good.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+    empty = transport.connect(_Scripted(tp.Register(1, *sizes)))
+    good = transport.connect(_Scripted(tp.Register(hospital_id=1, n_train=10, n_test=5)))
     workers = wait_for_registrations(listener, [1])
     assert (workers[1].n_train, workers[1].n_test) == (10, 5)
-    with pytest.raises(tp.TransportClosedError):
-        empty.recv(timeout=5.0)
-    for conn in (empty, good, workers[1].conn):
-        conn.close()
+    assert workers[1].conn is good and empty._closed
+    good.close()
 
 
 @pytest.mark.parametrize("update, result, fault", [
@@ -706,20 +734,13 @@ def test_a_registration_with_an_empty_set_is_closed(sizes):
 def test_a_reply_that_contradicts_the_registration_is_a_protocol_error(update, result, fault):
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    peer = transport.connect()
-    # The whole one-round session, buffered until the server reads it.
-    for msg in (tp.Register(hospital_id=1, n_train=10, n_test=5),
-                tp.LocalUpdate(1, 0, *update), tp.EvalResult(1, 0, 0.5, result)):
-        peer.send(msg)
+    # The whole one-round session, scripted.
+    transport.connect(_Scripted(tp.Register(hospital_id=1, n_train=10, n_test=5),
+                                tp.LocalUpdate(1, 0, *update), tp.EvalResult(1, 0, 0.5, result)))
     workers = wait_for_registrations(listener, [1])
-    listener.close()
     with pytest.raises(tp.ProtocolError, match=f"round 0: hospital 1 .*{fault}"):
         federation.run_server_rounds(workers, ModelArch("lr", input_dim=3),
                                      FedConfig(n_hospitals=1, rounds=1))
-    with pytest.raises(tp.TransportClosedError):  # after the requests, the server's close
-        while True:
-            peer.recv(timeout=5.0)
-    peer.close()
     assert all(end._closed for end in transport.endpoints)
 
 
@@ -729,11 +750,15 @@ def test_a_reply_that_contradicts_the_registration_is_a_protocol_error(update, r
 def test_an_eval_result_value_outside_0_1_is_a_protocol_error(make_transport, value, accepted):
     transport = make_transport()
     listener = transport.listen()
-    peer = transport.connect()
-    # The whole one-round session, buffered until the server reads it.
-    for msg in (tp.Register(hospital_id=1, n_train=10, n_test=5),
-                tp.LocalUpdate(1, 0, 10, np.zeros(4)), tp.EvalResult(1, 0, value, 5)):
-        peer.send(msg)
+    # The whole one-round session: scripted inline, else buffered until the server reads it.
+    session = (tp.Register(hospital_id=1, n_train=10, n_test=5),
+               tp.LocalUpdate(1, 0, 10, np.zeros(4)), tp.EvalResult(1, 0, value, 5))
+    if make_transport is tp.InProcessTransport:
+        peer = transport.connect(_Scripted(*session))
+    else:
+        peer = transport.connect()
+        for msg in session:
+            peer.send(msg)
     workers = wait_for_registrations(listener, [1])
     listener.close()
     run = functools.partial(federation.run_server_rounds, workers,
@@ -751,19 +776,15 @@ def test_an_eval_result_value_outside_0_1_is_a_protocol_error(make_transport, va
 
 
 def test_worker_loop_round_trip_over_plain_pair():
-    transport = tp.InProcessTransport()
-    listener = transport.listen()
+    import socket
+
+    worker_end, conn = map(tp.TcpConnection, socket.socketpair())
     h = _hospital(5, n_train=16)
     arch = ModelArch("lr", input_dim=3)
-
-    import threading
-
     worker = threading.Thread(
-        target=lambda: worker_loop(transport.connect(), h, arch,
-                                   TrainConfig(epochs=1, seed=0)),
+        target=lambda: worker_loop(worker_end, h, arch, TrainConfig(epochs=1, seed=0)),
     )
     worker.start()
-    conn = listener.accept()
     assert conn.recv() == tp.Register(5, 16, 12)
     params = init_params(arch, 1)
     conn.send(tp.BroadcastModel(0, params))

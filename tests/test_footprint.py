@@ -6,6 +6,7 @@ counts the parameter-sized vectors it holds at once.
 
 from __future__ import annotations
 
+import socket
 import threading
 import tracemalloc
 
@@ -50,13 +51,10 @@ def test_encode_of_a_broadcast_makes_one_frame():
     assert peak <= 1.1 * len(frame), f"peak {peak / len(frame):.2f} frames"
 
 
-@pytest.mark.parametrize("kind", ["inprocess", "tcp"])
+@pytest.mark.parametrize("kind", ["socketpair", "tcp"])
 def test_recv_of_a_frame_peaks_at_two_frames_and_keeps_one(kind):
-    if kind == "inprocess":
-        transport = tp.InProcessTransport()
-        listener = transport.listen()
-        worker = transport.connect()
-        server = listener.accept()
+    if kind == "socketpair":
+        worker, server = map(tp.TcpConnection, socket.socketpair())
     else:
         transport = tp.TcpTransport("127.0.0.1", 0)
         listener = transport.listen()

@@ -274,62 +274,95 @@ def test_vocabulary_cannot_carry_data_rows():
         tp.EvalRequest(round=0, params=np.full(3, np.nan))
 
 
+class _Scripted:
+    """An inline peer: registers with ``first``, keeps every message it is
+    sent and answers each with the next of ``replies`` (None once they run out)."""
+
+    def __init__(self, first, *replies):
+        self.first, self.replies, self.received = first, list(replies), []
+
+    def register(self):
+        return self.first
+
+    def handle(self, msg):
+        self.received.append(msg)
+        return self.replies.pop(0) if self.replies else None
+
+
 def test_in_process_send_recv_identity():
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    worker = transport.connect()
+    peer = _Scripted(ALL_FIXED[1], *ALL_FIXED)
+    transport.connect(peer)
     server = listener.accept()
+    assert server.recv() == ALL_FIXED[1]
     for msg in ALL_FIXED:
-        worker.send(msg)
+        server.send(msg)
         assert server.recv() == msg
-    server.send(tp.Shutdown())
-    assert worker.recv() == tp.Shutdown()
-    worker.close()
+    assert peer.received == ALL_FIXED
     server.close()
 
 
 def test_in_process_byte_counters_match_frames():
     transport = tp.InProcessTransport()
-    listener = transport.listen()
-    worker = transport.connect()
-    server = listener.accept()
+    register = tp.Register(hospital_id=1, n_train=10, n_test=10)
+    reply = tp.LocalUpdate(hospital_id=1, round=0, n_samples=10, params=np.arange(3.0))
+    server = transport.connect(_Scripted(register, reply))
     msg = tp.BroadcastModel(round=0, params=np.arange(10.0))
-    worker.send(msg)
-    server.recv()
-    assert worker.bytes_sent == len(tp.encode(msg))
-    assert server.bytes_received == worker.bytes_sent
-    assert transport.total_wire_bytes == worker.bytes_sent
-    worker.close()
+    assert server.bytes_received == len(tp.encode(register))  # counted as the peer sends it
+    server.send(msg)
+    assert server.bytes_sent == len(tp.encode(msg))
+    assert server.bytes_received == len(tp.encode(register)) + len(tp.encode(reply))
+    assert transport.total_wire_bytes == server.bytes_sent + server.bytes_received
     server.close()
 
 
-def test_in_process_close_unblocks_peer():
+def test_in_process_peer_failure_closes_the_connection():
+    failure = ZeroDivisionError("local training failed")
+
+    class Failing(_Scripted):
+        def handle(self, msg):
+            raise failure
+
+    transport = tp.InProcessTransport()
+    server = transport.connect(Failing(tp.Register(hospital_id=1, n_train=10, n_test=10)))
+    with pytest.raises(tp.TransportClosedError, match="local training failed") as info:
+        server.send(tp.BroadcastModel(round=0, params=np.zeros(3)))
+    assert server.error is failure and info.value.__cause__ is failure
+    with pytest.raises(tp.TransportClosedError):
+        server.recv()  # the Register still queued went with the connection
+    with pytest.raises(tp.TransportClosedError):
+        server.send(tp.Shutdown())
+
+
+def test_in_process_recv_with_no_reply_waiting_fails_at_once():
+    transport = tp.InProcessTransport()
+    server = transport.connect(_Scripted(tp.Register(hospital_id=1, n_train=10, n_test=10)))
+    server.recv()
+    server.send(tp.Shutdown())  # answered with no reply
+    for timeout in (None, 5.0):
+        start = time.monotonic()
+        with pytest.raises(tp.TransportError, match="no message waiting"):
+            server.recv(timeout=timeout)
+        assert time.monotonic() - start < 1.0
+    server.close()
+
+
+def test_in_process_listener_hands_out_connections_in_order_then_fails():
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    worker = transport.connect()
-    server = listener.accept()
-    results = []
-
-    def blocked_recv():
-        try:
-            server.recv()
-        except tp.TransportClosedError:
-            results.append("closed")
-
-    thread = threading.Thread(target=blocked_recv)
-    thread.start()
-    worker.close()
-    thread.join(timeout=5)
-    assert results == ["closed"]
+    first, second, never = (transport.connect(_Scripted(tp.Register(k, 10, 10)))
+                            for k in (1, 2, 3))
+    assert listener.accept() is first and listener.accept() is second
+    listener.close()  # closes the connection never accepted
+    assert never._closed and not first._closed
     with pytest.raises(tp.TransportClosedError):
-        worker.send(tp.Shutdown())
-    server.close()
+        listener.accept()
+    first.close(), second.close()
 
 
-@pytest.mark.parametrize("make_transport", [tp.InProcessTransport, tp.TcpTransport],
-                         ids=["inprocess", "tcp"])
-def test_listener_close_releases_a_connection_never_accepted(make_transport):
-    transport = make_transport()
+def test_listener_close_releases_a_connection_never_accepted():
+    transport = tp.TcpTransport()
     listener = transport.listen()
     worker = transport.connect()
     worker.send(tp.Register(hospital_id=1, n_train=10, n_test=10))
@@ -386,14 +419,12 @@ def test_tcp_clean_close_signals_end_of_session():
     server.close()
 
 
-def _in_process_pair():
-    transport = tp.InProcessTransport()
-    listener = transport.listen()
-    worker = transport.connect()
-    return worker, listener.accept()
+def _socketpair():
+    """Two ``TcpConnection`` ends of one ``socket.socketpair()``."""
+    return tuple(map(tp.TcpConnection, socket.socketpair()))
 
 
-PAIRS = pytest.mark.parametrize("pair", [_in_process_pair, _tcp_pair], ids=["inprocess", "tcp"])
+PAIRS = pytest.mark.parametrize("pair", [_socketpair, _tcp_pair], ids=["socketpair", "tcp"])
 
 
 @PAIRS
@@ -422,7 +453,7 @@ def test_huge_length_prefix_allocates_only_what_arrives(pair):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("pair", [_in_process_pair, _tcp_pair], ids=["inprocess", "tcp"])
+@PAIRS
 def test_recv_timeout_expires_and_the_connection_still_works(pair):
     worker, server = pair()
     msg = tp.Register(hospital_id=1, n_train=2, n_test=3)
@@ -431,8 +462,7 @@ def test_recv_timeout_expires_and_the_connection_still_works(pair):
             server.recv(timeout=0.05)
         worker.send(msg)
         assert server.recv(timeout=5.0) == msg
-        if isinstance(server, tp.TcpConnection):
-            assert server._sock.gettimeout() is None  # blocking again for round traffic
+        assert server._sock.gettimeout() is None  # blocking again for round traffic
         worker.send(msg)
         assert server.recv() == msg
     finally:
