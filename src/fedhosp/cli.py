@@ -77,12 +77,15 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _parse_endpoint(text: str, lowest_port: int) -> tuple[str, int]:
+def _parse_endpoint(opts: dict, name: str, lowest_port: int) -> tuple[str, int]:
+    """The HOST:PORT of option ``name``; an error names its flag and config key."""
+    text, option = opts[name], f"{_flag(name)} (config key {name!r})"
     host, sep, port = text.rpartition(":")
     if not sep or not host:
-        raise UsageError(f"endpoint must look like HOST:PORT, got {text!r}")
+        raise UsageError(f"{option} must look like HOST:PORT, got {text!r}")
     if not (port.isdigit() and lowest_port <= int(port) <= 65535):
-        raise UsageError(f"the port in {text!r} must be an integer in {lowest_port}-65535")
+        raise UsageError(f"{option}: the port in {text!r} must be an integer in "
+                         f"{lowest_port}-65535")
     return host, int(port)
 
 
@@ -130,7 +133,7 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     missing = [k for k in required if opts[k] is None]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join(map(_flag, sorted(missing)))}")
-    for name, (kind, _) in own.items():
+    for name, kind in own.items():
         if opts[name] is not None:
             check_type(name, opts[name], kind)
     cfg = ExperimentConfig(**{n: opts[n] for n in names})
@@ -183,7 +186,7 @@ def cmd_compare(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
-    host, port = _parse_endpoint(opts["listen"], lowest_port=0)
+    host, port = _parse_endpoint(opts, "listen", lowest_port=0)
     arch = cfg.arch(cfg.n_variables)
     fed_cfg = cfg.fed_config()
     transport = TcpTransport(host, port)
@@ -209,7 +212,7 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
-    host, port = _parse_endpoint(opts["connect"], lowest_port=1)
+    host, port = _parse_endpoint(opts, "connect", lowest_port=1)
     if opts["id"] < 1:
         raise UsageError(f"id must be >= 1 (hospital ids are 1-based), got {opts['id']}")
     data = prepare(replace(cfg, data_dir=opts["shard"]), _variable_names(opts["variables"]))
@@ -231,45 +234,54 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
 # parser
 
 
-_VARIABLE_NAMES = (str, "comma-separated variable names (default: observed)")
+# option -> what it sets: every ExperimentConfig field, then every other option
+_HELP = {
+    "model": "model kind", "mode": "central training or a federated simulation",
+    "data_dir": "directory with measurements.csv and labels.csv, else synthetic episodes",
+    "n_episodes": "number of synthetic episodes", "n_variables": "variables per episode",
+    "prevalence": "share of synthetic episodes labelled positive",
+    "effect_size": "how far synthetic positives drift from negatives",
+    "points_min": "fewest measurements per synthetic series",
+    "points_max": "most measurements per synthetic series",
+    "test_fraction": "share of episodes held out for testing",
+    "hidden_dim": "hidden units of the mlp", "epochs": "central training epochs",
+    "batch_size": "training batch size", "learning_rate": "Adam learning rate",
+    "n_hospitals": "hospitals in the federation", "rounds": "federation rounds",
+    "local_epochs": "epochs each hospital trains per round",
+    "cohort_fraction": "share of hospitals that train each round",
+    "gate_enabled": "keep a round's model only if it scores at least the best so far",
+    "gate_metric": "what the gate scores", "partition_strategy": "how rows split across hospitals",
+    "skew_alpha": "Dirichlet alpha of label_skew (smaller: more skew)",
+    "seed": "master seed", "out_dir": "directory the output files are written to",
+    "config": "flat JSON file supplying any of this command's options",
+    "data": "directory with measurements.csv and labels.csv", "out": "output CSV path",
+    "variables": "comma-separated variable names, else those observed",
+    "listen": "HOST:PORT to listen on (port 0: any free port)", "connect": "server HOST:PORT",
+    "id": "hospital id (1-based, unique per server)",
+    "shard": "directory with this hospital's episode CSVs",
+}
 
 # command -> (function, help, the ExperimentConfig fields it takes,
-#             other options: name -> (type, help), required options)
+#             other options: name -> type, required options)
 _COMMANDS = {
     "generate": (cmd_generate, "write synthetic episode CSVs",
                  ("n_episodes", "n_variables", "prevalence", "effect_size", "points_min",
                   "points_max", "seed", "out_dir"),
                  {}, ("n_episodes", "out_dir")),
     "extract": (cmd_extract, "episodes -> feature-matrix CSV", (),
-                {"data": (str, "directory with measurements.csv and labels.csv"),
-                 "out": (str, "output CSV path"), "variables": _VARIABLE_NAMES},
-                ("data", "out")),
+                {"data": str, "out": str, "variables": str}, ("data", "out")),
     "train": (cmd_train, "run one experiment and report metrics", tuple(_CONFIG_DEFAULTS), {}, ()),
     "compare": (cmd_compare, "run all four model x mode cells", tuple(_CONFIG_DEFAULTS), {}, ()),
     "serve": (cmd_serve, "federation server over TCP",
               ("model", "n_variables", "hidden_dim", "n_hospitals", "rounds", "cohort_fraction",
                "gate_enabled", "gate_metric", "seed", "out_dir"),
-              {"listen": (str, "HOST:PORT to listen on (port 0: any free port)")}, ("listen",)),
+              {"listen": str}, ("listen",)),
     "worker": (cmd_worker, "one hospital process",
                ("model", "hidden_dim", "test_fraction", "local_epochs", "batch_size",
                 "learning_rate", "gate_metric", "seed"),
-               {"connect": (str, "server HOST:PORT"),
-                "id": (int, "hospital id (1-based, unique per server)"),
-                "shard": (str, "directory with this hospital's episode CSVs"),
-                "variables": _VARIABLE_NAMES},
+               {"connect": str, "id": int, "shard": str, "variables": str},
                ("connect", "id", "shard")),
 }
-
-
-def _add_field_option(parser: argparse.ArgumentParser, field: str, default) -> None:
-    """A flag typed by the annotation of the ExperimentConfig ``field`` it sets."""
-    kind = FIELD_TYPES[field]
-    if kind is bool:  # --gate and --no-gate
-        parser.add_argument(_flag(field), dest=field, action=argparse.BooleanOptionalAction)
-        return
-    parser.add_argument(_flag(field), dest=field, type=(get_args(kind) or (kind,))[0],
-                        choices=CHOICES.get(field),
-                        help=None if default is None else f"default: {default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,17 +290,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Federated training simulator for in-hospital mortality models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, blurb, names, own, _) in _COMMANDS.items():
+    for command, (func, blurb, names, own, required) in _COMMANDS.items():
         p = sub.add_parser(command, help=blurb)
-        p.add_argument("--config", metavar="FILE",
-                       help="flat JSON file supplying any of this command's options")
+        p.add_argument("--config", metavar="FILE", help=_help("config", None, False))
         defaults = _defaults(command)
-        for name in names:
-            _add_field_option(p, name, defaults[name])
-        for name, (kind, text) in own.items():
-            p.add_argument(_flag(name), type=kind, help=text)
+        for name in (*names, *own):
+            # A field's flag is typed by its annotation; --gate also gives --no-gate.
+            kind = FIELD_TYPES[name] if name in names else own[name]
+            typed = ({"action": argparse.BooleanOptionalAction} if kind is bool else
+                     {"type": (get_args(kind) or (kind,))[0], "choices": CHOICES.get(name)})
+            p.add_argument(_flag(name), dest=name, **typed,
+                           help=_help(name, defaults[name], name in required))
         p.set_defaults(func=func)
     return parser
+
+
+def _help(name: str, default, required: bool) -> str:
+    """One help line: what the option sets, then "required" or its default."""
+    if required:
+        return f"{_HELP[name]} (required)"
+    return f"{_HELP[name]} (default: {'none' if default is None else default})"
 
 
 def main(argv=None) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import re
@@ -14,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from fedhosp.cli import _flag, main
+from fedhosp.cli import _flag, build_parser, main
 from fedhosp.data import load_episodes
 from fedhosp.experiment import ExperimentConfig, load_data
 from fedhosp.features import STATS_PER_VARIABLE, extract
@@ -494,6 +495,11 @@ def test_generate_bad_values_exit_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+# A bad port names the option it came from, by flag and config key.
+LISTEN_PORT = "--listen (config key 'listen'): the port"
+CONNECT_PORT = "--connect (config key 'connect'): the port"
+
+
 def _refuse(what):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{what} before every option was checked")
@@ -517,8 +523,8 @@ def test_serve_bad_values_exit_2_before_opening_a_socket(tmp_path, capsys, monke
         ({"model": "mlp", "hidden_dim": 10**9}, ["--model", "mlp", "--hidden-dim", str(10**9)],
          "MAX_PARAMS"),
         ({"listen": 7600}, None, "listen"),
-        ({"listen": "127.0.0.1:99999"}, ["--listen", "127.0.0.1:99999"], "port"),
-        ({"listen": "127.0.0.1:-5"}, ["--listen", "127.0.0.1:-5"], "port"),
+        ({"listen": "127.0.0.1:99999"}, ["--listen", "127.0.0.1:99999"], LISTEN_PORT),
+        ({"listen": "127.0.0.1:-5"}, ["--listen", "127.0.0.1:-5"], LISTEN_PORT),
     ]
     given = {"listen": "127.0.0.1:0", "out_dir": str(out)}
     _assert_usage_errors(_bad_value_argvs("serve", given, tmp_path, cases), capsys)
@@ -541,8 +547,8 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
         ({"test_fraction": 1.5}, ["--test-fraction", "1.5"], "test_fraction"),
         ({"gate_metric": "f1"}, ["--gate-metric", "f1"], "gate"),
         ({"seed": -1}, ["--seed", "-1"], "seed"),
-        ({"connect": "127.0.0.1:0"}, ["--connect", "127.0.0.1:0"], "port"),
-        ({"connect": "127.0.0.1:65536"}, ["--connect", "127.0.0.1:65536"], "port"),
+        ({"connect": "127.0.0.1:0"}, ["--connect", "127.0.0.1:0"], CONNECT_PORT),
+        ({"connect": "127.0.0.1:65536"}, ["--connect", "127.0.0.1:65536"], CONNECT_PORT),
     ]
     given = {"connect": "127.0.0.1:9", "id": 1, "shard": str(tmp_path / "shard")}
     _assert_usage_errors(_bad_value_argvs("worker", given, tmp_path, cases), capsys)
@@ -581,7 +587,21 @@ def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connectin
 @pytest.mark.parametrize("port", ["99999", "-5"])
 def test_serve_port_out_of_range_is_a_usage_error(capsys, port):
     assert _run(["serve", "--listen", f"127.0.0.1:{port}", "--rounds", "1"]) == 2
-    assert "must be an integer in 0-65535" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{LISTEN_PORT} in '127.0.0.1:{port}' must be an integer in 0-65535" in err
+
+
+def test_every_option_has_a_help_line_with_its_default_or_required():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    assert len(subcommands.choices) == 6
+    for command, parser in subcommands.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert options, command
+        for action in options:
+            text = action.help or ""
+            assert re.fullmatch(r"\S.* \((required|default: .+)\)", text), \
+                (command, action.dest, text)
 
 
 def test_serve_on_a_port_in_use_exits_1(capsys):
