@@ -43,6 +43,7 @@ import math
 import numbers
 import socket
 import struct
+import threading
 import time
 from dataclasses import make_dataclass
 from typing import Union
@@ -321,12 +322,12 @@ class InProcessConnection:
         """Queue the encoded reply ``ask()`` returns, if any; if it raises, close."""
         try:
             reply = ask()
-            frame = b"" if reply is None else encode(reply)
+            frame = None if reply is None else encode(reply)
         except Exception as exc:
             self.error = exc
             self.close()
             raise TransportClosedError(f"the peer failed: {exc}") from exc
-        if frame:
+        if frame is not None:
             self.bytes_received += len(frame)
             self._replies.append(frame)
 
@@ -393,7 +394,8 @@ class InProcessTransport:
 class TcpListener:
     def __init__(self, sock: socket.socket, transport: "TcpTransport"):
         self._sock = sock
-        self._endpoints = transport.endpoints
+        self._transport = transport
+        self.address = sock.getsockname()[:2]
 
     def accept(self) -> TcpConnection:
         try:
@@ -402,7 +404,7 @@ class TcpListener:
             raise TransportClosedError(f"listener closed: {exc}") from None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock)
-        self._endpoints.append(conn)
+        self._transport._track(conn)
         return conn
 
     def close(self) -> None:
@@ -427,12 +429,18 @@ class TcpTransport:
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
+        self._lock = threading.Lock()  # a server thread and hospital threads add connections
         self.endpoints: list[TcpConnection] = []
+
+    def _track(self, conn: TcpConnection) -> None:
+        with self._lock:
+            self.endpoints.append(conn)
 
     @property
     def total_wire_bytes(self) -> int:
         """Every frame counted once, at its sender."""
-        return sum(e.bytes_sent for e in self.endpoints)
+        with self._lock:
+            return sum(e.bytes_sent for e in self.endpoints)
 
     def listen(self) -> TcpListener:
         """Bind and listen; ``port`` becomes the bound port."""
@@ -456,5 +464,5 @@ class TcpTransport:
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock)
-        self.endpoints.append(conn)
+        self._track(conn)
         return conn
