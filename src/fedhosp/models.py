@@ -48,8 +48,10 @@ PROB_CLAMP = 1e-12
 # hospital the model, Adam's four-vector workspace and frames on the wire;
 # the server's copies and its aggregate). Measured as the growth of peak RSS
 # (ru_maxrss) over the RSS before the call, a 2-round, 2-hospital in-process
-# run_federation of a 5000-input, 50-unit MLP (250,101 parameters) peaks at
-# about 205 bytes per parameter: about 0.2 GB at the bound.
+# run_federation of a 5000-input, 50-unit MLP (250,101 parameters), its
+# hospitals answering inline, peaks at about 145 bytes per parameter: about
+# 0.15 GB at the bound. (With a thread and a socketpair per hospital it was
+# 205-218.)
 MAX_PARAMS = 1_000_000
 
 
