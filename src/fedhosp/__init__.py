@@ -15,6 +15,7 @@ prepared hospital datasets, and the ``fedhosp`` command line.
 
 from .data import (
     DEFAULT_VARIABLES,
+    HospitalDataset,
     PartitionPlan,
     SyntheticConfig,
     generate,
@@ -36,7 +37,6 @@ from .features import (
 from .federation import (
     FedConfig,
     FederationState,
-    HospitalDataset,
     aggregate,
     compute_weights,
     gate_and_commit,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .features import HORIZON_HOURS, Episode
-from .federation import HospitalDataset
 
 __all__ = [
     "DEFAULT_VARIABLES",
@@ -35,6 +35,7 @@ __all__ = [
     "PARTITION_STRATEGIES",
     "SyntheticConfig",
     "PartitionPlan",
+    "HospitalDataset",
     "variable_names",
     "generate",
     "save_episodes",
@@ -95,8 +96,7 @@ class SyntheticConfig:
         if self.n_episodes * self.n_variables * max(hi, 1) > MAX_SYNTHETIC_POINTS:
             raise ValueError(f"{self.n_episodes} episodes x {self.n_variables} variables x "
                              f"{hi} points exceed the bound of {MAX_SYNTHETIC_POINTS}")
-        n_pos = round(self.prevalence * self.n_episodes)
-        if n_pos < 1 or n_pos >= self.n_episodes:
+        if not 1 <= self.n_positive < self.n_episodes:
             raise ValueError(
                 f"prevalence {self.prevalence} with n={self.n_episodes} leaves "
                 "a class empty"
@@ -251,7 +251,7 @@ def load_episodes(measurements_path, labels_path) -> list[Episode]:
     episodes = []
     for eid, label in labels.items():
         for points in series[eid].values():
-            points.sort(key=lambda p: p[0])
+            points.sort(key=operator.itemgetter(0))
         episodes.append(Episode(episode_id=eid, series=series[eid], label=label))
     return episodes
 
@@ -266,19 +266,19 @@ def split_train_test(episodes, test_fraction: float, seed: int) -> tuple[list[Ep
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie strictly in (0,1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    test_idx: set[int] = set()
+    labels = np.array([ep.label for ep in episodes])
+    is_test = np.zeros(labels.size, dtype=bool)
     for label in (0, 1):
-        class_idx = [i for i, ep in enumerate(episodes) if ep.label == label]
-        n_test = round(test_fraction * len(class_idx))
-        if n_test < 1 or n_test >= len(class_idx):
+        class_idx = np.flatnonzero(labels == label)
+        n_test = round(test_fraction * class_idx.size)
+        if n_test < 1 or n_test >= class_idx.size:
             raise ValueError(
-                f"class {label} has {len(class_idx)} episodes; test_fraction "
+                f"class {label} has {class_idx.size} episodes; test_fraction "
                 f"{test_fraction} leaves train or test empty for it"
             )
-        order = rng.permutation(len(class_idx))
-        test_idx.update(class_idx[i] for i in order[:n_test])
-    train = [ep for i, ep in enumerate(episodes) if i not in test_idx]
-    test = [ep for i, ep in enumerate(episodes) if i in test_idx]
+        is_test[rng.permutation(class_idx)[:n_test]] = True
+    train = [ep for ep, t in zip(episodes, is_test.tolist()) if not t]
+    test = [ep for ep, t in zip(episodes, is_test.tolist()) if t]
     return train, test
 
 
@@ -309,12 +309,49 @@ class PartitionPlan:
             raise ValueError(f"skew_alpha must be positive, got {self.skew_alpha}")
 
 
+@dataclass(eq=False)
+class HospitalDataset:
+    """One hospital's local data: train and test rows with labels."""
+
+    hospital_id: int
+    train_x: np.ndarray
+    train_y: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.train_x = np.atleast_2d(np.asarray(self.train_x, dtype=np.float64))
+        self.test_x = np.atleast_2d(np.asarray(self.test_x, dtype=np.float64))
+        self.train_y = np.asarray(self.train_y).reshape(-1)
+        self.test_y = np.asarray(self.test_y).reshape(-1)
+        if self.hospital_id < 0:
+            raise ValueError(f"hospital_id must be non-negative, got {self.hospital_id}")
+        for part, x, y in (("train", self.train_x, self.train_y),
+                           ("test", self.test_x, self.test_y)):
+            if x.shape[0] < 1:
+                raise ValueError(f"hospital {self.hospital_id}: empty {part} set")
+            if x.shape[0] != y.size:
+                raise ValueError(
+                    f"hospital {self.hospital_id}: {part} rows/labels mismatch "
+                    f"({x.shape[0]} vs {y.size})"
+                )
+            if not np.isin(y, (0, 1)).all():
+                raise ValueError(f"hospital {self.hospital_id}: {part} labels must be 0 or 1")
+
+    @property
+    def n_train(self) -> int:
+        return self.train_x.shape[0]
+
+    @property
+    def n_test(self) -> int:
+        return self.test_x.shape[0]
+
+
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     """Integer shard sizes summing to total, closest to the proportions."""
     raw = proportions * total
     counts = np.floor(raw).astype(np.int64)
-    for i in np.argsort(-(raw - counts), kind="stable")[: total - counts.sum()]:
-        counts[i] += 1
+    counts[np.argsort(-(raw - counts), kind="stable")[: total - counts.sum()]] += 1
     return counts
 
 
@@ -339,13 +376,10 @@ def partition_rows(x, y, plan: PartitionPlan) -> list[tuple[np.ndarray, np.ndarr
         }
         shard_indices = [[] for _ in range(k)]
         for label in (0, 1):
-            class_idx = np.flatnonzero(y == label)
-            class_idx = class_idx[rng.permutation(class_idx.size)]
+            class_idx = rng.permutation(np.flatnonzero(y == label))
             counts = _largest_remainder_counts(proportions[label], class_idx.size)
-            start = 0
-            for shard, count in zip(shard_indices, counts):
-                shard.extend(class_idx[start : start + count])
-                start += count
+            for shard, dealt in zip(shard_indices, np.split(class_idx, np.cumsum(counts)[:-1])):
+                shard.extend(dealt)
         # Dirichlet tails can starve a shard entirely; repair by moving one
         # row at a time from the currently largest shard.
         while any(len(s) == 0 for s in shard_indices):
@@ -359,13 +393,5 @@ def partition_rows(x, y, plan: PartitionPlan) -> list[tuple[np.ndarray, np.ndarr
 
 def partition(train_x, train_y, test_x, test_y, plan: PartitionPlan) -> list[HospitalDataset]:
     """Deal train and test rows to K hospitals (ids 1..K) under one plan."""
-    train_shards = partition_rows(train_x, train_y, plan)
-    test_shards = partition_rows(test_x, test_y, plan)
-    return [
-        HospitalDataset(
-            hospital_id=k + 1,
-            train_x=tr_x, train_y=tr_y,
-            test_x=te_x, test_y=te_y,
-        )
-        for k, ((tr_x, tr_y), (te_x, te_y)) in enumerate(zip(train_shards, test_shards))
-    ]
+    shards = zip(partition_rows(train_x, train_y, plan), partition_rows(test_x, test_y, plan))
+    return [HospitalDataset(k, *train, *test) for k, (train, test) in enumerate(shards, start=1)]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import (
     PARTITION_STRATEGIES,
+    HospitalDataset,
     PartitionPlan,
     SyntheticConfig,
     generate,
@@ -35,7 +36,6 @@ from .federation import (
     FedConfig,
     FederationConfigError,
     FederationState,
-    HospitalDataset,
     run_federation,
 )
 from .metrics import evaluate

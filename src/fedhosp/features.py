@@ -181,10 +181,6 @@ class FeatureMatrix:
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("feature rows contain non-finite values")
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.variables)
-
 
 def feature_names(variables) -> list[str]:
     """Column names in extraction order: variable-major, then window, then stat."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport as tp
+from .data import HospitalDataset
 from .metrics import EvalResult, accuracy, auroc, evaluate
 from .models import AdamState, ModelArch, TrainConfig, forward, init_params, train
 
@@ -58,47 +59,10 @@ class FederationConfigError(ValueError):
     """The hospitals cannot run the configured federation; raised before round 0."""
 
 
-@dataclass(eq=False)
-class HospitalDataset:
-    """One hospital's local data: train and test rows with labels."""
-
-    hospital_id: int
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.train_x = np.atleast_2d(np.asarray(self.train_x, dtype=np.float64))
-        self.test_x = np.atleast_2d(np.asarray(self.test_x, dtype=np.float64))
-        self.train_y = np.asarray(self.train_y).reshape(-1)
-        self.test_y = np.asarray(self.test_y).reshape(-1)
-        if self.hospital_id < 0:
-            raise ValueError(f"hospital_id must be non-negative, got {self.hospital_id}")
-        for part, x, y in (("train", self.train_x, self.train_y),
-                           ("test", self.test_x, self.test_y)):
-            if x.shape[0] < 1:
-                raise ValueError(f"hospital {self.hospital_id}: empty {part} set")
-            if x.shape[0] != y.size:
-                raise ValueError(
-                    f"hospital {self.hospital_id}: {part} rows/labels mismatch "
-                    f"({x.shape[0]} vs {y.size})"
-                )
-            if not np.isin(y, (0, 1)).all():
-                raise ValueError(f"hospital {self.hospital_id}: {part} labels must be 0 or 1")
-
-    @property
-    def n_train(self) -> int:
-        return self.train_x.shape[0]
-
-    @property
-    def n_test(self) -> int:
-        return self.test_x.shape[0]
-
-
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round did: the candidate's score and whether it was kept."""
+    """What one round did: the candidate's gate metric value (accuracy, or AUROC
+    under the auroc gate) and whether it was kept."""
 
     round: int
     candidate_accuracy: float
@@ -109,7 +73,8 @@ class RoundRecord:
 
 @dataclass(frozen=True, eq=False)
 class FederationState:
-    """Global parameters plus the gate's bookkeeping."""
+    """Global parameters plus the gate's bookkeeping: ``best_accuracy`` is the
+    best gate metric value committed (accuracy, or AUROC under the auroc gate)."""
 
     global_params: np.ndarray
     round: int = 0
@@ -430,14 +395,22 @@ def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rn
 
     A reply must carry the hospital's registered train (LocalUpdate) or test
     (EvalResult) size, a LocalUpdate a vector of the model's ``n_params``, and
-    an EvalResult a metric value in [0, 1], as accuracy and AUROC are.
+    an EvalResult a metric value in [0, 1], as accuracy and AUROC are. A
+    ``TransportError`` of a send or recv is raised again as its own class,
+    prefixed "round R: hospital K: ".
     """
-    for k in ids:
-        workers[k].conn.send(request)
+    try:
+        for k in ids:
+            workers[k].conn.send(request)
+    except tp.TransportError as exc:
+        raise type(exc)(f"round {rnd}: hospital {k}: {exc}") from exc
     replies = []
     for k in ids:
         w = workers[k]
-        msg = w.conn.recv()
+        try:
+            msg = w.conn.recv()
+        except tp.TransportError as exc:
+            raise type(exc)(f"round {rnd}: hospital {k}: {exc}") from exc
         if not isinstance(msg, reply_type) or msg.hospital_id != k or msg.round != rnd:
             raise tp.ProtocolError(
                 f"round {rnd}: expected {reply_type.__name__} from hospital {k}, got {msg!r}"

@@ -395,7 +395,6 @@ class TcpListener:
     def __init__(self, sock: socket.socket, transport: "TcpTransport"):
         self._sock = sock
         self._transport = transport
-        self.address = sock.getsockname()[:2]
 
     def accept(self) -> TcpConnection:
         try:

@@ -620,3 +620,56 @@ def test_worker_id_below_1_is_rejected_before_the_shard_is_read(shards, capsys, 
     assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "0",
                  "--shard", str(shards[0])]) == 2
     assert "id must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+def test_an_unreadable_config_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert _exit_code(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+
+
+def test_a_config_file_holding_a_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"rounds": 2}]))
+    assert _exit_code(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config file {path} must hold a flat JSON object\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["serve", "--listen", "localhost", "--rounds", "1"], "--listen (config key 'listen')"),
+    (["worker", "--connect", "7600", "--id", "1", "--shard", "shard"],
+     "--connect (config key 'connect')"),
+], ids=["listen", "connect"])
+def test_an_endpoint_without_a_colon_exits_2_naming_its_flag(capsys, argv, flag):
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} must look like HOST:PORT, got {argv[2]!r}\n"
+
+
+def test_serve_names_the_hospital_and_round_of_a_worker_that_breaks_off_mid_frame(capsys):
+    from fedhosp import transport as tp
+
+    port = _free_port()
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(_run([
+        "serve", "--listen", f"127.0.0.1:{port}", "--model", "lr", "--variables", "2",
+        "--hospitals", "2", "--rounds", "1"])), daemon=True)
+    server.start()
+    peers = [_connect_when_listening(port) for _ in range(2)]
+    try:
+        for k, peer in enumerate(peers, start=1):
+            peer.send(tp.Register(hospital_id=k, n_train=10, n_test=5))
+        params = [peer.recv(timeout=30.0).params for peer in peers]
+        peers[0].send(tp.LocalUpdate(1, 0, 10, params[0]))  # hospital 1 answers in full
+        frame = tp.encode(tp.LocalUpdate(2, 0, 10, params[1]))
+        peers[1]._sock.sendall(frame[:len(frame) // 2])
+        peers[1].close()
+        server.join(timeout=30.0)
+    finally:
+        for peer in peers:
+            peer.close()
+    assert not server.is_alive() and codes == [1]
+    assert capsys.readouterr().err == ("error: round 0: hospital 2: "
+                                       "peer closed the connection mid-frame\n")

@@ -71,6 +71,10 @@ def test_generate_degenerate_prevalence_rejected():
         SyntheticConfig(n_episodes=100, prevalence=0.999)
     with pytest.raises(ValueError, match="n_episodes"):
         SyntheticConfig(n_episodes=1)
+    for prevalence in (0.0, 1.0):
+        with pytest.raises(ValueError,
+                           match=rf"^prevalence must lie in \(0,1\), got {prevalence}$"):
+            SyntheticConfig(n_episodes=100, prevalence=prevalence)
 
 
 def test_synthetic_size_is_bounded():
@@ -238,6 +242,32 @@ def test_load_rejects_malformed_rows(tmp_path):
         load_episodes(m, bad_labels)
 
 
+MEASUREMENTS_HEADER = "episode_id,variable,hour,value\n"
+LABELS_HEADER = "episode_id,label\n"
+
+
+@pytest.mark.parametrize("labels, measurements, error", [
+    ("id,label\ne1,0\n", MEASUREMENTS_HEADER,
+     "l.csv, line 1: unexpected header ['id', 'label']"),
+    (LABELS_HEADER + "e1,0,extra\n", MEASUREMENTS_HEADER,
+     "l.csv, line 2: expected 2 columns, got 3"),
+    (LABELS_HEADER + "e1,0\ne1,1\n", MEASUREMENTS_HEADER,
+     "l.csv, line 3: duplicate label row for episode 'e1'"),
+    (LABELS_HEADER + "e1,0\n", "episode,variable,hour,value\n",
+     "m.csv, line 1: unexpected header ['episode', 'variable', 'hour', 'value']"),
+    (LABELS_HEADER + "e1,0\n", MEASUREMENTS_HEADER + "e1,hr,1.0,80\ne1,hr,2.0,nan\n",
+     "m.csv, line 3: non-finite value nan"),
+    (LABELS_HEADER + "e1,0\n", MEASUREMENTS_HEADER + "e1,hr,1.0,-inf\n",
+     "m.csv, line 2: non-finite value -inf"),
+], ids=["labels_header", "labels_3_columns", "duplicate_id", "measurements_header", "nan", "inf"])
+def test_load_names_the_file_and_line_of_a_bad_row(tmp_path, labels, measurements, error):
+    m = _write(tmp_path / "m.csv", measurements)
+    l = _write(tmp_path / "l.csv", labels)
+    with pytest.raises(ValueError) as info:
+        load_episodes(m, l)
+    assert str(info.value) == error
+
+
 def _labeled_episodes(n_pos, n_neg):
     return (
         [Episode(f"p{i}", {}, 1) for i in range(n_pos)]
@@ -320,6 +350,11 @@ def test_label_skew_uses_same_proportions_for_train_and_test():
 def test_partition_rejects_more_hospitals_than_rows():
     with pytest.raises(ValueError, match="cannot split"):
         partition_rows(np.zeros((2, 1)), np.array([0, 1]), PartitionPlan("equal_iid", 3))
+
+
+def test_partition_rejects_rows_and_labels_of_different_lengths():
+    with pytest.raises(ValueError, match="^rows and labels disagree in length: 3 vs 2$"):
+        partition_rows(np.zeros((3, 1)), np.array([0, 1]), PartitionPlan("equal_iid", 1))
 
 
 def test_partition_builds_hospital_datasets():

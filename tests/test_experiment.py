@@ -182,3 +182,29 @@ def test_default_sub_configs_take_every_default_from_their_owners():
     assert cfg.fed_config() == FedConfig(cfg.n_hospitals, cfg.rounds, seed=seeds["init"])
     assert cfg.train_config(1) == TrainConfig(epochs=1, seed=seeds["train"])
     assert cfg.arch(7) == ModelArch(cfg.model, input_dim=42 * 7)
+
+
+def test_labels_without_measurements_are_a_data_stage_error(tmp_path, capsys):
+    from fedhosp.cli import main
+
+    (tmp_path / "labels.csv").write_text("episode_id,label\ne1,0\ne2,1\n")
+    (tmp_path / "measurements.csv").write_text("episode_id,variable,hour,value\n")
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(_cfg(data_dir=str(tmp_path)))
+    assert str(info.value) == f"data stage: no measurements found under {tmp_path}"
+    assert main(["train", "--data-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("kw, error", [
+    ({"n_episodes": 10, "prevalence": 0.1},
+     "feature stage: class 1 has 1 episodes; test_fraction 0.2 leaves train or test empty "
+     "for it"),
+    ({"mode": "federated", "n_episodes": 20, "n_hospitals": 5, "rounds": 1},
+     "training stage: cannot split 4 rows across 5 hospitals"),
+], ids=["feature", "training"])
+def test_a_stage_failure_is_an_experiment_error_naming_the_stage(kw, error):
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(_cfg(**kw))
+    assert str(info.value) == error
+    assert type(info.value.__cause__) is ValueError

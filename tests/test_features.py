@@ -16,6 +16,7 @@ from fedhosp.features import (
     WINDOW_NAMES,
     Episode,
     FeatureMatrix,
+    Scaler,
     extract,
     feature_names,
     fit_scaler,
@@ -99,6 +100,10 @@ def test_episode_validation():
         _episode(hr=[(5.0, 1.0), (2.0, 1.0)])
     with pytest.raises(ValueError, match="label"):
         _episode(label=2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"^episode e1: variable 'hr' has non-finite value {bad}$"):
+            _episode(hr=[(1.0, 2.0), (3.0, bad)])
 
 
 def test_extract_width_and_order():
@@ -199,6 +204,19 @@ def test_feature_matrix_rejects_duplicate_ids():
                       labels=np.zeros(2, dtype=np.int64), variables=("hr",))
 
 
+@pytest.mark.parametrize("rows, ids, n_labels, error", [
+    (np.zeros((2, 41)), ("a", "b"), 2, r"row width must be 42\*V = 42, got \(2, 41\)"),
+    (np.zeros(42), ("a",), 1, r"row width must be 42\*V = 42, got \(42,\)"),
+    (np.zeros((2, 42)), ("a",), 2, "rows, episode_ids and labels disagree in length"),
+    (np.zeros((2, 42)), ("a", "b"), 3, "rows, episode_ids and labels disagree in length"),
+    (np.full((2, 42), np.nan), ("a", "b"), 2, "feature rows contain non-finite values"),
+], ids=["width", "one_dimensional", "ids", "labels", "non_finite"])
+def test_feature_matrix_checks_its_shape_and_values(rows, ids, n_labels, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        FeatureMatrix(rows=rows, episode_ids=ids, labels=np.zeros(n_labels, dtype=np.int64),
+                      variables=("hr",))
+
+
 def test_scaler_examples():
     scaler = fit_scaler(np.array([[2.0, 3.0], [6.0, 3.0]]))
     out = transform(scaler, np.array([[4.0, 3.0]]))
@@ -216,6 +234,23 @@ def test_scaled_training_rows_hit_unit_interval_exactly():
     # every non-constant feature attains both endpoints exactly
     assert np.all(scaled.max(axis=0) == 1.0)
     assert np.all(scaled.min(axis=0) == -1.0)
+
+
+def test_scaler_checks_its_extremes():
+    with pytest.raises(ValueError, match="^mins and maxs must be 1-D and equal length$"):
+        Scaler(mins=np.zeros(2), maxs=np.zeros(3))
+    with pytest.raises(ValueError, match="^mins and maxs must be 1-D and equal length$"):
+        Scaler(mins=np.zeros((1, 2)), maxs=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="^scaler has max < min for some feature$"):
+        Scaler(mins=np.array([0.0, 1.0]), maxs=np.array([1.0, 0.5]))
+    for rows in (np.zeros((0, 3)), []):
+        with pytest.raises(ValueError, match="^fit_scaler needs at least one row$"):
+            fit_scaler(rows)
+
+
+def test_extract_needs_a_variable():
+    with pytest.raises(ValueError, match="^variables list must be non-empty$"):
+        extract([_episode(hr=[(1.0, 2.0)])], [])
 
 
 def test_transform_width_mismatch():

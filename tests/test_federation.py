@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import struct
 import threading
 import time
 from contextlib import nullcontext
@@ -236,6 +237,8 @@ def test_weighted_accuracy_examples():
     assert weighted_accuracy([0.42], [7]) == 0.42
     with pytest.raises(ValueError, match="empty"):
         weighted_accuracy([], [])
+    with pytest.raises(ValueError, match="^values and sizes disagree in length: 2 vs 1$"):
+        weighted_accuracy([0.5, 0.6], [10])
 
 
 @pytest.mark.parametrize("n_tests", [[0], [0, 0], [5, -1], [-3, 3]],
@@ -283,6 +286,10 @@ def test_select_cohort_rules():
     assert picked == tuple(sorted(picked))
     assert all(1 <= k <= 10 for k in picked)
     assert select_cohort(3, 0.01, round_seed=1)  # never empty
+    with pytest.raises(ValueError, match="^n_hospitals must be >= 1, got 0$"):
+        select_cohort(0, 1.0, round_seed=0)
+    with pytest.raises(ValueError, match=r"^cohort_fraction must lie in \(0,1\], got 0.0$"):
+        select_cohort(3, 0.0, round_seed=0)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -307,6 +314,8 @@ def test_fed_config_validation():
         FedConfig(n_hospitals=2, rounds=1, gate_metric="recall")
     with pytest.raises(ValueError, match="rounds"):
         FedConfig(n_hospitals=2, rounds=0)
+    with pytest.raises(ValueError, match="^n_hospitals must be >= 1, got 0$"):
+        FedConfig(n_hospitals=0, rounds=1)
 
 
 def test_single_hospital_round_equals_centralized_training():
@@ -426,13 +435,15 @@ def test_tcp_and_in_process_runs_are_bit_identical():
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=4, local_epochs=1, gate_enabled=True, seed=13)
     cfg = TrainConfig(epochs=1, seed=40)
+    in_process, tcp = tp.InProcessTransport(), tp.TcpTransport("127.0.0.1", 0)
     s_ip, e_ip = run_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
-                                arch, fed, cfg, tp.InProcessTransport())
+                                arch, fed, cfg, in_process)
     s_tcp, e_tcp = run_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
-                                  arch, fed, cfg, tp.TcpTransport("127.0.0.1", 0))
+                                  arch, fed, cfg, tcp)
     assert np.array_equal(s_ip.global_params, s_tcp.global_params)
     assert s_ip.history == s_tcp.history
     assert e_ip == e_tcp
+    assert tcp.total_wire_bytes == in_process.total_wire_bytes > 0
 
 
 def test_duplicate_registration_is_rejected():
@@ -446,6 +457,11 @@ def test_duplicate_registration_is_rejected():
     assert not first._closed and not unique._closed
     for w in workers.values():
         w.conn.close()
+
+
+def test_waiting_for_no_registration_is_an_error():
+    with pytest.raises(ValueError, match="^expected_ids must be non-empty$"):
+        wait_for_registrations(tp.InProcessTransport().listen(), [])
 
 
 def test_failed_registration_closes_the_registered_connections():
@@ -548,6 +564,30 @@ def test_a_hospital_that_cannot_connect_ends_the_run(make_transport):
                 if t.name.startswith("hospital-") and t.is_alive()]
     endpoints = getattr(transport, "_inner", transport).endpoints
     assert endpoints and all(end._closed for end in endpoints)
+
+
+class _AcceptFails(tp.InProcessTransport):
+    """An in-process transport whose listener refuses to accept: no hospital fails."""
+
+    def listen(self):
+        listener = super().listen()
+
+        def accept():
+            raise tp.TransportClosedError("accept refused by the test")
+
+        listener.accept = accept
+        return listener
+
+
+def test_a_transport_failure_with_no_failed_hospital_is_named_as_such():
+    transport = _AcceptFails()
+    with pytest.raises(RuntimeError) as info:
+        run_federation([_hospital(1, seed=1), _hospital(2, seed=2)], ModelArch("lr", input_dim=3),
+                       FedConfig(n_hospitals=2, rounds=1), TrainConfig(epochs=1, seed=0),
+                       transport)
+    assert str(info.value) == "federation transport failure: accept refused by the test"
+    assert type(info.value.__cause__) is tp.TransportClosedError
+    assert len(transport.endpoints) == 2 and all(end._closed for end in transport.endpoints)
 
 
 class _NoTransport:
@@ -744,6 +784,60 @@ def test_a_reply_that_contradicts_the_registration_is_a_protocol_error(update, r
     assert all(end._closed for end in transport.endpoints)
 
 
+@pytest.mark.parametrize("update, fault", [
+    (tp.EvalResult(1, 0, 0.5, 5), "got EvalResult"),
+    (tp.LocalUpdate(2, 0, 10, np.zeros(4)), "got LocalUpdate(hospital_id=2, "),
+    (tp.LocalUpdate(1, 1, 10, np.zeros(4)), "got LocalUpdate(hospital_id=1, round=1, "),
+], ids=["type", "hospital", "round"])
+def test_a_reply_of_the_wrong_type_hospital_or_round_is_a_protocol_error(update, fault):
+    transport = tp.InProcessTransport()
+    listener = transport.listen()
+    transport.connect(_Scripted(tp.Register(hospital_id=1, n_train=10, n_test=5), update))
+    workers = wait_for_registrations(listener, [1])
+    with pytest.raises(tp.ProtocolError) as info:
+        federation.run_server_rounds(workers, ModelArch("lr", input_dim=3),
+                                     FedConfig(n_hospitals=1, rounds=1))
+    assert str(info.value).startswith(
+        f"round 0: expected LocalUpdate from hospital 1, {fault}")
+    assert all(end._closed for end in transport.endpoints)
+
+
+_NAN_UPDATE = (tp.encode(tp.LocalUpdate(1, 0, 10, np.zeros(4)))[:-8]
+               + struct.pack("<d", float("nan")))
+
+
+@pytest.mark.parametrize("reply, error, cause", [
+    (_NAN_UPDATE[:-5], tp.FramingError, "peer closed the connection mid-frame"),
+    (_NAN_UPDATE, tp.ProtocolError, "params contain non-finite values"),
+    (b"", tp.TransportClosedError, "peer closed the connection"),
+], ids=["mid_frame", "nan_param", "closed_before_replying"])
+def test_a_transport_error_in_a_round_names_the_round_and_the_hospital(reply, error, cause):
+    transport = tp.TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    peer = transport.connect()
+    peer.send(tp.Register(hospital_id=1, n_train=10, n_test=5))
+    workers = wait_for_registrations(listener, [1])
+    listener.close()
+
+    def answer_then_close():  # a raw peer: its reply is written as bytes
+        peer.recv(timeout=30.0)
+        peer._sock.sendall(reply)
+        peer.close()
+
+    answering = threading.Thread(target=answer_then_close)
+    answering.start()
+    try:
+        with pytest.raises(error) as info:
+            federation.run_server_rounds(workers, ModelArch("lr", input_dim=3),
+                                         FedConfig(n_hospitals=1, rounds=1))
+    finally:
+        answering.join(timeout=30.0)
+        peer.close()
+    assert not answering.is_alive()
+    assert type(info.value) is error and str(info.value) == f"round 0: hospital 1: {cause}"
+    assert type(info.value.__cause__) is error and str(info.value.__cause__) == cause
+
+
 @pytest.mark.parametrize("make_transport", [tp.InProcessTransport, tp.TcpTransport],
                          ids=["inprocess", "tcp"])
 @pytest.mark.parametrize("value, accepted", [(5.0, False), (-0.1, False), (0.0, True), (1.0, True)])
@@ -800,6 +894,8 @@ def test_worker_loop_round_trip_over_plain_pair():
 
 
 def test_hospital_dataset_validation():
+    with pytest.raises(ValueError, match="^hospital_id must be non-negative, got -1$"):
+        HospitalDataset(-1, np.zeros((2, 3)), np.zeros(2), np.zeros((1, 3)), np.zeros(1))
     with pytest.raises(ValueError, match="empty test"):
         HospitalDataset(1, np.zeros((2, 3)), np.zeros(2), np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError, match="mismatch"):

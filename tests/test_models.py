@@ -88,6 +88,10 @@ def test_forward_batch_and_mismatch():
     assert np.all((batch > 0) & (batch < 1))
     with pytest.raises(ValueError, match="expected 2, got 3"):
         forward(LR2, params, np.zeros(3))
+    for bad in (np.zeros(4), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=f"^parameter length mismatch for lr: expected 3, "
+                                             f"got {bad.size}$"):
+            forward(LR2, bad, np.zeros(2))
 
 
 def test_forward_extreme_inputs_stay_in_unit_interval():
@@ -117,6 +121,9 @@ def test_cross_entropy_examples():
     assert np.isfinite(cross_entropy([0.0, 1.0], [1, 0]))
     with pytest.raises(ValueError, match="empty"):
         cross_entropy([], [])
+    with pytest.raises(ValueError,
+                       match=r"^probs and labels disagree in length: \(2,\) vs \(3,\)$"):
+        cross_entropy([0.5, 0.5], [1, 0, 1])
 
 
 def test_gradient_lr_zero_params_single_sample():
@@ -171,6 +178,8 @@ def test_gradient_errors():
         gradient(LR2, np.zeros(3), np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError, match="feature length mismatch"):
         gradient(LR2, np.zeros(3), np.zeros((2, 5)), np.zeros(2))
+    with pytest.raises(ValueError, match="^row and label counts differ: 2 rows vs 3 labels$"):
+        gradient(LR2, np.zeros(3), np.zeros((2, 2)), np.zeros(3))
     for bad_out in (np.zeros(4), np.zeros(3, dtype=np.float32)):
         with pytest.raises(ValueError, match="out must be"):
             gradient(LR2, np.zeros(3), np.zeros((2, 2)), np.zeros(2), out=bad_out)

@@ -243,6 +243,13 @@ def test_decode_short_payload():
     frame = struct.pack("<I", len(payload)) + payload
     with pytest.raises(tp.ProtocolError, match="too short"):
         tp.decode(frame)
+    with pytest.raises(tp.ProtocolError, match=r"^empty payload \(missing type tag\)$"):
+        tp.decode(struct.pack("<I", 0))
+
+
+def test_encode_rejects_what_is_not_a_message():
+    with pytest.raises(tp.ProtocolError, match="^not a protocol message: dict$"):
+        tp.encode({"round": 0})
 
 
 def test_messages_validate_fields():
@@ -417,6 +424,9 @@ def test_tcp_clean_close_signals_end_of_session():
     with pytest.raises(tp.TransportClosedError):
         server.recv()
     server.close()
+    server.close()  # a second close does nothing
+    with pytest.raises(tp.TransportClosedError, match="^send failed: "):
+        server.send(tp.Shutdown())
 
 
 def _socketpair():
