@@ -11,46 +11,28 @@ the revert path is visible.
 Run:  python3 demos/federated_gate.py
 """
 
-from fedhosp.data import (
-    PartitionPlan,
-    SyntheticConfig,
-    generate,
-    partition,
-    split_train_test,
-    variable_names,
-)
-from fedhosp.features import extract, fit_scaler, transform
-from fedhosp.federation import FedConfig, run_federation
-from fedhosp.models import ModelArch, TrainConfig
+from fedhosp.experiment import ExperimentConfig, prepare
+from fedhosp.federation import run_federation
 
 SEED = 7
 K = 4
 
-cfg = SyntheticConfig(n_episodes=800, n_variables=5, effect_size=0.6, seed=SEED)
-episodes = generate(cfg)
-train_eps, test_eps = split_train_test(episodes, 0.2, seed=SEED + 1)
-variables = variable_names(cfg.n_variables)
-train_fm = extract(train_eps, variables)
-test_fm = extract(test_eps, variables)
-scaler = fit_scaler(train_fm.rows)
-
 # label_skew draws per-hospital class proportions from a Dirichlet, so the
 # shards are deliberately non-IID — hospital 1 might see twice the mortality
-# rate of hospital 3.
-plan = PartitionPlan("label_skew", n_hospitals=K, skew_alpha=0.5, seed=SEED + 2)
-hospitals = partition(
-    transform(scaler, train_fm.rows), train_fm.labels,
-    transform(scaler, test_fm.rows), test_fm.labels, plan,
-)
+# rate of hospital 3. The master seed fans out to data=SEED, split=SEED+1,
+# partition=SEED+2, init=SEED+3 and training=SEED+4.
+cfg = ExperimentConfig(n_episodes=800, n_variables=5, effect_size=0.6,
+                       n_hospitals=K, rounds=30, local_epochs=1, learning_rate=0.8,
+                       gate_enabled=True, gate_metric="accuracy",
+                       partition_strategy="label_skew", skew_alpha=0.5, seed=SEED)
+# Each hospital scales its rows with its own training extremes.
+hospitals = prepare(cfg).hospitals(cfg.partition_plan())
 for h in hospitals:
     print(f"hospital {h.hospital_id}: {h.n_train:>3} train rows, "
           f"prevalence {h.train_y.mean():.2f}")
 
-arch = ModelArch("lr", input_dim=train_fm.rows.shape[1])
-fed = FedConfig(n_hospitals=K, rounds=30, local_epochs=1,
-                gate_enabled=True, gate_metric="accuracy", seed=SEED + 3)
-state, evals = run_federation(hospitals, arch, fed,
-                              TrainConfig(epochs=1, seed=SEED + 4, lr=0.8))
+state, evals = run_federation(hospitals, cfg.arch(cfg.n_variables), cfg.fed_config(),
+                              cfg.train_config(cfg.local_epochs))
 
 print("\nround  candidate  decision   best-so-far")
 for record, pooled in zip(state.history, evals):

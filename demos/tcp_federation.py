@@ -14,44 +14,31 @@ Run:  python3 demos/tcp_federation.py
 
 import numpy as np
 
-from fedhosp.data import PartitionPlan, SyntheticConfig, generate, partition, split_train_test, variable_names
-from fedhosp.features import extract, fit_scaler, transform
-from fedhosp.federation import FedConfig, run_federation
-from fedhosp.models import ModelArch, TrainConfig
+from fedhosp.experiment import ExperimentConfig, prepare
+from fedhosp.federation import run_federation
 from fedhosp.transport import InProcessTransport, TcpTransport
 
 SEED = 19
 
-
-def make_hospitals():
-    cfg = SyntheticConfig(n_episodes=300, n_variables=3, seed=SEED)
-    episodes = generate(cfg)
-    train_eps, test_eps = split_train_test(episodes, 0.2, seed=SEED + 1)
-    variables = variable_names(cfg.n_variables)
-    train_fm = extract(train_eps, variables)
-    test_fm = extract(test_eps, variables)
-    scaler = fit_scaler(train_fm.rows)
-    plan = PartitionPlan("equal_iid", n_hospitals=2, seed=SEED + 2)
-    return partition(
-        transform(scaler, train_fm.rows), train_fm.labels,
-        transform(scaler, test_fm.rows), test_fm.labels, plan,
-    )
-
-
-arch = ModelArch("lr", input_dim=42 * 3)
-fed = FedConfig(n_hospitals=2, rounds=8, local_epochs=1, gate_enabled=True,
-                seed=SEED + 3)
-train_cfg = TrainConfig(epochs=1, seed=SEED + 4)
+# The master seed fans out to data=SEED, split=SEED+1, partition=SEED+2,
+# init=SEED+3 and training=SEED+4.
+cfg = ExperimentConfig(n_episodes=300, n_variables=3, n_hospitals=2,
+                       rounds=8, local_epochs=1, gate_enabled=True, seed=SEED)
+# Each hospital scales its rows with its own training extremes.
+hospitals = prepare(cfg).hospitals(cfg.partition_plan())
+arch = cfg.arch(cfg.n_variables)
+fed = cfg.fed_config()
+train_cfg = cfg.train_config(cfg.local_epochs)
 
 tcp = TcpTransport("127.0.0.1", 0)  # port 0: the OS picks a free port
-state_tcp, evals_tcp = run_federation(make_hospitals(), arch, fed, train_cfg, tcp)
+state_tcp, evals_tcp = run_federation(hospitals, arch, fed, train_cfg, tcp)
 print(f"TCP run finished: best accuracy {state_tcp.best_accuracy:.4f} "
       f"after {len(state_tcp.history)} rounds")
 print(f"bytes on the wire: {tcp.total_wire_bytes:,} "
       f"({tcp.total_wire_bytes / len(state_tcp.history):,.0f} per round)")
 
 inproc = InProcessTransport()
-state_ip, evals_ip = run_federation(make_hospitals(), arch, fed, train_cfg, inproc)
+state_ip, evals_ip = run_federation(hospitals, arch, fed, train_cfg, inproc)
 
 # identical seeds + identical message ordering -> identical models, exactly
 assert np.array_equal(state_tcp.global_params, state_ip.global_params)

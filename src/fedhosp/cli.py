@@ -198,8 +198,7 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
         state, _ = run_server_rounds(workers, arch, fed_cfg)
     finally:
         listener.close()
-    print(f"finished {state.round} rounds; best {fed_cfg.gate_metric} "
-          f"{state.best_accuracy:.4f} "
+    print(f"finished {state.round} rounds; best gate value {state.best_accuracy:.4f} "
           f"({sum(r.committed for r in state.history)} committed)")
     if cfg.out_dir:
         # The workers hold every setting serve does not take; it never learns them.
@@ -274,7 +273,7 @@ _COMMANDS = {
     "compare": (cmd_compare, "run all four model x mode cells", tuple(_CONFIG_DEFAULTS), {}, ()),
     "serve": (cmd_serve, "federation server over TCP",
               ("model", "n_variables", "hidden_dim", "n_hospitals", "rounds", "cohort_fraction",
-               "gate_enabled", "gate_metric", "seed", "out_dir"),
+               "gate_enabled", "seed", "out_dir"),
               {"listen": str}, ("listen",)),
     "worker": (cmd_worker, "one hospital process",
                ("model", "hidden_dim", "test_fraction", "local_epochs", "batch_size",

@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from .data import (
     PARTITION_STRATEGIES,
     HospitalDataset,
@@ -157,18 +155,6 @@ class ExperimentConfig:
 FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def report_header(cfg: ExperimentConfig) -> dict:
     """What every report starts with: the schema version and ``config``, the
     experiment parameters only.
@@ -177,7 +163,7 @@ def report_header(cfg: ExperimentConfig) -> dict:
     left out — two runs of the same experiment produce byte-identical reports
     no matter where they are written.
     """
-    config = _jsonable(asdict(cfg))
+    config = asdict(cfg)
     del config["out_dir"]
     return {"schema_version": REPORT_SCHEMA_VERSION, "config": config}
 
@@ -226,6 +212,12 @@ class Prepared:
         return _scaled_locally(HospitalDataset(hospital_id, self.train.rows, self.train.labels,
                                               self.test.rows, self.test.labels))
 
+    def hospitals(self, plan: PartitionPlan) -> list[HospitalDataset]:
+        """The rows dealt to hospitals 1..K by ``plan``, each hospital scaled
+        with its own training extremes, so raw values never pool anywhere."""
+        return [_scaled_locally(h) for h in partition(
+            self.train.rows, self.train.labels, self.test.rows, self.test.labels, plan)]
+
 
 def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> Prepared:
     """Data (see ``load_data``), split and feature stages; model and mode play no part."""
@@ -245,7 +237,6 @@ def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> 
 
 def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
     """Train and evaluate ``cfg``'s (model, mode) cell on ``data``; returns its report."""
-    train_fm, test_fm = data.train, data.test
     arch = cfg.arch(len(data.variables))
     report = {
         **report_header(cfg),
@@ -254,8 +245,8 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
                  "hidden_dim": arch.hidden_dim if arch.kind == "mlp" else None,
                  "n_params": arch.n_params},
         "stage_seeds": cfg.stage_seeds,
-        "n_train_episodes": len(train_fm.episode_ids),
-        "n_test_episodes": len(test_fm.episode_ids),
+        "n_train_episodes": len(data.train.episode_ids),
+        "n_test_episodes": len(data.test.episode_ids),
     }
 
     try:
@@ -265,10 +256,7 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
                            pooled.train_y, cfg.train_config(cfg.epochs))
             result = evaluate(forward(arch, params, pooled.test_x), pooled.test_y)
         else:
-            hospitals = [_scaled_locally(h) for h in partition(
-                train_fm.rows, train_fm.labels, test_fm.rows, test_fm.labels,
-                cfg.partition_plan(),
-            )]
+            hospitals = data.hospitals(cfg.partition_plan())
             state, evals = run_federation(hospitals, arch, cfg.fed_config(),
                                           cfg.train_config(cfg.local_epochs))
             result = evals[-1]
@@ -276,7 +264,7 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
                 **federation_report(state),
                 "hospital_train_sizes": [h.n_train for h in hospitals],
                 "hospital_test_sizes": [h.n_test for h in hospitals],
-                "eval_history": [_jsonable(asdict(e)) for e in evals],
+                "eval_history": [asdict(e) for e in evals],
             }
     except FederationConfigError:
         raise
@@ -301,14 +289,17 @@ def federation_report(state: FederationState) -> dict:
     return {
         "best_accuracy": state.best_accuracy,
         "rounds_committed": sum(r.committed for r in state.history),
-        "rounds": [_jsonable(asdict(r)) for r in state.history],
+        "rounds": [asdict(r) for r in state.history],
     }
 
 
 def write_report(report: dict, path) -> None:
+    """Write ``report`` as sorted, indented JSON to ``path``, making its
+    directory. The report holds JSON values only (dicts, lists, tuples, str,
+    int, float, bool, None): a numpy array or numpy integer raises TypeError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:

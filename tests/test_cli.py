@@ -249,6 +249,14 @@ def _spawn(args):
     )
 
 
+def _reap(procs):
+    """Kill every child still running, then close each one's stdout pipe, so a
+    failed test leaves no pipe open for a later test's ResourceWarning."""
+    for proc in procs:
+        with proc:  # leaving closes the pipe and waits for the exit
+            proc.kill()  # a no-op once the child has exited
+
+
 @pytest.fixture
 def shards(tmp_path):
     """Two on-disk hospital shards drawn from one synthetic dataset.
@@ -277,28 +285,26 @@ def test_serve_and_workers_over_tcp(tmp_path, shards):
     server = _spawn(["serve", "--listen", f"127.0.0.1:{port}", "--model", "lr",
                      "--variables", "2", "--hospitals", "2", "--rounds", "2",
                      "--seed", "3", "--out", str(out)])
+    workers = []
     try:
         _wait_for_listen(port)
-        workers = [
-            _spawn(["worker", "--connect", f"127.0.0.1:{port}", "--id", str(k),
-                    "--shard", str(shard), "--local-epochs", "1", "--seed", "3"])
-            for k, shard in enumerate(shards, start=1)
-        ]
+        for k, shard in enumerate(shards, start=1):
+            workers.append(_spawn(["worker", "--connect", f"127.0.0.1:{port}", "--id", str(k),
+                                   "--shard", str(shard), "--local-epochs", "1",
+                                   "--seed", "3"]))
         for w in workers:
             out_text = w.communicate(timeout=120)[0]
             assert w.returncode == 0, out_text
         server_out = server.communicate(timeout=120)[0]
         assert server.returncode == 0, server_out
     finally:
-        for proc in [server, *locals().get("workers", [])]:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+        _reap([server, *workers])
     report = json.loads((out / "report.json").read_text())
     assert len(report["rounds"]) == 2
     for entry in report["rounds"]:
         assert set(entry) == {"round", "candidate_accuracy", "committed", "weights", "cohort"}
     assert "listening on 127.0.0.1" in server_out
+    assert "finished 2 rounds; best gate value " in server_out
 
 
 def test_duplicate_worker_id_is_rejected(tmp_path, shards):
@@ -319,10 +325,7 @@ def test_duplicate_worker_id_is_rejected(tmp_path, shards):
         dup_out = dup.communicate(timeout=60)[0]
         assert dup.returncode != 0, dup_out
     finally:
-        for proc in (server, *workers):
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+        _reap([server, *workers])
 
 
 @pytest.mark.parametrize("fault", [{"n_samples": 0}, {"params": np.zeros(7)}],
@@ -396,9 +399,16 @@ def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path, 
 
 
 def test_serve_report_config_is_null_for_the_settings_the_workers_hold(served_config):
-    held = ("local_epochs", "batch_size", "learning_rate", "test_fraction", "n_episodes")
+    held = ("local_epochs", "batch_size", "learning_rate", "test_fraction", "n_episodes",
+            "gate_metric")
     assert {k: served_config[k] for k in held} == dict.fromkeys(held)
     assert served_config["gate_enabled"] is True and served_config["hidden_dim"] == 50
+
+
+def test_serve_takes_no_gate_metric(capsys):
+    """Each worker scores the gate; the server only compares the values it is sent."""
+    assert _exit_code(["serve", "--listen", "127.0.0.1:0", "--gate-metric", "auroc"]) == 2
+    assert "unrecognized arguments: --gate-metric auroc" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

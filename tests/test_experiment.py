@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import fedhosp.experiment as experiment
@@ -13,12 +14,14 @@ from fedhosp.data import (
     PartitionPlan,
     SyntheticConfig,
     generate,
+    partition,
     save_episodes,
 )
 from fedhosp.experiment import (
     ExperimentConfig,
     ExperimentError,
     format_comparison,
+    prepare,
     run_comparison,
     run_experiment,
     write_report,
@@ -92,6 +95,36 @@ def test_write_report_creates_parents_and_round_trips(tmp_path):
     path = tmp_path / "deep" / "nested" / "report.json"
     write_report({"alpha": 1, "beta": [1.5, 2.5]}, path)
     assert json.loads(path.read_text()) == {"alpha": 1, "beta": [1.5, 2.5]}
+
+
+def test_write_report_writes_tuples_as_lists_and_refuses_numpy_values(tmp_path):
+    path = tmp_path / "report.json"
+    write_report({"cohort": (1, 2)}, path)
+    assert path.read_text() == '{\n  "cohort": [\n    1,\n    2\n  ]\n}\n'
+    for value in (np.int64(1), np.zeros(2)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report({"value": value}, path)
+
+
+def _reaches_its_extremes(rows) -> bool:
+    """Whether every non-constant column of ``rows`` spans exactly [-1, 1]."""
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    varies = hi > lo
+    return bool((lo[varies] == -1.0).all() and (hi[varies] == 1.0).all())
+
+
+def test_prepared_hospitals_scale_each_hospital_with_its_own_extremes():
+    cfg = _cfg(mode="federated", n_episodes=120, n_variables=3, n_hospitals=3,
+               partition_strategy="label_skew")
+    data, plan = prepare(cfg), cfg.partition_plan()
+    hospitals = data.hospitals(plan)
+    assert [h.hospital_id for h in hospitals] == [1, 2, 3]
+    assert all(_reaches_its_extremes(h.train_x) for h in hospitals)
+    # One scaler fit on the pooled rows leaves some hospital short of its
+    # extremes, so the check above tells the two apart.
+    pooled = data.as_hospital(0)
+    assert not all(_reaches_its_extremes(h.train_x) for h in partition(
+        pooled.train_x, pooled.train_y, pooled.test_x, pooled.test_y, plan))
 
 
 def test_comparison_runs_all_four_cells():

@@ -25,8 +25,7 @@ import numpy as np
 import pytest
 
 from fedhosp.cli import main
-from fedhosp.data import partition
-from fedhosp.experiment import ExperimentConfig, _scaled_locally, prepare
+from fedhosp.experiment import ExperimentConfig, prepare
 from fedhosp.federation import run_federation
 from fedhosp.transport import TcpTransport
 
@@ -107,10 +106,7 @@ def test_cli_run_matches_its_golden_digest(run, tmp_path, capsys):
 
 def test_fed_lr_over_tcp_matches_its_golden_digest():
     cfg = ExperimentConfig(mode="federated", n_episodes=300, n_variables=3, rounds=4, seed=11)
-    data = prepare(cfg)
-    hospitals = [_scaled_locally(h) for h in partition(
-        data.train.rows, data.train.labels, data.test.rows, data.test.labels,
-        cfg.partition_plan())]
+    hospitals = prepare(cfg).hospitals(cfg.partition_plan())
     state, _ = run_federation(hospitals, cfg.arch(3), cfg.fed_config(),
                               cfg.train_config(cfg.local_epochs), TcpTransport())
     _check("fed-lr-tcp-params", hashlib.sha256(state.global_params.tobytes()).hexdigest())
