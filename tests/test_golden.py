@@ -49,6 +49,15 @@ RUNS = {
     "generate": (["generate", *SMALL], ["measurements.csv", "labels.csv"]),
 }
 
+# Runs on the CSV files of ``generate`` (some series empty), in a working
+# directory of their own so the report's ``data_dir`` reads "data" in every run.
+# run -> (argv, the file whose bytes are digested)
+CSV_RUNS = {
+    "train-data-dir-central-lr": (["train", "--data-dir", "data", "--epochs", "20",
+                                   "--seed", "11", "--out", "out"], "out/report.json"),
+    "extract": (["extract", "--data", "data", "--out", "features.csv"], "features.csv"),
+}
+
 GOLDEN = {
     "train-central-mlp":
         "57f11c9215e3bb454d2882c5eaf375e36040e6db9885baf3dbdbfcc9ae8330af",
@@ -60,6 +69,10 @@ GOLDEN = {
         "d005f3ecca8a950d0f26d631e98198ca8743e80957565586b5b92e42937a5f49",
     "generate":
         "c62da3aab58605d8e047d0af3da443a9656d3fd68e4488dfe8d9f46576e264c1",
+    "train-data-dir-central-lr":
+        "8635937dcc11080219ae3effd4bdca02aac5a8bdcaa11eb5152b98c75e601941",
+    "extract":
+        "35fcb8dacfd4e365dd674eb121858907604be0b3d81ad44134fd0d7c34fb4fdd",
     "fed-lr-tcp-params":
         "e1d7f98764b12d746a0b5e612578ac3cc17e4bd9be29ddfe83d680dc5ee9ee3f",
 }
@@ -102,6 +115,16 @@ def test_cli_run_matches_its_golden_digest(run, tmp_path, capsys):
     for name in files:
         sha.update((tmp_path / name).read_bytes())
     _check(run, sha.hexdigest())
+
+
+@pytest.mark.parametrize("run", CSV_RUNS)
+def test_cli_run_on_generated_csv_matches_its_golden_digest(run, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", *SMALL, "--points-min", "0", "--out", "data"]) == 0
+    argv, output = CSV_RUNS[run]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _check(run, hashlib.sha256((tmp_path / output).read_bytes()).hexdigest())
 
 
 def test_fed_lr_over_tcp_matches_its_golden_digest():
