@@ -34,11 +34,11 @@ for h in hospitals:
 state, evals = run_federation(hospitals, cfg.arch(cfg.n_variables), cfg.fed_config(),
                               cfg.train_config(cfg.local_epochs))
 
-print("\nround  candidate  decision   best-so-far")
+print("\nround  candidate  decision   pooled AUROC")
 for record, pooled in zip(state.history, evals):
     verdict = "commit" if record.committed else "REVERT"
-    print(f"{record.round:>5}  {record.candidate_accuracy:.4f}     {verdict:<8} "
-          f"(pooled auroc {pooled.auroc:.3f})")
+    print(f"{record.round:>5}  {record.candidate_accuracy:.4f}     {verdict:<8}   "
+          f"{pooled.auroc:.3f}")
 
 commits = sum(r.committed for r in state.history)
 print(f"\n{commits}/{len(state.history)} rounds committed; "

@@ -19,10 +19,12 @@ Every function here is deterministic in its seed; none keeps global state.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,10 @@ __all__ = [
     "variable_names",
     "generate",
     "save_episodes",
+    "Points",
+    "load_points",
     "load_episodes",
+    "split_mask",
     "split_train_test",
     "partition_rows",
     "partition",
@@ -61,6 +66,8 @@ DEFAULT_VARIABLES = (
 MAX_SYNTHETIC_POINTS = 5_000_000
 
 PARTITION_STRATEGIES = ("equal_iid", "label_skew")
+
+_MEASUREMENTS_HEADER = ["episode_id", "variable", "hour", "value"]
 
 
 def variable_names(n_variables: int) -> tuple[str, ...]:
@@ -180,7 +187,7 @@ def save_episodes(episodes, measurements_path, labels_path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     quote = csv.writer(_Echo())
     with open(measurements_path, "w", newline="") as f:
-        f.write(quote.writerow(["episode_id", "variable", "hour", "value"]))
+        f.write(quote.writerow(_MEASUREMENTS_HEADER))
         for ep in episodes:
             for var, points in ep.series.items():
                 prefix = quote.writerow([ep.episode_id, var, ""])[:-2]  # drop the line end
@@ -196,12 +203,29 @@ def _parse_error(path, line_no: int, problem: str) -> ValueError:
     return ValueError(f"{Path(path).name}, line {line_no}: {problem}")
 
 
-def load_episodes(measurements_path, labels_path) -> list[Episode]:
-    """Read the two-file CSV format back into Episode records.
+# One measurements row as np.loadtxt parses it: names as str, numbers by numpy's C reader.
+_ROW = np.dtype([("episode", object), ("variable", object), ("hour", "f8"), ("value", "f8")])
 
-    The labels file defines which episodes exist (an episode may have zero
-    measurements); a measurement row naming an unlisted episode is an error.
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """Every measurement of a two-file CSV episode set, as flat arrays in file order.
+
+    Point i is ``episode_ids[episode[i]]``'s ``variables[variable[i]]`` at
+    ``hour[i]`` with ``value[i]``. ``episode_ids`` and ``labels`` follow
+    labels.csv; ``variables`` is in order of first appearance.
     """
+
+    episode_ids: tuple[str, ...]
+    labels: np.ndarray
+    variables: tuple[str, ...]
+    episode: np.ndarray
+    variable: np.ndarray
+    hour: np.ndarray
+    value: np.ndarray
+
+
+def _load_labels(labels_path) -> dict[str, int]:
     labels: dict[str, int] = {}
     with open(labels_path, newline="") as f:
         reader = csv.reader(f)
@@ -217,18 +241,45 @@ def load_episodes(measurements_path, labels_path) -> list[Episode]:
             if eid in labels:
                 raise _parse_error(labels_path, line_no, f"duplicate label row for episode {eid!r}")
             labels[eid] = int(label_text)
+    return labels
 
-    series: dict[str, dict[str, list[tuple[float, float]]]] = {eid: {} for eid in labels}
+
+def _columns(lines, index: dict[str, int]):
+    """(variables, episode, variable, hour, value) of the measurement rows in
+    ``lines``, the file's lines after its header.
+
+    Raises ValueError or KeyError where ``_checked_rows`` would find a bad
+    row, but without saying which, and returns no rows for a blank first line.
+    """
+    first = next(lines, "")
+    if not first.rstrip("\r\n"):
+        table = np.empty(0, _ROW)
+    else:
+        table = np.loadtxt(chain([first], lines), dtype=_ROW, delimiter=",", comments=None,
+                           quotechar='"', ndmin=1)
+    episode = np.fromiter(map(index.__getitem__, table["episode"]), np.intp, table.size)
+    variables = {var: i for i, var in enumerate(dict.fromkeys(table["variable"]))}
+    variable = np.fromiter(map(variables.__getitem__, table["variable"]), np.intp, table.size)
+    hour, value = table["hour"].copy(), table["value"].copy()
+    del table  # the name strings, most of the table's memory
+    if not (((hour >= 0.0) & (hour <= HORIZON_HOURS)).all() and np.isfinite(value).all()):
+        raise ValueError("an hour or value is out of range")
+    return tuple(variables), episode, variable, hour, value
+
+
+def _checked_rows(measurements_path, index: dict[str, int]) -> io.StringIO:
+    """The measurement rows as ``csv.reader`` reads them, written again by
+    ``csv.writer``; raises the first bad row's error."""
+    rows = io.StringIO()
+    writer = csv.writer(rows)
     with open(measurements_path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["episode_id", "variable", "hour", "value"]:
-            raise _parse_error(measurements_path, 1, f"unexpected header {header!r}")
+        next(reader)
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise _parse_error(measurements_path, line_no, f"expected 4 columns, got {len(row)}")
-            eid, var, hour_text, value_text = row
-            if eid not in labels:
+            eid, _, hour_text, value_text = row
+            if eid not in index:
                 raise _parse_error(
                     measurements_path, line_no,
                     f"episode {eid!r} has measurements but no label row",
@@ -246,27 +297,75 @@ def load_episodes(measurements_path, labels_path) -> list[Episode]:
                 )
             if not math.isfinite(value):
                 raise _parse_error(measurements_path, line_no, f"non-finite value {value!r}")
-            series[eid].setdefault(var, []).append((hour, value))
-
-    episodes = []
-    for eid, label in labels.items():
-        for points in series[eid].values():
-            points.sort(key=operator.itemgetter(0))
-        episodes.append(Episode(episode_id=eid, series=series[eid], label=label))
-    return episodes
+            writer.writerow(row)
+    rows.seek(0)
+    return rows
 
 
-def split_train_test(episodes, test_fraction: float, seed: int) -> tuple[list[Episode], list[Episode]]:
-    """Label-stratified random split; deterministic per seed.
+def load_points(measurements_path, labels_path) -> Points:
+    """Read the two-file CSV format into flat per-point arrays.
+
+    The labels file defines which episodes exist (an episode may have zero
+    measurements); a measurement row naming an unlisted episode is an error.
+    ``np.loadtxt`` parses the measurement rows, one line of the open file at
+    a time, and the checks run over whole columns. If one fails, or a line
+    held no row (a blank line, or a quoted line break), one ``csv.reader``
+    pass raises the first bad row's error; a file with none is parsed again
+    as that pass wrote it. A number ``float`` reads but numpy does not
+    (``1_0``, non-ASCII digits) is a ValueError naming the file.
+    """
+    labels = _load_labels(labels_path)
+    index = {eid: i for i, eid in enumerate(labels)}
+    with open(measurements_path, newline="") as f:
+        header = next(csv.reader(f), None)
+        if header != _MEASUREMENTS_HEADER:
+            raise _parse_error(measurements_path, 1, f"unexpected header {header!r}")
+        n_lines = count()  # the lines loadtxt takes: one per row if none is blank or split
+        try:
+            columns = _columns(map(operator.itemgetter(0), zip(f, n_lines)), index)
+        except (ValueError, KeyError):
+            columns = None
+    if columns is None or next(n_lines) != columns[-1].size:
+        rows = _checked_rows(measurements_path, index)
+        try:
+            columns = _columns(rows, index)
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{Path(measurements_path).name}: {exc}") from None
+    return Points(tuple(labels), np.fromiter(labels.values(), np.int64, len(labels)), *columns)
+
+
+def load_episodes(measurements_path, labels_path) -> list[Episode]:
+    """``load_points`` as Episode records, in labels.csv order.
+
+    An episode's variables keep the order their rows first appear in; each
+    series is sorted by hour, rows of equal hour in file order.
+    """
+    p = load_points(measurements_path, labels_path)
+    key = p.episode * len(p.variables) + p.variable
+    _, first_row, series = np.unique(key, return_index=True, return_inverse=True)
+    order = np.lexsort((p.hour, first_row[series], p.episode))
+    key = key[order]
+    hours, values = p.hour[order].tolist(), p.value[order].tolist()
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    spans = zip(starts.tolist(), starts[1:].tolist() + [key.size])
+    series_of = [{} for _ in p.episode_ids]
+    for (start, end), k in zip(spans, key[starts].tolist()):
+        episode, variable = divmod(k, len(p.variables))
+        series_of[episode][p.variables[variable]] = list(zip(hours[start:end], values[start:end]))
+    return [Episode(eid, series, label)
+            for eid, series, label in zip(p.episode_ids, series_of, p.labels.tolist())]
+
+
+def split_mask(labels, test_fraction: float, seed: int) -> np.ndarray:
+    """Label-stratified random split of ``labels``: True marks the test side.
 
     Per class, ``round(test_fraction * n_class)`` episodes go to the test
     side; both sides must keep at least one episode of each class.
     """
-    episodes = list(episodes)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie strictly in (0,1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    labels = np.array([ep.label for ep in episodes])
+    labels = np.asarray(labels)
     is_test = np.zeros(labels.size, dtype=bool)
     for label in (0, 1):
         class_idx = np.flatnonzero(labels == label)
@@ -277,8 +376,15 @@ def split_train_test(episodes, test_fraction: float, seed: int) -> tuple[list[Ep
                 f"{test_fraction} leaves train or test empty for it"
             )
         is_test[rng.permutation(class_idx)[:n_test]] = True
-    train = [ep for ep, t in zip(episodes, is_test.tolist()) if not t]
-    test = [ep for ep, t in zip(episodes, is_test.tolist()) if t]
+    return is_test
+
+
+def split_train_test(episodes, test_fraction: float, seed: int) -> tuple[list[Episode], list[Episode]]:
+    """``split_mask`` of the episodes' labels, as (train, test) episode lists."""
+    episodes = list(episodes)
+    is_test = split_mask([ep.label for ep in episodes], test_fraction, seed).tolist()
+    train = [ep for ep, t in zip(episodes, is_test) if not t]
+    test = [ep for ep, t in zip(episodes, is_test) if t]
     return train, test
 
 

@@ -14,21 +14,34 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import compress
 from pathlib import Path
 from typing import get_args, get_type_hints
+
+import numpy as np
 
 from .data import (
     PARTITION_STRATEGIES,
     HospitalDataset,
     PartitionPlan,
+    Points,
     SyntheticConfig,
     generate,
     load_episodes,
+    load_points,
     partition,
+    split_mask,
     split_train_test,
     variable_names,
 )
-from .features import STATS_PER_VARIABLE, FeatureMatrix, extract, fit_scaler, transform
+from .features import (
+    STATS_PER_VARIABLE,
+    FeatureMatrix,
+    extract,
+    extract_points,
+    fit_scaler,
+    transform,
+)
 from .federation import (
     GATE_METRICS,
     FedConfig,
@@ -180,16 +193,40 @@ def load_data(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None):
         return generate(cfg.synthetic()), variable_names(cfg.n_variables)
     data_dir = Path(cfg.data_dir)
     episodes = load_episodes(data_dir / "measurements.csv", data_dir / "labels.csv")
-    observed = {var for ep in episodes for var in ep.series}
+    return episodes, _chosen_variables({var for ep in episodes for var in ep.series},
+                                       variables, data_dir)
+
+
+def _chosen_variables(observed, variables, data_dir) -> tuple[str, ...]:
+    """``variables``, warning of any name not ``observed``, else the observed names sorted."""
     if variables:
         unobserved = [var for var in variables if var not in observed]
         if unobserved:
             print(f"warning: no measurements of {', '.join(unobserved)} under {data_dir}; "
                   f"their features are all zero", file=sys.stderr)
-    variables = variables or tuple(sorted(observed))
-    if not variables:
+        return variables
+    if not observed:
         raise ValueError(f"no measurements found under {data_dir}")
-    return episodes, variables
+    return tuple(sorted(observed))
+
+
+def _extract_points(points: Points, take: np.ndarray, variables: tuple[str, ...]) -> FeatureMatrix:
+    """``extract``'s matrix for the episodes that ``take`` marks, from ``points``."""
+    column = {var: i for i, var in enumerate(variables)}
+    column_of = np.array([column.get(var, -1) for var in points.variables], dtype=np.intp)
+    point_column = column_of[points.variable]
+    keep = take[points.episode] & (point_column >= 0)
+    row = np.cumsum(take) - 1
+    key = row[points.episode[keep]] * len(variables) + point_column[keep]
+    hour, value = points.hour[keep], points.value[keep]
+    # A file lists each series in time order, so a stable sort by key alone is
+    # usually enough; a series out of time order needs the full sort.
+    order = np.argsort(key, kind="stable")
+    if (np.diff(hour[order])[np.diff(key[order]) == 0] < 0).any():
+        order = np.lexsort((hour, key))
+    return extract_points(hour[order], value[order], key[order],
+                          tuple(compress(points.episode_ids, take.tolist())),
+                          points.labels[take], variables)
 
 
 def _scaled_locally(h: HospitalDataset) -> HospitalDataset:
@@ -220,17 +257,30 @@ class Prepared:
 
 
 def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> Prepared:
-    """Data (see ``load_data``), split and feature stages; model and mode play no part."""
+    """Data (see ``load_data``), split and feature stages; model and mode play no part.
+
+    CSV data stays in arrays from ``load_points`` to the feature rows: no
+    Episode record is built for it.
+    """
     try:
-        episodes, variables = load_data(cfg, variables)
+        if cfg.data_dir is None:
+            episodes, variables = load_data(cfg, variables)
+        else:
+            data_dir = Path(cfg.data_dir)
+            points = load_points(data_dir / "measurements.csv", data_dir / "labels.csv")
+            variables = _chosen_variables(points.variables, variables, data_dir)
     except Exception as exc:
         raise ExperimentError(f"data stage: {exc}") from exc
 
     try:
-        train_eps, test_eps = split_train_test(episodes, cfg.test_fraction,
-                                               cfg.stage_seeds["split"])
-        return Prepared(variables, extract(train_eps, variables),
-                        extract(test_eps, variables))
+        if cfg.data_dir is None:
+            train_eps, test_eps = split_train_test(episodes, cfg.test_fraction,
+                                                   cfg.stage_seeds["split"])
+            return Prepared(variables, extract(train_eps, variables),
+                            extract(test_eps, variables))
+        is_test = split_mask(points.labels, cfg.test_fraction, cfg.stage_seeds["split"])
+        return Prepared(variables, _extract_points(points, ~is_test, variables),
+                        _extract_points(points, is_test, variables))
     except Exception as exc:
         raise ExperimentError(f"feature stage: {exc}") from exc
 

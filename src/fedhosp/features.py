@@ -29,6 +29,9 @@ call per window:
    the same count n are gathered into one (m, n) block, and the statistics
    are row reductions (``axis=1``) over it.
 
+Steps 2 and 3 are ``extract_points``, which also takes points read from CSV
+as arrays (``fedhosp.data.load_points``) with no Episode built.
+
 The result is bit-identical to applying ``window_stats`` to the output of
 ``slice_windows``, series by series. A row of a C-contiguous block reaches
 numpy's reduction loop exactly as a 1-D array of the same values does, so
@@ -57,6 +60,7 @@ __all__ = [
     "slice_windows",
     "window_stats",
     "extract",
+    "extract_points",
     "feature_names",
     "fit_scaler",
     "transform",
@@ -221,19 +225,31 @@ def extract(episodes, variables) -> FeatureMatrix:
     missingness. See the module docstring for how the windows are computed.
     """
     variables = tuple(variables)
-    if not variables:
-        raise ValueError("variables list must be non-empty")
     episodes = list(episodes)
     series = [ep.series.get(var, ()) for ep in episodes for var in variables]
-    n_series = len(series)
-    lengths = np.fromiter(map(len, series), dtype=np.intp, count=n_series)
+    lengths = np.fromiter(map(len, series), dtype=np.intp, count=len(series))
     points = np.fromiter(
         chain.from_iterable(chain.from_iterable(series)),
         dtype=np.float64, count=2 * int(lengths.sum()),
     )
-    hour, value = points[0::2], points[1::2]
-    key = np.repeat(np.arange(n_series), lengths)
+    return extract_points(
+        points[0::2], points[1::2], np.repeat(np.arange(len(series)), lengths),
+        tuple(ep.episode_id for ep in episodes),
+        np.array([ep.label for ep in episodes], dtype=np.int64), variables,
+    )
 
+
+def extract_points(hour, value, key, episode_ids, labels, variables) -> FeatureMatrix:
+    """``extract``'s matrix from flat points, with no Episode record.
+
+    Point i belongs to series ``key[i] = row * len(variables) + column``;
+    the points are sorted stably by (key, hour), the order ``extract``
+    flattens episodes in, so each window's sums add in the same order.
+    """
+    variables = tuple(variables)
+    if not variables:
+        raise ValueError("variables list must be non-empty")
+    n_series = len(episode_ids) * len(variables)
     masks = [np.ones(hour.size, dtype=bool)]
     masks += [hour < HORIZON_HOURS * q for q in _QUANTS]
     masks += [hour >= HORIZON_HOURS * (1.0 - q) for q in _QUANTS]
@@ -248,10 +264,8 @@ def extract(episodes, variables) -> FeatureMatrix:
             block = w_values[starts[ids, None] + np.arange(n)]
             stats[ids, w] = _count_block_stats(block)
     return FeatureMatrix(
-        rows=stats.reshape(len(episodes), STATS_PER_VARIABLE * len(variables)),
-        episode_ids=tuple(ep.episode_id for ep in episodes),
-        labels=np.array([ep.label for ep in episodes], dtype=np.int64),
-        variables=variables,
+        rows=stats.reshape(len(episode_ids), STATS_PER_VARIABLE * len(variables)),
+        episode_ids=episode_ids, labels=labels, variables=variables,
     )
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "ProtocolError",
     "FramingError",
     "TransportClosedError",
+    "DeadlineError",
     "encode",
     "decode",
     "InProcessTransport",
@@ -106,6 +107,10 @@ class FramingError(TransportError):
 
 class TransportClosedError(TransportError):
     """The peer (or this side) closed the connection."""
+
+
+class DeadlineError(TransportError):
+    """A whole message did not arrive within the receive timeout."""
 
 
 def _check_finite(name: str, wire: str, value) -> None:
@@ -257,7 +262,7 @@ class TcpConnection:
                     self._sock.settimeout(left)
                 chunk = self._sock.recv(_RECV_CHUNK)
             except TimeoutError:
-                raise TransportError("no complete message within the deadline") from None
+                raise DeadlineError("no complete message within the deadline") from None
             except OSError as exc:
                 raise TransportClosedError(f"connection lost: {exc}") from None
             if not chunk:
@@ -283,7 +288,7 @@ class TcpConnection:
 
     def recv(self, timeout: float | None = None) -> Message:
         """Next message. With a ``timeout`` (s) the whole frame must arrive by
-        then, else ``TransportError`` (part of a frame may have been read, so
+        then, else ``DeadlineError`` (part of a frame may have been read, so
         close the connection); without one the socket stays blocking."""
         deadline = None if timeout is None else time.monotonic() + timeout
         try:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import csv
+import math
+import operator
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,145 @@ def test_load_names_the_file_and_line_of_a_bad_row(tmp_path, labels, measurement
     with pytest.raises(ValueError) as info:
         load_episodes(m, l)
     assert str(info.value) == error
+
+
+def _reference_error(path, line_no, problem):
+    return ValueError(f"{Path(path).name}, line {line_no}: {problem}")
+
+
+def _reference_load(measurements_path, labels_path):
+    """The row-by-row ``csv.reader`` loader ``load_points`` replaced: the
+    oracle for ``load_episodes``' output and error messages."""
+    labels: dict[str, int] = {}
+    with open(labels_path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != ["episode_id", "label"]:
+            raise _reference_error(labels_path, 1, f"unexpected header {header!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise _reference_error(labels_path, line_no, f"expected 2 columns, got {len(row)}")
+            eid, label_text = row
+            if label_text not in ("0", "1"):
+                raise _reference_error(labels_path, line_no, f"label must be 0 or 1, got {label_text!r}")
+            if eid in labels:
+                raise _reference_error(labels_path, line_no, f"duplicate label row for episode {eid!r}")
+            labels[eid] = int(label_text)
+
+    series: dict[str, dict[str, list[tuple[float, float]]]] = {eid: {} for eid in labels}
+    with open(measurements_path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != ["episode_id", "variable", "hour", "value"]:
+            raise _reference_error(measurements_path, 1, f"unexpected header {header!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise _reference_error(measurements_path, line_no, f"expected 4 columns, got {len(row)}")
+            eid, var, hour_text, value_text = row
+            if eid not in labels:
+                raise _reference_error(
+                    measurements_path, line_no,
+                    f"episode {eid!r} has measurements but no label row",
+                )
+            try:
+                hour, value = float(hour_text), float(value_text)
+            except ValueError:
+                raise _reference_error(
+                    measurements_path, line_no, f"non-numeric hour/value {row[2:]!r}"
+                ) from None
+            if not 0.0 <= hour <= HORIZON_HOURS:
+                raise _reference_error(
+                    measurements_path, line_no,
+                    f"hour {hour!r} outside [0, {HORIZON_HOURS:g}]",
+                )
+            if not math.isfinite(value):
+                raise _reference_error(measurements_path, line_no, f"non-finite value {value!r}")
+            series[eid].setdefault(var, []).append((hour, value))
+
+    episodes = []
+    for eid, label in labels.items():
+        for points in series[eid].values():
+            points.sort(key=operator.itemgetter(0))
+        episodes.append(Episode(episode_id=eid, series=series[eid], label=label))
+    return episodes
+
+
+
+def _outcome(load, m, l):
+    """What ``load`` makes of the two files: the repr of its episodes, or its error."""
+    try:
+        return "ok", repr(load(m, l))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# A measurements file: a well-formed one, or one with a piece of text spliced in
+# anywhere. Its fields hold names and numbers with the characters CSV treats
+# specially; its line ends are of every kind; the splice may add a bad number,
+# a blank line, a quote, a separator or text from the same characters.
+_TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "#", "é", "e1"]),
+                 max_size=4).map("".join)
+_GOOD_NUMBER = st.sampled_from(["0", "1.5", "48", "-0.0", " 2 ", "\t3", "1e1", ".5", "+1", '"7"'])
+_BAD_NUMBER = st.sampled_from(["49", "-1", "nan", "inf", "-inf", "1e400", "", "x", "0x1", ' "7"'])
+
+
+def _file(number):
+    row = st.tuples(
+        st.sampled_from(["e1", "e2", '"e,4"', '"e1"']),
+        st.sampled_from(["hr", "bp", "é", '"\r"', '"a\nb"', '"x""y"', "#c", " hr", ""]),
+        number, number,
+    )
+    return st.builds(
+        lambda rows, ends: "".join(",".join(row) + end for row, end in zip(rows, ends)),
+        st.lists(row, max_size=6).map(lambda rows: [("episode_id", "variable", "hour", "value"),
+                                                     *rows]),
+        st.lists(st.sampled_from(["\r\n", "\n", "\r", ""]), min_size=7, max_size=7)
+        .map(lambda ends: [end or "\n" for end in ends[:-1]] + ends[-1:]),
+    )
+
+
+_SPLICE = st.one_of(_TEXT, st.sampled_from(
+    ["9", "x", "e", " ", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", ",", '"', "e3", "e1 "]))
+
+
+def _spliced(text: str, at: int, piece: str) -> str:
+    at %= len(text) + 1
+    return text[:at] + piece + text[at:]
+
+
+_MEASUREMENTS = st.one_of(
+    _file(_GOOD_NUMBER),
+    _file(st.one_of(_GOOD_NUMBER, _BAD_NUMBER)),
+    st.builds(_spliced, _file(_GOOD_NUMBER), st.integers(0, 400), _SPLICE),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(measurements=_MEASUREMENTS,
+       labels=st.sampled_from(["episode_id,label\r\ne1,0\r\ne2,1\r\n\"e,4\",0\r\n",
+                               "episode_id,label\ne1,1\n", "episode_id,label\n"]))
+def test_loader_matches_the_row_by_row_reference(csv_dir, measurements, labels):
+    m, l = csv_dir / "m.csv", csv_dir / "l.csv"
+    m.write_text(measurements, newline="")
+    l.write_text(labels, newline="")
+    assert _outcome(load_episodes, m, l) == _outcome(_reference_load, m, l)
+
+
+@pytest.mark.parametrize("number", ["1_0", "\u0661", "1\u0660"])
+def test_numbers_numpy_cannot_read_are_an_error_naming_the_file(tmp_path, number):
+    m = _write(tmp_path / "m.csv", MEASUREMENTS_HEADER + f"e1,hr,1.0,80\ne1,hr,2.0,{number}\n")
+    l = _write(tmp_path / "l.csv", LABELS_HEADER + "e1,0\n")
+    assert _outcome(_reference_load, m, l)[0] == "ok"
+    with pytest.raises(ValueError, match=r"^m\.csv: .*could not convert"):
+        load_episodes(m, l)
+
+
+def test_header_only_file_loads_without_a_warning(tmp_path):
+    m = _write(tmp_path / "m.csv", MEASUREMENTS_HEADER)
+    l = _write(tmp_path / "l.csv", LABELS_HEADER + "e1,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_episodes(m, l) == [Episode("e1", {}, 0)]
 
 
 def _labeled_episodes(n_pos, n_neg):

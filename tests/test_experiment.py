@@ -16,6 +16,7 @@ from fedhosp.data import (
     generate,
     partition,
     save_episodes,
+    split_train_test,
 )
 from fedhosp.experiment import (
     ExperimentConfig,
@@ -26,6 +27,7 @@ from fedhosp.experiment import (
     run_experiment,
     write_report,
 )
+from fedhosp.features import extract
 from fedhosp.federation import FedConfig
 from fedhosp.models import ModelArch, TrainConfig
 
@@ -84,6 +86,33 @@ def test_experiment_from_saved_dataset(tmp_path):
     assert report["variables"] == sorted(report["variables"])
     assert report["arch"]["input_dim"] == 42 * 3
     assert report["n_train_episodes"] + report["n_test_episodes"] == 80
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("variables", [None, ("systolic_bp", "nothing", "heart_rate")])
+def test_csv_features_equal_extract_over_loaded_episodes(tmp_path, capsys, shuffled, variables):
+    """``prepare`` takes CSV to feature rows in arrays; they match ``extract``
+    over ``load_episodes``' records bit for bit, also when the rows come in any
+    order and a series holds points of equal hour."""
+    episodes = generate(SyntheticConfig(n_episodes=60, n_variables=3,
+                                        points_per_variable=(0, 5), seed=4))
+    m = tmp_path / "measurements.csv"
+    save_episodes(episodes, m, tmp_path / "labels.csv")
+    header, *rows = m.read_text().splitlines(keepends=True)
+    rows += [row.rsplit(",", 1)[0] + ",1.5\n" for row in rows[::7]]  # equal hours
+    if shuffled:
+        rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    m.write_text(header + "".join(rows))
+    cfg = _cfg(data_dir=str(tmp_path))
+    got = prepare(cfg, variables)
+    episodes, names = experiment.load_data(cfg, variables)
+    assert got.variables == names
+    sides = split_train_test(episodes, cfg.test_fraction, cfg.stage_seeds["split"])
+    for matrix, side in zip((got.train, got.test), sides):
+        want = extract(side, names)
+        assert matrix.rows.tobytes() == want.rows.tobytes()
+        assert matrix.episode_ids == want.episode_ids
+        assert matrix.labels.tolist() == want.labels.tolist()
 
 
 def test_missing_data_dir_is_a_data_stage_error(tmp_path):
