@@ -341,19 +341,13 @@ def load_episodes(measurements_path, labels_path) -> list[Episode]:
     series is sorted by hour, rows of equal hour in file order.
     """
     p = load_points(measurements_path, labels_path)
-    key = p.episode * len(p.variables) + p.variable
-    _, first_row, series = np.unique(key, return_index=True, return_inverse=True)
-    order = np.lexsort((p.hour, first_row[series], p.episode))
-    key = key[order]
-    hours, values = p.hour[order].tolist(), p.value[order].tolist()
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    spans = zip(starts.tolist(), starts[1:].tolist() + [key.size])
-    series_of = [{} for _ in p.episode_ids]
-    for (start, end), k in zip(spans, key[starts].tolist()):
-        episode, variable = divmod(k, len(p.variables))
-        series_of[episode][p.variables[variable]] = list(zip(hours[start:end], values[start:end]))
-    return [Episode(eid, series, label)
-            for eid, series, label in zip(p.episode_ids, series_of, p.labels.tolist())]
+    series = [{} for _ in p.episode_ids]
+    rows = zip(p.episode.tolist(), p.variable.tolist(), p.hour.tolist(), p.value.tolist())
+    for episode, variable, hour, value in rows:
+        series[episode].setdefault(p.variables[variable], []).append((hour, value))
+    for points in chain.from_iterable(s.values() for s in series):
+        points.sort(key=operator.itemgetter(0))
+    return [Episode(eid, s, label) for eid, s, label in zip(p.episode_ids, series, p.labels.tolist())]
 
 
 def split_mask(labels, test_fraction: float, seed: int) -> np.ndarray:

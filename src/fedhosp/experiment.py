@@ -34,14 +34,8 @@ from .data import (
     split_train_test,
     variable_names,
 )
-from .features import (
-    STATS_PER_VARIABLE,
-    FeatureMatrix,
-    extract,
-    extract_points,
-    fit_scaler,
-    transform,
-)
+from .features import (STATS_PER_VARIABLE, FeatureMatrix, extract, extract_points, fit_scaler,
+                       transform)
 from .federation import (
     GATE_METRICS,
     FedConfig,

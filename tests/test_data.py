@@ -342,10 +342,11 @@ def _outcome(load, m, l):
         return "error", str(exc)
 
 
-# A measurements file: a well-formed one, or one with a piece of text spliced in
-# anywhere. Its fields hold names and numbers with the characters CSV treats
-# specially; its line ends are of every kind; the splice may add a bad number,
-# a blank line, a quote, a separator or text from the same characters.
+# A measurements file: a well-formed one, one with bad numbers, or one with a
+# piece of text spliced in or cut out anywhere. Its fields hold names and
+# numbers with the characters CSV treats specially, and its line ends are of
+# every kind. A splice may add a blank line, a quote, a separator (a column
+# more) or text from the same characters; a cut may take a column away.
 _TEXT = st.lists(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "#", "é", "e1"]),
                  max_size=4).map("".join)
 _GOOD_NUMBER = st.sampled_from(["0", "1.5", "48", "-0.0", " 2 ", "\t3", "1e1", ".5", "+1", '"7"'])
@@ -360,8 +361,7 @@ def _file(number):
     )
     return st.builds(
         lambda rows, ends: "".join(",".join(row) + end for row, end in zip(rows, ends)),
-        st.lists(row, max_size=6).map(lambda rows: [("episode_id", "variable", "hour", "value"),
-                                                     *rows]),
+        st.lists(row, max_size=6).map(lambda rows: [MEASUREMENTS_HEADER[:-1].split(","), *rows]),
         st.lists(st.sampled_from(["\r\n", "\n", "\r", ""]), min_size=7, max_size=7)
         .map(lambda ends: [end or "\n" for end in ends[:-1]] + ends[-1:]),
     )
@@ -371,15 +371,24 @@ _SPLICE = st.one_of(_TEXT, st.sampled_from(
     ["9", "x", "e", " ", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", ",", '"', "e3", "e1 "]))
 
 
+_HEADER_END = len(MEASUREMENTS_HEADER) - 1  # splices and cuts leave the header's text whole
+
+
 def _spliced(text: str, at: int, piece: str) -> str:
-    at %= len(text) + 1
+    at = _HEADER_END + at % (len(text) - _HEADER_END + 1)
     return text[:at] + piece + text[at:]
+
+
+def _cut(text: str, at: int, length: int) -> str:
+    at = _HEADER_END + at % (len(text) - _HEADER_END + 1)
+    return text[:at] + text[at + length:]
 
 
 _MEASUREMENTS = st.one_of(
     _file(_GOOD_NUMBER),
     _file(st.one_of(_GOOD_NUMBER, _BAD_NUMBER)),
     st.builds(_spliced, _file(_GOOD_NUMBER), st.integers(0, 400), _SPLICE),
+    st.builds(_cut, _file(_GOOD_NUMBER), st.integers(0, 400), st.integers(1, 6)),
 )
 
 
