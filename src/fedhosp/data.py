@@ -347,7 +347,8 @@ def load_episodes(measurements_path, labels_path) -> list[Episode]:
         series[episode].setdefault(p.variables[variable], []).append((hour, value))
     for points in chain.from_iterable(s.values() for s in series):
         points.sort(key=operator.itemgetter(0))
-    return [Episode(eid, s, label) for eid, s, label in zip(p.episode_ids, series, p.labels.tolist())]
+    return [Episode(eid, s, label)
+            for eid, s, label in zip(p.episode_ids, series, p.labels.tolist())]
 
 
 def split_mask(labels, test_fraction: float, seed: int) -> np.ndarray:

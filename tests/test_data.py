@@ -363,7 +363,7 @@ def _file(number):
         lambda rows, ends: "".join(",".join(row) + end for row, end in zip(rows, ends)),
         st.lists(row, max_size=6).map(lambda rows: [MEASUREMENTS_HEADER[:-1].split(","), *rows]),
         st.lists(st.sampled_from(["\r\n", "\n", "\r", ""]), min_size=7, max_size=7)
-        .map(lambda ends: [end or "\n" for end in ends[:-1]] + ends[-1:]),
+        .map(lambda ends: [end or "\n" for end in ends[:-1]] + ends[-1:]),  # the last may be ""
     )
 
 
