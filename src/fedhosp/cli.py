@@ -38,6 +38,7 @@ from .experiment import (
     FIELD_TYPES,
     ExperimentConfig,
     ExperimentError,
+    _extract_points,
     check_type,
     federation_report,
     format_comparison,
@@ -48,7 +49,7 @@ from .experiment import (
     run_experiment,
     write_report,
 )
-from .features import extract, feature_names
+from .features import feature_names
 from .federation import (
     FederationConfigError,
     check_gate_labels,
@@ -154,14 +155,13 @@ def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
-    episodes, variables = load_data(replace(cfg, data_dir=opts["data"]),
-                                    _variable_names(opts["variables"]))
-    matrix = extract(episodes, variables)
+    matrix = _extract_points(*load_data(replace(cfg, data_dir=opts["data"]),
+                                        _variable_names(opts["variables"])))
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["episode_id", "label", *feature_names(variables)])
+        writer.writerow(["episode_id", "label", *feature_names(matrix.variables)])
         for eid, label, row in zip(matrix.episode_ids, matrix.labels, matrix.rows):
             writer.writerow([eid, int(label), *(repr(v) for v in row.tolist())])
     print(f"wrote {matrix.rows.shape[0]} x {matrix.rows.shape[1]} feature matrix to {out}")

@@ -39,6 +39,7 @@ __all__ = [
     "PartitionPlan",
     "HospitalDataset",
     "variable_names",
+    "generate_points",
     "generate",
     "save_episodes",
     "Points",
@@ -114,20 +115,38 @@ class SyntheticConfig:
         return round(self.prevalence * self.n_episodes)
 
 
-def generate(cfg: SyntheticConfig) -> list[Episode]:
-    """Draw a synthetic episode set; byte-identical across calls per seed.
+@dataclass(frozen=True, eq=False)
+class Points:
+    """Every measurement of an episode set, as flat arrays.
+
+    Point i is ``episode_ids[episode[i]]``'s ``variables[variable[i]]`` at
+    ``hour[i]`` with ``value[i]``; ``labels`` follows ``episode_ids``.
+    ``variables`` are the names a run takes by default: those of a CSV file,
+    sorted, or the synthetic ``variable_names``.
+    """
+
+    episode_ids: tuple[str, ...]
+    labels: np.ndarray
+    variables: tuple[str, ...]
+    episode: np.ndarray
+    variable: np.ndarray
+    hour: np.ndarray
+    value: np.ndarray
+
+
+def generate_points(cfg: SyntheticConfig) -> Points:
+    """Draw a synthetic episode set as ``Points``; byte-identical across calls per seed.
 
     Exactly ``round(prevalence * n)`` episodes are positive, chosen by a
     seeded shuffle. Per variable, a baseline level and noise scale are drawn
     once; positive episodes' values are shifted by effect_size * noise_std.
 
-    Each series, episode-major then variable-major, draws its point count,
-    its hours and its noise in that order; the sort and the shift then run
-    once over all points, so no Python code runs per point until each
-    ``Episode`` validates its own.
+    Each series, episode-major then variable-major in ``variable_names``
+    order, draws its point count, its hours and its noise in that order.
+    Its hours are then sorted (equal hours in draw order) while its values
+    stay in draw order, so no Python code runs per point.
     """
     rng = np.random.default_rng(cfg.seed)
-    variables = variable_names(cfg.n_variables)
     baselines = rng.uniform(20.0, 120.0, cfg.n_variables)
     noise_stds = rng.uniform(1.0, 10.0, cfg.n_variables)
     positive = np.zeros(cfg.n_episodes, dtype=bool)
@@ -143,27 +162,33 @@ def generate(cfg: SyntheticConfig) -> list[Episode]:
             noise_draws.frombytes(rng.normal(0.0, std, n_pts).tobytes())
     series_of_point = np.repeat(np.arange(len(counts)), counts)
     hours = np.frombuffer(hour_draws)
-    hours_l = hours[np.lexsort((hours, series_of_point))].tolist()
+    hour = hours[np.lexsort((hours, series_of_point))]
     # One level per series, (baseline + shift) + noise as in a scalar loop.
     levels = baselines + np.where(positive[:, None], cfg.effect_size * noise_stds, 0.0)
-    values_l = (levels.ravel()[series_of_point] + np.frombuffer(noise_draws)).tolist()
+    value = levels.ravel()[series_of_point] + np.frombuffer(noise_draws)
+    episode, variable = np.divmod(series_of_point, cfg.n_variables)
+    return Points(tuple(f"e{i:05d}" for i in range(cfg.n_episodes)), positive.astype(np.int64),
+                  variable_names(cfg.n_variables), episode, variable, hour, value)
+
+
+def generate(cfg: SyntheticConfig) -> list[Episode]:
+    """``generate_points`` as Episode records; every episode holds a series,
+    empty or not, for each of the ``n_variables`` names in order."""
+    p = generate_points(cfg)
+    n_vars = len(p.variables)
+    counts = np.bincount(p.episode * n_vars + p.variable, minlength=len(p.episode_ids) * n_vars)
+    bounds = [0, *np.cumsum(counts).tolist()]
+    hours, values = p.hour.tolist(), p.value.tolist()
+    ids, labels, variables = p.episode_ids, p.labels.tolist(), p.variables
     # Freed before the episodes are built, so the peak stays near the
     # per-point loop's: only the two lists are extra.
-    del hours, hour_draws, noise_draws, series_of_point
-    bounds = np.cumsum([0] + counts).tolist()
+    del p
     # One (start, end) per series, in draw order; zip stops at the last
     # variable without taking the next episode's first span.
     spans = zip(bounds, bounds[1:])
-    episodes = []
-    for i in range(cfg.n_episodes):
-        series = {
-            var: list(zip(hours_l[start:end], values_l[start:end]))
-            for var, (start, end) in zip(variables, spans)
-        }
-        episodes.append(
-            Episode(episode_id=f"e{i:05d}", series=series, label=int(positive[i]))
-        )
-    return episodes
+    return [Episode(eid, {var: list(zip(hours[start:end], values[start:end]))
+                          for var, (start, end) in zip(variables, spans)}, label)
+            for eid, label in zip(ids, labels)]
 
 
 class _Echo:
@@ -207,24 +232,6 @@ def _parse_error(path, line_no: int, problem: str) -> ValueError:
 _ROW = np.dtype([("episode", object), ("variable", object), ("hour", "f8"), ("value", "f8")])
 
 
-@dataclass(frozen=True, eq=False)
-class Points:
-    """Every measurement of a two-file CSV episode set, as flat arrays in file order.
-
-    Point i is ``episode_ids[episode[i]]``'s ``variables[variable[i]]`` at
-    ``hour[i]`` with ``value[i]``. ``episode_ids`` and ``labels`` follow
-    labels.csv; ``variables`` is in order of first appearance.
-    """
-
-    episode_ids: tuple[str, ...]
-    labels: np.ndarray
-    variables: tuple[str, ...]
-    episode: np.ndarray
-    variable: np.ndarray
-    hour: np.ndarray
-    value: np.ndarray
-
-
 def _load_labels(labels_path) -> dict[str, int]:
     labels: dict[str, int] = {}
     with open(labels_path, newline="") as f:
@@ -258,7 +265,7 @@ def _columns(lines, index: dict[str, int]):
         table = np.loadtxt(chain([first], lines), dtype=_ROW, delimiter=",", comments=None,
                            quotechar='"', ndmin=1)
     episode = np.fromiter(map(index.__getitem__, table["episode"]), np.intp, table.size)
-    variables = {var: i for i, var in enumerate(dict.fromkeys(table["variable"]))}
+    variables = {var: i for i, var in enumerate(sorted(set(table["variable"])))}
     variable = np.fromiter(map(variables.__getitem__, table["variable"]), np.intp, table.size)
     hour, value = table["hour"].copy(), table["value"].copy()
     del table  # the name strings, most of the table's memory
@@ -303,7 +310,8 @@ def _checked_rows(measurements_path, index: dict[str, int]) -> io.StringIO:
 
 
 def load_points(measurements_path, labels_path) -> Points:
-    """Read the two-file CSV format into flat per-point arrays.
+    """Read the two-file CSV format into ``Points`` in file order, with the
+    names the rows hold, sorted, as ``variables``.
 
     The labels file defines which episodes exist (an episode may have zero
     measurements); a measurement row naming an unlisted episode is an error.

@@ -26,16 +26,15 @@ from .data import (
     PartitionPlan,
     Points,
     SyntheticConfig,
-    generate,
-    load_episodes,
+    generate_points,
     load_points,
     partition,
     split_mask,
-    split_train_test,
-    variable_names,
 )
-from .features import (STATS_PER_VARIABLE, FeatureMatrix, extract, extract_points, fit_scaler,
-                       transform)
+from .features import STATS_PER_VARIABLE, FeatureMatrix, extract_points, fit_scaler, transform
+# Not called here: bench/layers.py traces these names in this module's namespace.
+from .data import load_episodes, split_train_test  # noqa: F401
+from .features import extract  # noqa: F401
 from .federation import (
     GATE_METRICS,
     FedConfig,
@@ -175,37 +174,42 @@ def report_header(cfg: ExperimentConfig) -> dict:
     return {"schema_version": REPORT_SCHEMA_VERSION, "config": config}
 
 
-def load_data(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None):
-    """(episodes, ordered variable names): ``variables``, if given, else
-    those observed in ``cfg.data_dir``, or the synthetic data's ``n_variables``.
+def load_data(cfg: ExperimentConfig,
+              variables: tuple[str, ...] | None = None) -> tuple[Points, tuple[str, ...]]:
+    """The data stage: (points, ordered variable names) of ``cfg.data_dir``'s
+    CSV files, else of the synthetic generator; a failure is an ExperimentError.
 
-    A given name that no episode in ``cfg.data_dir`` observes is kept, as a
-    hospital may lack a variable the federation agreed on, and named in one
-    warning on stderr, as its features are all zero.
+    The names are ``variables`` if given, else the points' own. A given name
+    that no point observes is kept, as a hospital may lack a variable the
+    federation agreed on, and named in one warning on stderr, as its
+    features are all zero.
     """
-    if cfg.data_dir is None:
-        return generate(cfg.synthetic()), variable_names(cfg.n_variables)
-    data_dir = Path(cfg.data_dir)
-    episodes = load_episodes(data_dir / "measurements.csv", data_dir / "labels.csv")
-    return episodes, _chosen_variables({var for ep in episodes for var in ep.series},
-                                       variables, data_dir)
+    try:
+        if cfg.data_dir is None:
+            points, where = generate_points(cfg.synthetic()), "in the synthetic episodes"
+        else:
+            data_dir = Path(cfg.data_dir)
+            points = load_points(data_dir / "measurements.csv", data_dir / "labels.csv")
+            where = f"under {data_dir}"
+        if not (variables or points.variables):
+            raise ValueError(f"no measurements found {where}")
+    except Exception as exc:
+        raise ExperimentError(f"data stage: {exc}") from exc
+    if not variables:
+        return points, points.variables
+    observed = {points.variables[i] for i in np.unique(points.variable).tolist()}
+    unobserved = [var for var in variables if var not in observed]
+    if unobserved:
+        print(f"warning: no measurements of {', '.join(unobserved)} {where}; "
+              f"their features are all zero", file=sys.stderr)
+    return points, variables
 
 
-def _chosen_variables(observed, variables, data_dir) -> tuple[str, ...]:
-    """``variables``, warning of any name not ``observed``, else the observed names sorted."""
-    if variables:
-        unobserved = [var for var in variables if var not in observed]
-        if unobserved:
-            print(f"warning: no measurements of {', '.join(unobserved)} under {data_dir}; "
-                  f"their features are all zero", file=sys.stderr)
-        return variables
-    if not observed:
-        raise ValueError(f"no measurements found under {data_dir}")
-    return tuple(sorted(observed))
-
-
-def _extract_points(points: Points, take: np.ndarray, variables: tuple[str, ...]) -> FeatureMatrix:
-    """``extract``'s matrix for the episodes that ``take`` marks, from ``points``."""
+def _extract_points(points: Points, variables: tuple[str, ...],
+                    take: np.ndarray | None = None) -> FeatureMatrix:
+    """``extract``'s matrix of the episodes ``take`` marks (default: all) in ``points``."""
+    if take is None:
+        take = np.ones(len(points.episode_ids), dtype=bool)
     column = {var: i for i, var in enumerate(variables)}
     column_of = np.array([column.get(var, -1) for var in points.variables], dtype=np.intp)
     point_column = column_of[points.variable]
@@ -253,28 +257,14 @@ class Prepared:
 def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> Prepared:
     """Data (see ``load_data``), split and feature stages; model and mode play no part.
 
-    CSV data stays in arrays from ``load_points`` to the feature rows: no
-    Episode record is built for it.
+    The data stay in arrays from ``load_data``'s points to the feature rows:
+    no Episode record is built.
     """
+    points, variables = load_data(cfg, variables)
     try:
-        if cfg.data_dir is None:
-            episodes, variables = load_data(cfg, variables)
-        else:
-            data_dir = Path(cfg.data_dir)
-            points = load_points(data_dir / "measurements.csv", data_dir / "labels.csv")
-            variables = _chosen_variables(points.variables, variables, data_dir)
-    except Exception as exc:
-        raise ExperimentError(f"data stage: {exc}") from exc
-
-    try:
-        if cfg.data_dir is None:
-            train_eps, test_eps = split_train_test(episodes, cfg.test_fraction,
-                                                   cfg.stage_seeds["split"])
-            return Prepared(variables, extract(train_eps, variables),
-                            extract(test_eps, variables))
         is_test = split_mask(points.labels, cfg.test_fraction, cfg.stage_seeds["split"])
-        return Prepared(variables, _extract_points(points, ~is_test, variables),
-                        _extract_points(points, is_test, variables))
+        return Prepared(variables, _extract_points(points, variables, ~is_test),
+                        _extract_points(points, variables, is_test))
     except Exception as exc:
         raise ExperimentError(f"feature stage: {exc}") from exc
 

@@ -29,8 +29,8 @@ call per window:
    the same count n are gathered into one (m, n) block, and the statistics
    are row reductions (``axis=1``) over it.
 
-Steps 2 and 3 are ``extract_points``, which also takes points read from CSV
-as arrays (``fedhosp.data.load_points``) with no Episode built.
+Steps 2 and 3 are ``extract_points``, which also takes the flat points of
+``fedhosp.data.generate_points`` and ``load_points`` with no Episode built.
 
 The result is bit-identical to applying ``window_stats`` to the output of
 ``slice_windows``, series by series. A row of a C-contiguous block reaches

@@ -17,8 +17,7 @@ import pytest
 
 from fedhosp.cli import _flag, build_parser, main
 from fedhosp.data import load_episodes
-from fedhosp.experiment import ExperimentConfig, load_data
-from fedhosp.features import STATS_PER_VARIABLE, extract
+from fedhosp.features import STATS_PER_VARIABLE, extract, feature_names
 from fedhosp.transport import TcpTransport, TransportError
 
 
@@ -86,10 +85,30 @@ def test_extract_writes_feature_table(tmp_path):
     assert header[2].endswith("__full__max")
     assert len(body) == 10
     assert all(len(r) == len(header) for r in body)
-    # every feature cell is a plain number equal to the extracted value
-    matrix = extract(*load_data(ExperimentConfig(data_dir=str(data))))
+    # every feature cell is a plain number equal to the value the Episode
+    # route extracts, with the observed variables sorted
+    variables = ("heart_rate", "systolic_bp")
+    assert header[2:] == feature_names(variables)
+    matrix = extract(load_episodes(data / "measurements.csv", data / "labels.csv"), variables)
     assert [r[0] for r in body] == list(matrix.episode_ids)
+    assert [int(r[1]) for r in body] == matrix.labels.tolist()
     assert [[float(cell) for cell in r[2:]] for r in body] == matrix.rows.tolist()
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ("e00000,heart_rate,1.0,2.0\r\ne00000,heart_rate,2.0,abc\r\n",
+     "measurements.csv, line 3: non-numeric hour/value ['2.0', 'abc']"),
+    ("", "no measurements found under "),
+], ids=["non_numeric", "header_only"])
+def test_extract_on_bad_data_is_a_data_stage_error_exit_1(tmp_path, capsys, rows, problem):
+    data = tmp_path / "d1"
+    data.mkdir()
+    (data / "labels.csv").write_text("episode_id,label\r\ne00000,1\r\n")
+    (data / "measurements.csv").write_text("episode_id,variable,hour,value\r\n" + rows)
+    out = tmp_path / "features.csv"
+    assert _run(["extract", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: data stage: {problem}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("names,unobserved", [("heart_rate,bogus_rate", "bogus_rate"),

@@ -17,6 +17,7 @@ from fedhosp.data import (
     PartitionPlan,
     SyntheticConfig,
     generate,
+    generate_points,
     load_episodes,
     partition,
     partition_rows,
@@ -92,6 +93,23 @@ def test_synthetic_size_is_bounded():
                         points_per_variable=(0, 0))
     with pytest.raises(ValueError, match="n_variables"):
         SyntheticConfig(n_episodes=10, n_variables=0)
+
+
+@pytest.mark.parametrize("n_variables, points", [(1, (1, 1)), (3, (0, 2)), (7, (4, 12)),
+                                                 (9, (0, 5)), (2, (0, 0))])
+def test_generate_points_flatten_generate(n_variables, points):
+    """``generate_points`` holds ``generate``'s episodes, series by series."""
+    cfg = SyntheticConfig(n_episodes=15, n_variables=n_variables, prevalence=0.3,
+                          points_per_variable=points, seed=20 + n_variables)
+    episodes, p = generate(cfg), generate_points(cfg)
+    assert p.episode_ids == tuple(ep.episode_id for ep in episodes)
+    assert p.labels.tolist() == [ep.label for ep in episodes]
+    assert p.variables == variable_names(n_variables)
+    flat = [(i, p.variables.index(var), hour, value)
+            for i, ep in enumerate(episodes)
+            for var, series in ep.series.items() for hour, value in series]
+    assert list(zip(p.episode.tolist(), p.variable.tolist(), p.hour.tolist(),
+                    p.value.tolist())) == flat
 
 
 def test_csv_round_trip(tmp_path):

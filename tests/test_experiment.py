@@ -8,12 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedhosp.data as data_module
 import fedhosp.experiment as experiment
 from fedhosp.data import (
     MAX_SYNTHETIC_POINTS,
     PartitionPlan,
     SyntheticConfig,
     generate,
+    load_episodes,
     partition,
     save_episodes,
     split_train_test,
@@ -27,7 +29,7 @@ from fedhosp.experiment import (
     run_experiment,
     write_report,
 )
-from fedhosp.features import extract
+from fedhosp.features import Episode, extract
 from fedhosp.federation import FedConfig
 from fedhosp.models import ModelArch, TrainConfig
 
@@ -105,8 +107,9 @@ def test_csv_features_equal_extract_over_loaded_episodes(tmp_path, capsys, shuff
     m.write_text(header + "".join(rows))
     cfg = _cfg(data_dir=str(tmp_path))
     got = prepare(cfg, variables)
-    episodes, names = experiment.load_data(cfg, variables)
+    names = variables or ("diastolic_bp", "heart_rate", "systolic_bp")
     assert got.variables == names
+    episodes = load_episodes(m, tmp_path / "labels.csv")
     sides = split_train_test(episodes, cfg.test_fraction, cfg.stage_seeds["split"])
     for matrix, side in zip((got.train, got.test), sides):
         want = extract(side, names)
@@ -167,15 +170,66 @@ def test_comparison_runs_all_four_cells():
 
 def test_comparison_prepares_its_data_once(monkeypatch):
     calls = []
-    real_extract = experiment.extract
+    real_extract_points = experiment._extract_points
 
-    def counting_extract(*args, **kwargs):
+    def counting_extract_points(*args, **kwargs):
         calls.append(1)
-        return real_extract(*args, **kwargs)
+        return real_extract_points(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "extract", counting_extract)
+    monkeypatch.setattr(experiment, "_extract_points", counting_extract_points)
     run_comparison(_cfg(n_episodes=80, rounds=2, n_hospitals=2))
     assert len(calls) == 2  # train and test rows, shared by all four cells
+
+
+def _no_episodes(*args, **kwargs):
+    raise AssertionError("the pipeline built an Episode")
+
+
+def test_synthetic_prepare_builds_no_episode(monkeypatch):
+    monkeypatch.setattr(data_module, "generate", _no_episodes)
+    monkeypatch.setattr(Episode, "__post_init__", _no_episodes)
+    got = prepare(_cfg(n_episodes=60, n_variables=3))
+    assert len(got.train.episode_ids) + len(got.test.episode_ids) == 60
+
+
+@pytest.mark.parametrize("variables", [None, ("glucose", "heart_rate"),
+                                       ("diastolic_bp", "systolic_bp", "heart_rate")])
+@pytest.mark.parametrize("points_min", [0, 4])
+def test_synthetic_prepare_equals_extract_over_generated_episodes(variables, points_min):
+    """The synthetic rows match ``extract`` over ``generate``'s records bit for
+    bit, for given names in any order and for a name no episode holds."""
+    cfg = _cfg(n_episodes=60, n_variables=3, points_min=points_min, points_max=5, seed=2)
+    got = prepare(cfg, variables)
+    names = variables or ("heart_rate", "systolic_bp", "diastolic_bp")
+    assert got.variables == names
+    sides = split_train_test(generate(cfg.synthetic()), cfg.test_fraction,
+                             cfg.stage_seeds["split"])
+    for matrix, side in zip((got.train, got.test), sides):
+        want = extract(side, names)
+        assert matrix.rows.tobytes() == want.rows.tobytes()
+        assert matrix.episode_ids == want.episode_ids
+        assert matrix.labels.tolist() == want.labels.tolist()
+
+
+def test_synthetic_prepare_honours_given_variables(capsys):
+    cfg = ExperimentConfig(n_episodes=40, n_variables=3, seed=1)
+    got = prepare(cfg, ("heart_rate", "glucose"))
+    assert got.variables == ("heart_rate", "glucose")
+    assert got.train.rows.shape[1] == 2 * 42
+    assert not got.train.rows[:, 42:].any() and not got.test.rows[:, 42:].any()
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1 and "glucose" in err and "heart_rate" not in err
+
+
+def test_synthetic_variables_keep_canonical_order_without_points(capsys):
+    """With no names given, synthetic data takes ``variable_names`` unsorted,
+    also when no series holds a point."""
+    cfg = _cfg(n_episodes=40, n_variables=3, points_min=0, points_max=0)
+    got = prepare(cfg)
+    assert got.variables == ("heart_rate", "systolic_bp", "diastolic_bp")
+    assert not got.train.rows.any()
+    assert capsys.readouterr().err == ""
+    assert run_experiment(replace(cfg, points_max=1))["variables"] == list(got.variables)
 
 
 def test_comparison_cells_equal_separate_runs():
