@@ -32,7 +32,8 @@ from .data import (
     split_mask,
 )
 from .features import STATS_PER_VARIABLE, FeatureMatrix, extract_points, fit_scaler, transform
-# Not called here: bench/layers.py traces these names in this module's namespace.
+# Not called here: bench/layers.py wraps these names in this module's namespace,
+# and tests/test_bench_trace.py checks that they stay defined.
 from .data import load_episodes, split_train_test  # noqa: F401
 from .features import extract  # noqa: F401
 from .federation import (
