@@ -4,44 +4,28 @@ Centralized baselines: logistic regression vs a small MLP
 
 Generates a synthetic mortality cohort, engineers window features, and
 trains both architectures on the pooled data — the reference point that
-federated runs are later compared against.
+federated runs are later compared against. ``prepare`` runs the data, split
+and feature stages once; ``fit`` scales the rows with the training extremes,
+trains one model on them and evaluates it on the test rows.
 
 Run:  python3 demos/centralized_training.py
 """
 
-from fedhosp.data import SyntheticConfig, generate, split_train_test, variable_names
-from fedhosp.features import extract, fit_scaler, transform
-from fedhosp.metrics import evaluate
-from fedhosp.models import ModelArch, TrainConfig, forward, init_params, train
+from dataclasses import replace
 
-SEED = 42
+from fedhosp.experiment import ExperimentConfig, fit, prepare
 
-cfg = SyntheticConfig(n_episodes=1000, n_variables=7, effect_size=0.8, seed=SEED)
-episodes = generate(cfg)
-train_eps, test_eps = split_train_test(episodes, 0.2, seed=SEED + 1)
-print(f"{len(train_eps)} train / {len(test_eps)} test episodes, "
-      f"prevalence {sum(e.label for e in episodes) / len(episodes):.2f}")
-
-variables = variable_names(cfg.n_variables)
-train_fm = extract(train_eps, variables)
-test_fm = extract(test_eps, variables)
-
-# fit the scaler on training rows only; the test set just gets transformed
-scaler = fit_scaler(train_fm.rows)
-x_train = transform(scaler, train_fm.rows)
-x_test = transform(scaler, test_fm.rows)
-print(f"feature width: {x_train.shape[1]}")
+cfg = ExperimentConfig(n_episodes=1000, n_variables=7, effect_size=0.8, hidden_dim=50,
+                       epochs=40, seed=42)
+data = prepare(cfg)
+n_train, n_test = len(data.train.labels), len(data.test.labels)
+n_positive = int(data.train.labels.sum() + data.test.labels.sum())
+print(f"{n_train} train / {n_test} test episodes, "
+      f"prevalence {n_positive / (n_train + n_test):.2f}")
+print(f"feature width: {data.train.rows.shape[1]}")
 
 for kind in ("lr", "mlp"):
-    arch = ModelArch(kind, input_dim=x_train.shape[1], hidden_dim=50)
-    params = train(
-        arch,
-        init_params(arch, SEED + 3),
-        x_train,
-        train_fm.labels,
-        TrainConfig(epochs=40, seed=SEED + 4),
-    )
-    result = evaluate(forward(arch, params, x_test), test_fm.labels)
-    print(f"{kind:<4} ({arch.n_params:>6} params)  "
-          f"auroc={result.auroc:.4f}  auprc={result.auprc:.4f}  "
-          f"accuracy={result.accuracy:.4f}")
+    report = fit(replace(cfg, model=kind), data)
+    m = report["metrics"]
+    print(f"{kind:<4} ({report['arch']['n_params']:>6} params)  "
+          f"auroc={m['auroc']:.4f}  auprc={m['auprc']:.4f}  accuracy={m['accuracy']:.4f}")

@@ -19,7 +19,7 @@ sets, or the flag's name for an option that sets no field (``listen``,
 (--hospitals), ``partition_strategy`` (--partition), ``out_dir`` (--out) and
 ``gate_enabled`` (--gate/--no-gate).
 Every command checks every value through ExperimentConfig before any stage.
-Exit codes: 0 success, 1 runtime failure, 2 usage/config errors.
+Exit codes: 0 success; 2 from option checks, UsageError or FederationConfigError; else 1.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import closing
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args
@@ -47,6 +48,7 @@ from .experiment import (
     report_header,
     run_comparison,
     run_experiment,
+    stage,
     write_report,
 )
 from .features import feature_names
@@ -155,8 +157,9 @@ def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
-    matrix = _extract_points(*load_data(replace(cfg, data_dir=opts["data"]),
-                                        _variable_names(opts["variables"])))
+    with stage("feature"):  # load_data's own data-stage error passes through
+        matrix = _extract_points(*load_data(replace(cfg, data_dir=opts["data"]),
+                                            _variable_names(opts["variables"])))
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:
@@ -221,10 +224,10 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
     except FederationConfigError as exc:
         raise UsageError(f"shard {opts['shard']}: {exc}") from None
     arch = cfg.arch(len(data.variables))
-    conn = TcpTransport(host, port).connect()
-    print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
-          f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)
-    worker_loop(conn, hospital, arch, cfg.train_config(cfg.local_epochs), cfg.gate_metric)
+    with closing(TcpTransport(host, port).connect()) as conn:  # closed if the worker fails
+        print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
+              f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)
+        worker_loop(conn, hospital, arch, cfg.train_config(cfg.local_epochs), cfg.gate_metric)
     print(f"hospital {hospital.hospital_id}: session complete")
     return 0
 
@@ -313,14 +316,14 @@ def _help(name: str, default, required: bool) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    checking = True
     try:
-        return args.func(*_options(args))
-    except ValueError as exc:  # UsageError and every bad option value
+        cfg, opts = _options(args)
+        checking = False
+        return args.func(cfg, opts)
+    except (ValueError, ExperimentError, TransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ExperimentError, TransportError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if checking or isinstance(exc, (UsageError, FederationConfigError)) else 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from itertools import compress
 from pathlib import Path
@@ -46,8 +47,8 @@ from .federation import (
 from .metrics import evaluate
 from .models import ModelArch, TrainConfig, forward, init_params, train
 
-__all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "load_data", "prepare",
-           "fit", "run_experiment", "run_comparison", "format_comparison",
+__all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "stage", "load_data",
+           "prepare", "fit", "run_experiment", "run_comparison", "format_comparison",
            "report_header", "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 1
@@ -63,6 +64,18 @@ SEED_OFFSETS = {"data": 0, "split": 1, "partition": 2, "init": 3, "train": 4}
 
 class ExperimentError(RuntimeError):
     """A pipeline stage failed; the message says which one."""
+
+
+@contextmanager
+def stage(name: str):
+    """Raise a failure of the block as an ExperimentError starting ``<name> stage:``;
+    an ExperimentError (an inner stage's) or FederationConfigError passes through."""
+    try:
+        yield
+    except (ExperimentError, FederationConfigError):
+        raise
+    except Exception as exc:
+        raise ExperimentError(f"{name} stage: {exc}") from exc
 
 
 def check_type(key: str, value, kind) -> None:
@@ -185,7 +198,7 @@ def load_data(cfg: ExperimentConfig,
     federation agreed on, and named in one warning on stderr, as its
     features are all zero.
     """
-    try:
+    with stage("data"):
         if cfg.data_dir is None:
             points, where = generate_points(cfg.synthetic()), "in the synthetic episodes"
         else:
@@ -194,8 +207,6 @@ def load_data(cfg: ExperimentConfig,
             where = f"under {data_dir}"
         if not (variables or points.variables):
             raise ValueError(f"no measurements found {where}")
-    except Exception as exc:
-        raise ExperimentError(f"data stage: {exc}") from exc
     if not variables:
         return points, points.variables
     observed = {points.variables[i] for i in np.unique(points.variable).tolist()}
@@ -262,12 +273,10 @@ def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> 
     no Episode record is built.
     """
     points, variables = load_data(cfg, variables)
-    try:
+    with stage("feature"):
         is_test = split_mask(points.labels, cfg.test_fraction, cfg.stage_seeds["split"])
         return Prepared(variables, _extract_points(points, variables, ~is_test),
                         _extract_points(points, variables, is_test))
-    except Exception as exc:
-        raise ExperimentError(f"feature stage: {exc}") from exc
 
 
 def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
@@ -284,7 +293,7 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
         "n_test_episodes": len(data.test.episode_ids),
     }
 
-    try:
+    with stage("training"):
         if cfg.mode == "central":
             pooled = data.as_hospital(0)
             params = train(arch, init_params(arch, cfg.stage_seeds["init"]), pooled.train_x,
@@ -301,10 +310,6 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
                 "hospital_test_sizes": [h.n_test for h in hospitals],
                 "eval_history": [asdict(e) for e in evals],
             }
-    except FederationConfigError:
-        raise
-    except Exception as exc:
-        raise ExperimentError(f"training stage: {exc}") from exc
 
     report["metrics"] = {"auroc": result.auroc, "auprc": result.auprc,
                          "accuracy": result.accuracy, "n_test": result.n}

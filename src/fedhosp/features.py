@@ -255,14 +255,15 @@ def extract_points(hour, value, key, episode_ids, labels, variables) -> FeatureM
     masks += [hour >= HORIZON_HOURS * (1.0 - q) for q in _QUANTS]
     # (series, window, stat) is the row layout: variable-major within a row.
     stats = np.zeros((n_series, len(WINDOW_NAMES), len(STAT_NAMES)))
-    for w, mask in enumerate(masks):
-        w_values = value[mask]
-        counts = np.bincount(key[mask], minlength=n_series)
-        starts = np.cumsum(counts) - counts
-        for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-            ids = np.flatnonzero(counts == n)
-            block = w_values[starts[ids, None] + np.arange(n)]
-            stats[ids, w] = _count_block_stats(block)
+    with np.errstate(over="ignore", invalid="ignore"):  # FeatureMatrix rejects inf/nan
+        for w, mask in enumerate(masks):
+            w_values = value[mask]
+            counts = np.bincount(key[mask], minlength=n_series)
+            starts = np.cumsum(counts) - counts
+            for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+                ids = np.flatnonzero(counts == n)
+                block = w_values[starts[ids, None] + np.arange(n)]
+                stats[ids, w] = _count_block_stats(block)
     return FeatureMatrix(
         rows=stats.reshape(len(episode_ids), STATS_PER_VARIABLE * len(variables)),
         episode_ids=episode_ids, labels=labels, variables=variables,

@@ -95,19 +95,34 @@ def test_extract_writes_feature_table(tmp_path):
     assert [[float(cell) for cell in r[2:]] for r in body] == matrix.rows.tolist()
 
 
-@pytest.mark.parametrize("rows, problem", [
+# Ten episodes, five of each class, so a stratified split leaves both sides
+# of both classes non-empty and train reaches the same stage extract does.
+BAD_DATA_LABELS = "episode_id,label\r\n" + "".join(
+    f"e{i:05d},{i % 2}\r\n" for i in range(10))
+
+
+@pytest.mark.parametrize("rows, stage, problem", [
     ("e00000,heart_rate,1.0,2.0\r\ne00000,heart_rate,2.0,abc\r\n",
-     "measurements.csv, line 3: non-numeric hour/value ['2.0', 'abc']"),
-    ("", "no measurements found under "),
-], ids=["non_numeric", "header_only"])
-def test_extract_on_bad_data_is_a_data_stage_error_exit_1(tmp_path, capsys, rows, problem):
+     "data", "measurements.csv, line 3: non-numeric hour/value ['2.0', 'abc']"),
+    ("", "data", "no measurements found under "),
+    # finite values whose window sums overflow
+    ("e00000,heart_rate,1.0,1e308\r\ne00000,heart_rate,2.0,1e308\r\n",
+     "feature", "feature rows contain non-finite values\n"),
+], ids=["non_numeric", "header_only", "overflow"])
+def test_extract_on_bad_data_is_a_data_stage_error_exit_1(tmp_path, capsys, rows, stage,
+                                                          problem):
+    """extract and train fail alike: exit 1, one error line naming the stage."""
     data = tmp_path / "d1"
     data.mkdir()
-    (data / "labels.csv").write_text("episode_id,label\r\ne00000,1\r\n")
+    (data / "labels.csv").write_text(BAD_DATA_LABELS)
     (data / "measurements.csv").write_text("episode_id,variable,hour,value\r\n" + rows)
     out = tmp_path / "features.csv"
-    assert _run(["extract", "--data", str(data), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: data stage: {problem}")
+    for argv in (["extract", "--data", str(data), "--out", str(out)],
+                 ["train", "--data-dir", str(data), "--epochs", "1"]):
+        assert _run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage} stage: {problem}"), (argv, err)
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err, (argv, err)
     assert not out.exists()
 
 
@@ -372,6 +387,36 @@ def test_serve_exits_1_on_an_update_that_contradicts_the_registration(capsys, fa
         peer.close()
     assert codes == [1]
     assert "round 0: hospital 1 sent a LocalUpdate" in capsys.readouterr().err
+
+
+def test_a_worker_whose_training_fails_exits_1_and_so_does_serve(tmp_path, capsys):
+    # The server's model has 7 variables' parameters, the worker's shard 5.
+    shard = tmp_path / "shard"
+    assert _run(["generate", "--episodes", "60", "--variables", "5", "--out", str(shard)]) == 0
+    port = _free_port()
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(_run([
+        "serve", "--listen", f"127.0.0.1:{port}", "--model", "lr", "--variables", "7",
+        "--hospitals", "1", "--rounds", "1"])), daemon=True)
+    server.start()
+    _wait_for_listen(port)
+    assert _run(["worker", "--connect", f"127.0.0.1:{port}", "--id", "1",
+                 "--shard", str(shard)]) == 1
+    server.join(timeout=30.0)
+    assert not server.is_alive() and codes == [1]
+    err = capsys.readouterr().err
+    assert "error: parameter length mismatch for lr: expected 211, got 295\n" in err
+    assert "error: round 0: hospital 1: " in err
+
+
+def test_a_model_too_large_for_the_data_exits_1(tmp_path, capsys):
+    # 480 variables give an mlp 1,008,101 parameters: the options pass, the data do not.
+    data = tmp_path / "wide"
+    assert _run(["generate", "--episodes", "40", "--variables", "480", "--points-min", "1",
+                 "--points-max", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert _run(["train", "--model", "mlp", "--data-dir", str(data)]) == 1
+    assert "more than MAX_PARAMS" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
