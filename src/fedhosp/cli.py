@@ -39,7 +39,6 @@ from .experiment import (
     FIELD_TYPES,
     ExperimentConfig,
     ExperimentError,
-    _extract_points,
     check_type,
     federation_report,
     format_comparison,
@@ -51,7 +50,7 @@ from .experiment import (
     stage,
     write_report,
 )
-from .features import feature_names
+from .features import extract_points, feature_names
 from .federation import (
     FederationConfigError,
     check_gate_labels,
@@ -94,7 +93,11 @@ def _parse_endpoint(opts: dict, name: str, lowest_port: int) -> tuple[str, int]:
 
 def _variable_names(text: str | None) -> tuple[str, ...] | None:
     """--variables as names; None, for those observed, when it names none."""
-    return tuple(name.strip() for name in (text or "").split(",") if name.strip()) or None
+    names = tuple(name.strip() for name in (text or "").split(",") if name.strip())
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"--variables (config key 'variables') names {name!r} more than once")
+    return names or None
 
 
 # --------------------------------------------------------------------------
@@ -157,9 +160,9 @@ def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
+    variables = _variable_names(opts["variables"])  # outside the stage: a usage error
     with stage("feature"):  # load_data's own data-stage error passes through
-        matrix = _extract_points(*load_data(replace(cfg, data_dir=opts["data"]),
-                                            _variable_names(opts["variables"])))
+        matrix = extract_points(*load_data(replace(cfg, data_dir=opts["data"]), variables))
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:
@@ -223,7 +226,8 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
         check_gate_labels(hospital, cfg.gate_metric)
     except FederationConfigError as exc:
         raise UsageError(f"shard {opts['shard']}: {exc}") from None
-    arch = cfg.arch(len(data.variables))
+    with stage("training"):
+        arch = cfg.arch(len(data.variables))
     with closing(TcpTransport(host, port).connect()) as conn:  # closed if the worker fails
         print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
               f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)

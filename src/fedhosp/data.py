@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import HORIZON_HOURS, Episode
+from .features import HORIZON_HOURS, Episode, Points
 
 __all__ = [
     "DEFAULT_VARIABLES",
@@ -115,25 +115,6 @@ class SyntheticConfig:
         return round(self.prevalence * self.n_episodes)
 
 
-@dataclass(frozen=True, eq=False)
-class Points:
-    """Every measurement of an episode set, as flat arrays.
-
-    Point i is ``episode_ids[episode[i]]``'s ``variables[variable[i]]`` at
-    ``hour[i]`` with ``value[i]``; ``labels`` follows ``episode_ids``.
-    ``variables`` are the names a run takes by default: those of a CSV file,
-    sorted, or the synthetic ``variable_names``.
-    """
-
-    episode_ids: tuple[str, ...]
-    labels: np.ndarray
-    variables: tuple[str, ...]
-    episode: np.ndarray
-    variable: np.ndarray
-    hour: np.ndarray
-    value: np.ndarray
-
-
 def generate_points(cfg: SyntheticConfig) -> Points:
     """Draw a synthetic episode set as ``Points``; byte-identical across calls per seed.
 
@@ -204,8 +185,9 @@ def save_episodes(episodes, measurements_path, labels_path) -> None:
     """Write episodes to the two-file CSV format; floats round-trip exactly.
 
     ``csv.writer`` quotes each series' ``episode_id,variable,`` prefix
-    once; its points follow as ``repr`` text, which never needs quoting,
-    in one write per series. The bytes equal a ``writerow`` per point.
+    once; its points follow as ``str`` text, which never needs quoting,
+    in one write per series. The bytes equal a ``writerow`` per point;
+    a numpy scalar is written as the Python number it holds.
     """
     episodes = list(episodes)
     for path in (measurements_path, labels_path):
@@ -216,12 +198,12 @@ def save_episodes(episodes, measurements_path, labels_path) -> None:
         for ep in episodes:
             for var, points in ep.series.items():
                 prefix = quote.writerow([ep.episode_id, var, ""])[:-2]  # drop the line end
-                f.write("".join([f"{prefix}{h!r},{v!r}\r\n" for h, v in points]))
+                f.write("".join([f"{prefix}{h},{v}\r\n" for h, v in points]))
     with open(labels_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["episode_id", "label"])
         for ep in episodes:
-            writer.writerow([ep.episode_id, ep.label])
+            writer.writerow([ep.episode_id, int(ep.label)])
 
 
 def _parse_error(path, line_no: int, problem: str) -> ValueError:

@@ -15,7 +15,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from itertools import compress
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -217,28 +216,6 @@ def load_data(cfg: ExperimentConfig,
     return points, variables
 
 
-def _extract_points(points: Points, variables: tuple[str, ...],
-                    take: np.ndarray | None = None) -> FeatureMatrix:
-    """``extract``'s matrix of the episodes ``take`` marks (default: all) in ``points``."""
-    if take is None:
-        take = np.ones(len(points.episode_ids), dtype=bool)
-    column = {var: i for i, var in enumerate(variables)}
-    column_of = np.array([column.get(var, -1) for var in points.variables], dtype=np.intp)
-    point_column = column_of[points.variable]
-    keep = take[points.episode] & (point_column >= 0)
-    row = np.cumsum(take) - 1
-    key = row[points.episode[keep]] * len(variables) + point_column[keep]
-    hour, value = points.hour[keep], points.value[keep]
-    # A file lists each series in time order, so a stable sort by key alone is
-    # usually enough; a series out of time order needs the full sort.
-    order = np.argsort(key, kind="stable")
-    if (np.diff(hour[order])[np.diff(key[order]) == 0] < 0).any():
-        order = np.lexsort((hour, key))
-    return extract_points(hour[order], value[order], key[order],
-                          tuple(compress(points.episode_ids, take.tolist())),
-                          points.labels[take], variables)
-
-
 def _scaled_locally(h: HospitalDataset) -> HospitalDataset:
     """The hospital's rows rescaled with its own training extremes."""
     scaler = fit_scaler(h.train_x)
@@ -275,25 +252,24 @@ def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> 
     points, variables = load_data(cfg, variables)
     with stage("feature"):
         is_test = split_mask(points.labels, cfg.test_fraction, cfg.stage_seeds["split"])
-        return Prepared(variables, _extract_points(points, variables, ~is_test),
-                        _extract_points(points, variables, is_test))
+        return Prepared(variables, extract_points(points, variables, ~is_test),
+                        extract_points(points, variables, is_test))
 
 
 def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
     """Train and evaluate ``cfg``'s (model, mode) cell on ``data``; returns its report."""
-    arch = cfg.arch(len(data.variables))
-    report = {
-        **report_header(cfg),
-        "variables": list(data.variables),
-        "arch": {"kind": arch.kind, "input_dim": arch.input_dim,
-                 "hidden_dim": arch.hidden_dim if arch.kind == "mlp" else None,
-                 "n_params": arch.n_params},
-        "stage_seeds": cfg.stage_seeds,
-        "n_train_episodes": len(data.train.episode_ids),
-        "n_test_episodes": len(data.test.episode_ids),
-    }
-
     with stage("training"):
+        arch = cfg.arch(len(data.variables))
+        report = {
+            **report_header(cfg),
+            "variables": list(data.variables),
+            "arch": {"kind": arch.kind, "input_dim": arch.input_dim,
+                     "hidden_dim": arch.hidden_dim if arch.kind == "mlp" else None,
+                     "n_params": arch.n_params},
+            "stage_seeds": cfg.stage_seeds,
+            "n_train_episodes": len(data.train.episode_ids),
+            "n_test_episodes": len(data.test.episode_ids),
+        }
         if cfg.mode == "central":
             pooled = data.as_hospital(0)
             params = train(arch, init_params(arch, cfg.stage_seeds["init"]), pooled.train_x,

@@ -16,12 +16,12 @@ so e.g. a point at exactly hour 24 belongs to last-50% but not first-50%.
 Windows are measured on the fixed horizon, not the observed span, which
 keeps features comparable across episodes with different coverage.
 
-``extract`` computes all windows of all episodes at once, with no Python
-call per window:
+``extract_points`` computes all windows of all episodes at once, with no
+Python call per window:
 
-1. One pass over the episodes flattens every (hour, value) pair into two
-   arrays, in episode, then variable, then time order. Each point's series
-   key is ``episode * V + variable``.
+1. Each point of a ``Points`` record gets the series key ``row * V +
+   column`` (row among the episodes taken, column among the names asked
+   for); a stable sort by key puts each series together in time order.
 2. Each window is one boolean mask over the hours, using the same ``<`` and
    ``>=`` tests as ``slice_windows``. Within a window a series' points stay
    contiguous and in time order.
@@ -29,8 +29,8 @@ call per window:
    the same count n are gathered into one (m, n) block, and the statistics
    are row reductions (``axis=1``) over it.
 
-Steps 2 and 3 are ``extract_points``, which also takes the flat points of
-``fedhosp.data.generate_points`` and ``load_points`` with no Episode built.
+``fedhosp.data.generate_points`` and ``load_points`` give ``Points`` with
+no Episode built; ``extract`` takes Episode records through ``points_of``.
 
 The result is bit-identical to applying ``window_stats`` to the output of
 ``slice_windows``, series by series. A row of a C-contiguous block reaches
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -55,12 +55,14 @@ __all__ = [
     "WINDOW_NAMES",
     "STAT_NAMES",
     "Episode",
+    "Points",
     "FeatureMatrix",
     "Scaler",
     "slice_windows",
     "window_stats",
     "extract",
     "extract_points",
+    "points_of",
     "feature_names",
     "fit_scaler",
     "transform",
@@ -116,6 +118,25 @@ class Episode:
                         "are not sorted ascending"
                     )
                 prev = hour
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """Every measurement of an episode set, as flat arrays.
+
+    Point i is ``episode_ids[episode[i]]``'s ``variables[variable[i]]`` at
+    ``hour[i]`` with ``value[i]``; ``labels`` follows ``episode_ids``.
+    ``variables`` are the names a run takes by default: a CSV file's, sorted,
+    the synthetic ``variable_names``, or ``points_of``'s in order of first use.
+    """
+
+    episode_ids: tuple[str, ...]
+    labels: np.ndarray
+    variables: tuple[str, ...]
+    episode: np.ndarray
+    variable: np.ndarray
+    hour: np.ndarray
+    value: np.ndarray
 
 
 def slice_windows(series) -> tuple[list[tuple[float, float]], ...]:
@@ -217,38 +238,64 @@ def _count_block_stats(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract(episodes, variables) -> FeatureMatrix:
-    """Feature matrix over the given episodes and ordered variable list.
-
-    A variable missing from an episode contributes the empty-window
-    statistics (all zeros), so every row has width 42*V regardless of
-    missingness. See the module docstring for how the windows are computed.
-    """
-    variables = tuple(variables)
+def points_of(episodes) -> Points:
+    """Episode records as ``Points``: each episode's series in its own order,
+    the names in order of first appearance."""
     episodes = list(episodes)
-    series = [ep.series.get(var, ()) for ep in episodes for var in variables]
+    names: dict[str, int] = {}
+    # Flat int lists, not (episode, column) tuples: freed tuples left ~1 MB more RSS.
+    columns = [names.setdefault(var, len(names)) for ep in episodes for var in ep.series]
+    series = [points for ep in episodes for points in ep.series.values()]
     lengths = np.fromiter(map(len, series), dtype=np.intp, count=len(series))
-    points = np.fromiter(
-        chain.from_iterable(chain.from_iterable(series)),
-        dtype=np.float64, count=2 * int(lengths.sum()),
-    )
-    return extract_points(
-        points[0::2], points[1::2], np.repeat(np.arange(len(series)), lengths),
-        tuple(ep.episode_id for ep in episodes),
-        np.array([ep.label for ep in episodes], dtype=np.int64), variables,
-    )
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(series)),
+                       dtype=np.float64, count=2 * int(lengths.sum()))
+    per_episode = np.fromiter((len(ep.series) for ep in episodes), np.intp, len(episodes))
+    episode = np.repeat(np.repeat(np.arange(len(episodes)), per_episode), lengths)
+    variable = np.repeat(np.array(columns, np.intp), lengths)
+    return Points(tuple(ep.episode_id for ep in episodes),
+                  np.array([ep.label for ep in episodes], dtype=np.int64), tuple(names),
+                  episode, variable, flat[0::2], flat[1::2])
 
 
-def extract_points(hour, value, key, episode_ids, labels, variables) -> FeatureMatrix:
-    """``extract``'s matrix from flat points, with no Episode record.
+def extract(episodes, variables) -> FeatureMatrix:
+    """``extract_points`` over Episode records."""
+    return extract_points(points_of(episodes), variables)
 
-    Point i belongs to series ``key[i] = row * len(variables) + column``;
-    the points are sorted stably by (key, hour), the order ``extract``
-    flattens episodes in, so each window's sums add in the same order.
+
+def extract_points(points: Points, variables, take: np.ndarray | None = None) -> FeatureMatrix:
+    """Feature matrix of the episodes ``take`` marks (default: all) in ``points``
+    over the ordered ``variables``, no name twice.
+
+    A variable an episode lacks gives the empty-window statistics (all zeros),
+    so every row has width 42*V. The module docstring says how it is computed.
     """
     variables = tuple(variables)
     if not variables:
         raise ValueError("variables list must be non-empty")
+    column = {var: i for i, var in enumerate(variables)}
+    if len(column) < len(variables):
+        repeated = next(var for i, var in enumerate(variables) if column[var] != i)
+        raise ValueError(f"variables name {repeated!r} more than once")
+    if take is None:
+        take = np.ones(len(points.episode_ids), dtype=bool)
+    column_of = np.array([column.get(var, -1) for var in points.variables], dtype=np.intp)
+    point_column = column_of[points.variable]
+    keep = take[points.episode] & (point_column >= 0)
+    row = np.cumsum(take) - 1
+    key = row[points.episode[keep]] * len(variables) + point_column[keep]
+    hour, value = points.hour[keep], points.value[keep]
+    # Episodes and draws list each series in time order and files usually do, so a
+    # stable sort by key is usually enough; a series out of time order needs the full sort.
+    order = np.argsort(key, kind="stable")
+    if (np.diff(hour[order])[np.diff(key[order]) == 0] < 0).any():
+        order = np.lexsort((hour, key))
+    return _sorted_rows(hour[order], value[order], key[order],
+                        tuple(compress(points.episode_ids, take.tolist())),
+                        points.labels[take], variables)
+
+
+def _sorted_rows(hour, value, key, episode_ids, labels, variables) -> FeatureMatrix:
+    """The matrix of points sorted by (key, hour), point i in series ``key[i]``."""
     n_series = len(episode_ids) * len(variables)
     masks = [np.ones(hour.size, dtype=bool)]
     masks += [hour < HORIZON_HOURS * q for q in _QUANTS]

@@ -409,14 +409,20 @@ def test_a_worker_whose_training_fails_exits_1_and_so_does_serve(tmp_path, capsy
     assert "error: round 0: hospital 1: " in err
 
 
-def test_a_model_too_large_for_the_data_exits_1(tmp_path, capsys):
+def test_a_model_too_large_for_the_data_exits_1(tmp_path, capsys, monkeypatch):
     # 480 variables give an mlp 1,008,101 parameters: the options pass, the data do not.
     data = tmp_path / "wide"
     assert _run(["generate", "--episodes", "40", "--variables", "480", "--points-min", "1",
                  "--points-max", "1", "--out", str(data)]) == 0
     capsys.readouterr()
-    assert _run(["train", "--model", "mlp", "--data-dir", str(data)]) == 1
-    assert "more than MAX_PARAMS" in capsys.readouterr().err
+    monkeypatch.setattr(TcpTransport, "connect", _refuse("connected"))
+    for argv in (["train", "--model", "mlp", "--data-dir", str(data)],
+                 ["worker", "--model", "mlp", "--connect", "127.0.0.1:9", "--id", "1",
+                  "--shard", str(data)]):
+        assert _run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: training stage: mlp with input_dim 20160 "), (argv, err)
+        assert "more than MAX_PARAMS" in err, (argv, err)
 
 
 @pytest.fixture(scope="module")
@@ -623,9 +629,27 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
         ({"seed": -1}, ["--seed", "-1"], "seed"),
         ({"connect": "127.0.0.1:0"}, ["--connect", "127.0.0.1:0"], CONNECT_PORT),
         ({"connect": "127.0.0.1:65536"}, ["--connect", "127.0.0.1:65536"], CONNECT_PORT),
+        ({"variables": "heart_rate,heart_rate"}, ["--variables", "heart_rate, heart_rate"],
+         "--variables (config key 'variables') names 'heart_rate' more than once"),
     ]
     given = {"connect": "127.0.0.1:9", "id": 1, "shard": str(tmp_path / "shard")}
     _assert_usage_errors(_bad_value_argvs("worker", given, tmp_path, cases), capsys)
+
+
+def test_extract_bad_values_exit_2_before_reading_the_data(tmp_path, capsys, monkeypatch):
+    import fedhosp.cli as cli
+
+    monkeypatch.setattr(cli, "load_data", _refuse("read the data"))
+    out = tmp_path / "features.csv"
+    cases = [
+        ({"variables": 7}, None, "variables"),
+        ({"variables": "heart_rate,glucose,heart_rate"},
+         ["--variables", "heart_rate,glucose,heart_rate"],
+         "--variables (config key 'variables') names 'heart_rate' more than once"),
+    ]
+    given = {"data": str(tmp_path / "data"), "out": str(out)}
+    _assert_usage_errors(_bad_value_argvs("extract", given, tmp_path, cases), capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gate, code", [("auroc", 2), ("accuracy", 1)])

@@ -230,6 +230,26 @@ def test_round_trip_keeps_episode_without_measurements(tmp_path):
     assert load_episodes(tmp_path / "m.csv", tmp_path / "l.csv") == episodes
 
 
+def test_save_writes_numpy_scalars_and_ints_as_the_numbers_they_hold(tmp_path):
+    """What ``save_episodes`` writes, ``load_points`` reads: numpy scalars and
+    ints as points, a bool and an ``np.int64`` as labels."""
+    episodes = [
+        Episode("a", {"hr": [(np.float64(0.1), np.float64(-0.0)), (3, 72),
+                             (np.float64(48.0), np.float64(1e300))]}, True),
+        Episode("b", {"sbp": [(np.int64(2), np.float32(0.5)), (7.25, np.float64(5e-324))]},
+                np.int64(0)),
+    ]
+    m, l = tmp_path / "m.csv", tmp_path / "l.csv"
+    save_episodes(episodes, m, l)
+    assert m.read_text().splitlines()[1:3] == ["a,hr,0.1,-0.0", "a,hr,3,72"]
+    assert l.read_text().splitlines() == ["episode_id,label", "a,1", "b,0"]
+    loaded = load_episodes(m, l)
+    assert repr(loaded) == repr([
+        Episode("a", {"hr": [(0.1, -0.0), (3.0, 72.0), (48.0, 1e300)]}, 1),
+        Episode("b", {"sbp": [(2.0, 0.5), (7.25, 5e-324)]}, 0),
+    ])
+
+
 def _write(path, text):
     path.write_text(text)
     return path

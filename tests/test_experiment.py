@@ -170,13 +170,13 @@ def test_comparison_runs_all_four_cells():
 
 def test_comparison_prepares_its_data_once(monkeypatch):
     calls = []
-    real_extract_points = experiment._extract_points
+    real_extract_points = experiment.extract_points
 
     def counting_extract_points(*args, **kwargs):
         calls.append(1)
         return real_extract_points(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "_extract_points", counting_extract_points)
+    monkeypatch.setattr(experiment, "extract_points", counting_extract_points)
     run_comparison(_cfg(n_episodes=80, rounds=2, n_hospitals=2))
     assert len(calls) == 2  # train and test rows, shared by all four cells
 
@@ -209,6 +209,12 @@ def test_synthetic_prepare_equals_extract_over_generated_episodes(variables, poi
         assert matrix.rows.tobytes() == want.rows.tobytes()
         assert matrix.episode_ids == want.episode_ids
         assert matrix.labels.tolist() == want.labels.tolist()
+
+
+def test_prepare_refuses_a_repeated_variable_name():
+    with pytest.raises(ExperimentError,
+                       match="^feature stage: variables name 'glucose' more than once$"):
+        prepare(_cfg(n_episodes=40), ("glucose", "heart_rate", "glucose"))
 
 
 def test_synthetic_prepare_honours_given_variables(capsys):

@@ -18,8 +18,10 @@ from fedhosp.features import (
     FeatureMatrix,
     Scaler,
     extract,
+    extract_points,
     feature_names,
     fit_scaler,
+    points_of,
     slice_windows,
     transform,
     window_stats,
@@ -187,6 +189,17 @@ def _episodes(draw):
 def test_extract_matches_scalar_oracle_bit_for_bit(episodes, variables):
     matrix = extract(episodes, variables)
     assert matrix.rows.tobytes() == _oracle_rows(episodes, variables).tobytes()
+
+
+@pytest.mark.parametrize("variables, repeated", [(("hr", "hr"), "hr"),
+                                                  (("sbp", "hr", "temp", "hr", "sbp"), "sbp")])
+def test_a_repeated_variable_name_is_an_error(variables, repeated):
+    episodes = [_episode("a", 1, hr=[(1.0, 2.0)], sbp=[(3.0, 4.0)])]
+    error = f"^variables name '{repeated}' more than once$"
+    with pytest.raises(ValueError, match=error):
+        extract(episodes, variables)
+    with pytest.raises(ValueError, match=error):
+        extract_points(points_of(episodes), variables)
 
 
 def test_feature_names_align_with_columns():
