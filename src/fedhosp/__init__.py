@@ -9,8 +9,8 @@ feature extraction, from-scratch LR/MLP training with Adam, AUROC/AUPRC
 metrics, and a binary wire protocol with in-process and TCP transports.
 
 Typical entry points: :func:`fedhosp.experiment.run_experiment` for whole
-pipelines, :func:`fedhosp.federation.run_federation` for a federation over
-prepared hospital datasets, and the ``fedhosp`` command line.
+pipelines, :func:`fedhosp.federation.run_federation` for an in-process
+federation over prepared hospital datasets, and the ``fedhosp`` command line.
 """
 
 from .data import (

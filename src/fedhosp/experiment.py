@@ -55,7 +55,7 @@ REPORT_SCHEMA_VERSION = 1
 MODELS = ("lr", "mlp")
 MODES = ("central", "federated")
 # ExperimentConfig fields whose value must be one of a fixed set (flag choices)
-CHOICES = {"model": MODELS, "mode": MODES, "gate_metric": GATE_METRICS,
+CHOICES = {"model": MODELS, "mode": MODES, "gate_metric": tuple(GATE_METRICS),
            "partition_strategy": PARTITION_STRATEGIES}
 # Each stage's seed is the master seed plus its offset.
 SEED_OFFSETS = {"data": 0, "split": 1, "partition": 2, "init": 3, "train": 4}

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +51,7 @@ __all__ = [
     "run_federation",
 ]
 
-GATE_METRICS = ("accuracy", "auroc")
+GATE_METRICS = {"accuracy": accuracy, "auroc": auroc}
 
 
 class FederationConfigError(ValueError):
@@ -84,7 +83,8 @@ class FederationState:
 
 @dataclass(frozen=True)
 class FedConfig:
-    """Federation-level knobs (per-hospital training lives in TrainConfig)."""
+    """Federation-level knobs. Per-hospital training lives in TrainConfig, except
+    its ``epochs``: every hospital trains ``local_epochs`` per round instead."""
 
     n_hospitals: int
     rounds: int
@@ -107,7 +107,8 @@ class FedConfig:
             )
         if self.gate_metric not in GATE_METRICS:
             raise ValueError(
-                f"unknown gate_metric {self.gate_metric!r}; expected one of {GATE_METRICS}"
+                f"unknown gate_metric {self.gate_metric!r}; "
+                f"expected one of {tuple(GATE_METRICS)}"
             )
 
 
@@ -225,10 +226,10 @@ def local_test_accuracy(hospital: HospitalDataset, params: np.ndarray,
                         arch: ModelArch, gate_metric: str = "accuracy") -> tuple[float, int]:
     """Gate metric of the given parameters on this hospital's test set."""
     if gate_metric not in GATE_METRICS:
-        raise ValueError(f"unknown gate_metric {gate_metric!r}; expected one of {GATE_METRICS}")
+        raise ValueError(f"unknown gate_metric {gate_metric!r}; "
+                         f"expected one of {tuple(GATE_METRICS)}")
     scores = forward(arch, params, hospital.test_x)
-    metric = accuracy if gate_metric == "accuracy" else auroc
-    return float(metric(scores, hospital.test_y)), hospital.n_test
+    return float(GATE_METRICS[gate_metric](scores, hospital.test_y)), hospital.n_test
 
 
 def weighted_accuracy(values, n_tests) -> float:
@@ -350,9 +351,6 @@ class RegisteredWorker:
 # that connects and then stays silent is closed when it runs out, so it
 # cannot hold up the hospitals that do register.
 REGISTRATION_TIMEOUT_S = 10.0
-# Seconds run_federation waits for each TCP hospital's thread once every
-# connection is closed: long enough for a local update in progress to end.
-_JOIN_TIMEOUT_S = 30.0
 
 
 def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker]:
@@ -467,24 +465,27 @@ def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
 
 
 def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
-                   train_cfg: TrainConfig, transport=None,
+                   train_cfg: TrainConfig, transport: tp.InProcessTransport | None = None,
                    ) -> tuple[FederationState, list[EvalResult]]:
-    """Simulate a whole federation: the server plus one ``Hospital`` per dataset.
+    """Simulate a whole federation in one process: the server plus one
+    ``Hospital`` per dataset, each answering inline in the caller's thread.
 
-    Over the default InProcessTransport the hospitals answer inline in the
-    caller's thread; over a TcpTransport each runs in a thread of its own.
-    The final parameters are bit-identical either way. Per-round model
-    quality (all three metrics on the hospitals' pooled test sets) is
-    measured on the side and returned alongside the final state.
+    Every frame is still encoded and decoded once per hop. Each hospital
+    trains ``fed_cfg.local_epochs`` per round, in place of ``train_cfg.epochs``.
+    Per-round model quality (all three metrics on the hospitals' pooled test
+    sets) is measured on the side and returned alongside the final state.
+    Over TCP, ``wait_for_registrations`` and ``run_server_rounds`` drive
+    ``worker_loop`` peers, as ``fedhosp serve`` and ``worker`` do, to
+    bit-identical parameters.
 
     Raises ``FederationConfigError`` before any connection when the
     hospitals do not fit ``fed_cfg``: ids other than exactly
     1..``fed_cfg.n_hospitals``, or, with the auroc gate, a hospital whose
-    test labels are all one class. A transport failure is raised as a
+    test labels are all one class; then ``TypeError`` for a transport other
+    than an ``InProcessTransport``. A transport failure is raised as a
     ``RuntimeError`` naming the hospital that failed first, as is any failure
     of a hospital, from ``transport.connect`` on; any other error propagates
-    unchanged. Either way every connection is closed and every hospital
-    thread released first.
+    unchanged. Either way every connection is closed first.
     """
     hospitals = sorted(hospitals, key=lambda h: h.hospital_id)
     ids = [h.hospital_id for h in hospitals]
@@ -496,6 +497,10 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
         check_gate_labels(h, fed_cfg.gate_metric)
     if transport is None:
         transport = tp.InProcessTransport()
+    elif not isinstance(transport, tp.InProcessTransport):
+        raise TypeError(f"run_federation runs in process only, not over a "
+                        f"{type(transport).__name__}: over TCP, use wait_for_registrations "
+                        f"and run_server_rounds with worker_loop peers")
     worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)
     pooled_x = np.vstack([h.test_x for h in hospitals])
     pooled_y = np.concatenate([h.test_y for h in hospitals])
@@ -510,46 +515,19 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
         return last_result
 
     failures: list[tuple[int, Exception]] = []
-
-    def run_worker(hospital: HospitalDataset) -> None:  # one TCP hospital's thread
-        conn = None
-        try:
-            conn = transport.connect()
-            worker_loop(conn, hospital, arch, worker_cfg, fed_cfg.gate_metric)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the caller below
-            # A closed connection means the server stopped first, and the
-            # server raises its own error; anything else is this hospital's.
-            if not isinstance(exc, tp.TransportClosedError):
-                failures.append((hospital.hospital_id, exc))
-            # Unblocks the server wherever it waits for this hospital: in
-            # accept if it never registered, else in recv.
-            listener.close()
-            if conn is not None:
-                conn.close()
-
     listener = transport.listen()
-    inline = isinstance(transport, tp.InProcessTransport)
-    threads = []
     try:
         for h in hospitals:
-            if inline:
-                try:
-                    transport.connect(Hospital(h, arch, worker_cfg, fed_cfg.gate_metric))
-                except Exception as exc:  # noqa: BLE001 - the server then fails in accept
-                    failures.append((h.hospital_id, exc))
-            else:
-                threads.append(threading.Thread(target=run_worker, args=(h,), daemon=True,
-                                                name=f"hospital-{h.hospital_id}"))
-                threads[-1].start()
+            try:
+                transport.connect(Hospital(h, arch, worker_cfg, fed_cfg.gate_metric))
+            except Exception as exc:  # noqa: BLE001 - the server then fails in accept
+                failures.append((h.hospital_id, exc))
         return run_server_rounds(wait_for_registrations(listener, ids), arch, fed_cfg,
                                  evaluate_global)
     except tp.TransportError as exc:
-        # A failing hospital records its error before the server fails on
-        # the connection it closed, so failures[0] is the first. An inline
-        # hospital's error is kept by its connection.
-        if inline:
-            failures += [(c.peer.data.hospital_id, c.error) for c in transport.endpoints
-                         if c.error is not None]
+        # A hospital that fails once connected leaves its error on its connection.
+        failures += [(c.peer.data.hospital_id, c.error) for c in transport.endpoints
+                     if c.error is not None]
         if failures:
             hid, worker_exc = failures[0]
             raise RuntimeError(
@@ -558,5 +536,3 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
         raise RuntimeError(f"federation transport failure: {exc}") from exc
     finally:
         listener.close()
-        for t in threads:
-            t.join(_JOIN_TIMEOUT_S)

@@ -50,8 +50,7 @@ PROB_CLAMP = 1e-12
 # (ru_maxrss) over the RSS before the call, a 2-round, 2-hospital in-process
 # run_federation of a 5000-input, 50-unit MLP (250,101 parameters), its
 # hospitals answering inline, peaks at about 145 bytes per parameter: about
-# 0.15 GB at the bound. (With a thread and a socketpair per hospital it was
-# 205-218.)
+# 0.15 GB at the bound.
 MAX_PARAMS = 1_000_000
 
 

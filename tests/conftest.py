@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import closing
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from fedhosp.federation import run_server_rounds, wait_for_registrations, worker_loop
+from fedhosp.metrics import evaluate
+from fedhosp.models import forward
+from fedhosp.transport import TcpTransport
 
 # Every run draws the same examples and replays nothing from a local
 # example database, so a pass or a failure does not depend on past runs.
@@ -33,3 +41,52 @@ def no_leaked_hospital_threads():
             leaked.append(t.name)
     if leaked:
         pytest.fail(f"test left hospital threads running: {sorted(leaked)}")
+
+
+@pytest.fixture
+def tcp_federation():
+    """``run(hospitals, arch, fed_cfg, train_cfg) -> (state, evals, transport)``:
+    a federation over loopback TCP, run as ``fedhosp serve`` and ``fedhosp
+    worker`` run it.
+
+    Each hospital is a ``worker_loop`` thread named ``hospital-K`` that trains
+    ``fed_cfg.local_epochs`` per round, as in ``run_federation``; the server
+    waits for every registration, then runs ``run_server_rounds`` with a hook
+    that evaluates the committed parameters on the pooled test rows. A
+    hospital's error is raised once every thread has ended.
+    """
+
+    def run(hospitals, arch, fed_cfg, train_cfg):
+        transport = TcpTransport("127.0.0.1", 0)
+        listener = transport.listen()
+        worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)
+        failures = []
+
+        def hospital(h):
+            try:
+                with closing(transport.connect()) as conn:
+                    worker_loop(conn, h, arch, worker_cfg, fed_cfg.gate_metric)
+            except Exception as exc:  # noqa: BLE001 - raised by the server's thread below
+                failures.append(exc)
+                listener.close()  # the server may still wait in accept
+
+        threads = [threading.Thread(target=hospital, args=(h,), name=f"hospital-{h.hospital_id}",
+                                    daemon=True) for h in hospitals]
+        for t in threads:
+            t.start()
+        pooled_x = np.vstack([h.test_x for h in hospitals])
+        pooled_y = np.concatenate([h.test_y for h in hospitals])
+        try:
+            workers = wait_for_registrations(listener, [h.hospital_id for h in hospitals])
+            state, evals = run_server_rounds(
+                workers, arch, fed_cfg,
+                lambda params: evaluate(forward(arch, params, pooled_x), pooled_y))
+        finally:
+            listener.close()
+            for t in threads:
+                t.join(timeout=30.0)
+            if failures:
+                raise failures[0]
+        return state, evals, transport
+
+    return run

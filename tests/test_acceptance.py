@@ -280,7 +280,7 @@ def test_criterion_7_feature_pipeline():
 
 
 @criterion(8, "codec round-trip, documented frames, TCP run bit-identical to in-process")
-def test_criterion_8_transport():
+def test_criterion_8_transport(tcp_federation):
     start = time.perf_counter()
 
     assert tp.encode(tp.Shutdown()) == bytes.fromhex("0100000006")
@@ -321,8 +321,7 @@ def test_criterion_8_transport():
     cfg = TrainConfig(epochs=1, seed=17)
     in_proc, evals_ip = run_federation(hospitals(), arch, fed, cfg,
                                        tp.InProcessTransport())
-    over_tcp, evals_tcp = run_federation(hospitals(), arch, fed, cfg,
-                                         tp.TcpTransport("127.0.0.1", 0))
+    over_tcp, evals_tcp, _ = tcp_federation(hospitals(), arch, fed, cfg)
     assert np.array_equal(in_proc.global_params, over_tcp.global_params)
     assert in_proc.history == over_tcp.history
     assert evals_ip == evals_tcp

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import struct
 import threading
-import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -431,15 +430,15 @@ def test_auroc_gate_rejects_single_class_test_shard_before_round_0():
     assert len(state.history) == 3
 
 
-def test_tcp_and_in_process_runs_are_bit_identical():
+def test_tcp_and_in_process_runs_are_bit_identical(tcp_federation):
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=4, local_epochs=1, gate_enabled=True, seed=13)
     cfg = TrainConfig(epochs=1, seed=40)
-    in_process, tcp = tp.InProcessTransport(), tp.TcpTransport("127.0.0.1", 0)
+    in_process = tp.InProcessTransport()
     s_ip, e_ip = run_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
                                 arch, fed, cfg, in_process)
-    s_tcp, e_tcp = run_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
-                                  arch, fed, cfg, tcp)
+    s_tcp, e_tcp, tcp = tcp_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
+                                       arch, fed, cfg)
     assert np.array_equal(s_ip.global_params, s_tcp.global_params)
     assert s_ip.history == s_tcp.history
     assert e_ip == e_tcp
@@ -486,10 +485,7 @@ def test_worker_failure_surfaces_with_context():
         run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0))
 
 
-@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
-                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
-                         ids=["in_process", "tcp"])
-def test_worker_failure_releases_the_healthy_workers(make_transport):
+def test_worker_failure_releases_the_healthy_workers():
     good = _hospital(2, seed=3)
     bad = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]), good.train_y,
                           good.test_x, good.test_y)
@@ -497,32 +493,10 @@ def test_worker_failure_releases_the_healthy_workers(make_transport):
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1, seed=0)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="hospital 2 failed"):
-        run_federation([_hospital(1, seed=1), bad], arch, fed,
-                       TrainConfig(epochs=1, seed=0), make_transport())
+        run_federation([_hospital(1, seed=1), bad], arch, fed, TrainConfig(epochs=1, seed=0))
     left = [t for t in threading.enumerate()
             if t not in before and t.name.startswith("hospital-") and t.is_alive()]
     assert left == []
-
-
-class _ConnectFailsIn:
-    """A TCP transport whose ``connect()`` raises in one hospital's thread.
-
-    It raises late, once the other hospitals have had time to register, so
-    the server is waiting in ``accept`` for the one that fails.
-    """
-
-    def __init__(self, inner, hospital_id: int):
-        self._inner = inner
-        self._thread = f"hospital-{hospital_id}"
-
-    def listen(self):
-        return self._inner.listen()
-
-    def connect(self):
-        if threading.current_thread().name == self._thread:
-            time.sleep(0.3)
-            raise tp.TransportError("cannot connect: refused")
-        return self._inner.connect()
 
 
 class _InlineConnectFailsFor(tp.InProcessTransport):
@@ -538,14 +512,11 @@ class _InlineConnectFailsFor(tp.InProcessTransport):
         return super().connect(peer)
 
 
-@pytest.mark.parametrize("make_transport", [lambda: _InlineConnectFailsFor(2),
-                                            lambda: _ConnectFailsIn(tp.TcpTransport(), 2)],
-                         ids=["in_process", "tcp"])
-def test_a_hospital_that_cannot_connect_ends_the_run(make_transport):
+def test_a_hospital_that_cannot_connect_ends_the_run():
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=3, rounds=2, seed=0)
     hospitals = [_hospital(k, seed=k) for k in (1, 2, 3)]
-    transport = make_transport()
+    transport = _InlineConnectFailsFor(2)
     raised = []
 
     def run():
@@ -562,8 +533,7 @@ def test_a_hospital_that_cannot_connect_ends_the_run(make_transport):
     assert "hospital 2 failed" in str(raised[0]) and "refused" in str(raised[0])
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("hospital-") and t.is_alive()]
-    endpoints = getattr(transport, "_inner", transport).endpoints
-    assert endpoints and all(end._closed for end in endpoints)
+    assert transport.endpoints and all(end._closed for end in transport.endpoints)
 
 
 class _AcceptFails(tp.InProcessTransport):
@@ -608,10 +578,20 @@ def test_hospital_ids_other_than_1_to_k_are_rejected_before_any_thread():
             run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), _NoTransport())
 
 
-@pytest.mark.parametrize("make_transport", [tp.InProcessTransport,
-                                            lambda: tp.TcpTransport("127.0.0.1", 0)],
-                         ids=["in_process", "tcp"])
-def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals(make_transport):
+def test_run_federation_refuses_a_transport_it_cannot_drive():
+    hospitals = [_hospital(1, seed=1), _hospital(2, seed=2)]
+    arch = ModelArch("lr", input_dim=3)
+    fed = FedConfig(n_hospitals=2, rounds=1)
+    tcp = tp.TcpTransport("127.0.0.1", 0)
+    for transport in (tcp, _NoTransport()):
+        with pytest.raises(TypeError, match=r"in process only, not over a \w+: over TCP, use "
+                                            r"wait_for_registrations and run_server_rounds "
+                                            r"with worker_loop peers$"):
+            run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
+    assert tcp.port == 0 and tcp.endpoints == []  # it never listened
+
+
+def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals():
     # All-negative test labels pass the accuracy gate, but the pooled AUROC
     # of round 0 is undefined.
     hospitals = [_hospital(1, seed=1), _hospital(2, seed=2)]
@@ -619,7 +599,7 @@ def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals(mak
         h.test_y[:] = 0.0
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=3, gate_metric="accuracy")
-    transport = make_transport()
+    transport = tp.InProcessTransport()
     with pytest.raises(ValueError, match="auroc") as info:
         run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
     assert info.type is ValueError
@@ -722,13 +702,14 @@ def test_run_federation_closes_every_in_process_endpoint(fail):
 
 @pytest.mark.parametrize("make_transport", [lambda: None, tp.InProcessTransport],
                          ids=["default", "in_process"])
-def test_an_in_process_run_starts_no_thread_and_opens_no_socket(make_transport, monkeypatch):
+def test_an_in_process_run_starts_no_thread_and_opens_no_socket(make_transport, monkeypatch,
+                                                                tcp_federation):
     import socket
 
     hospitals = [_hospital(1, seed=1), _hospital(2, seed=3)]
     arch = ModelArch("lr", input_dim=3)
     fed, cfg = FedConfig(n_hospitals=2, rounds=3), TrainConfig(epochs=1, seed=0)
-    expected, _ = run_federation(hospitals, arch, fed, cfg, tp.TcpTransport())
+    expected, _, _ = tcp_federation(hospitals, arch, fed, cfg)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an in-process run started a thread or opened a socket")

@@ -26,8 +26,6 @@ import pytest
 
 from fedhosp.cli import main
 from fedhosp.experiment import ExperimentConfig, prepare
-from fedhosp.federation import run_federation
-from fedhosp.transport import TcpTransport
 
 CONTEXT = {"numpy": "2.4.6", "openblas_core": "SkylakeX"}
 
@@ -127,9 +125,9 @@ def test_cli_run_on_generated_csv_matches_its_golden_digest(run, tmp_path, monke
     _check(run, hashlib.sha256((tmp_path / output).read_bytes()).hexdigest())
 
 
-def test_fed_lr_over_tcp_matches_its_golden_digest():
+def test_fed_lr_over_tcp_matches_its_golden_digest(tcp_federation):
     cfg = ExperimentConfig(mode="federated", n_episodes=300, n_variables=3, rounds=4, seed=11)
     hospitals = prepare(cfg).hospitals(cfg.partition_plan())
-    state, _ = run_federation(hospitals, cfg.arch(3), cfg.fed_config(),
-                              cfg.train_config(cfg.local_epochs), TcpTransport())
+    state, _, _ = tcp_federation(hospitals, cfg.arch(3), cfg.fed_config(),
+                                 cfg.train_config(cfg.local_epochs))
     _check("fed-lr-tcp-params", hashlib.sha256(state.global_params.tobytes()).hexdigest())
