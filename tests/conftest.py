@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import settings
 from fedhosp.federation import run_server_rounds, wait_for_registrations, worker_loop
 from fedhosp.metrics import evaluate
 from fedhosp.models import forward
-from fedhosp.transport import TcpTransport
+from fedhosp.transport import TcpTransport, TransportError
 
 # Every run draws the same examples and replays nothing from a local
 # example database, so a pass or a failure does not depend on past runs.
@@ -45,30 +44,37 @@ def no_leaked_hospital_threads():
 
 @pytest.fixture
 def tcp_federation():
-    """``run(hospitals, arch, fed_cfg, train_cfg) -> (state, evals, transport)``:
-    a federation over loopback TCP, run as ``fedhosp serve`` and ``fedhosp
-    worker`` run it.
+    """``run(hospitals, arch, fed_cfg, train_cfg, transport=None) -> (state,
+    evals, transport)``: a federation over TCP, loopback unless ``transport``
+    is given, run as ``fedhosp serve`` and ``fedhosp worker`` run it.
 
     Each hospital is a ``worker_loop`` thread named ``hospital-K`` that trains
     ``fed_cfg.local_epochs`` per round, as in ``run_federation``; the server
     waits for every registration, then runs ``run_server_rounds`` with a hook
-    that evaluates the committed parameters on the pooled test rows. A
-    hospital's error is raised once every thread has ended.
+    that evaluates the committed parameters on the pooled test rows. Errors
+    are raised as ``run_federation`` raises them: a transport error after a
+    hospital failed as a ``RuntimeError`` naming the hospital that failed
+    first, any other server error unchanged, in each case once every thread
+    has ended.
     """
 
-    def run(hospitals, arch, fed_cfg, train_cfg):
-        transport = TcpTransport("127.0.0.1", 0)
+    def run(hospitals, arch, fed_cfg, train_cfg, transport=None):
+        transport = transport or TcpTransport("127.0.0.1", 0)
         listener = transport.listen()
         worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)
-        failures = []
+        failures = []  # (hospital id, error), in the order the hospitals failed
 
         def hospital(h):
+            conn = None
             try:
-                with closing(transport.connect()) as conn:
-                    worker_loop(conn, h, arch, worker_cfg, fed_cfg.gate_metric)
+                conn = transport.connect()
+                worker_loop(conn, h, arch, worker_cfg, fed_cfg.gate_metric)
             except Exception as exc:  # noqa: BLE001 - raised by the server's thread below
-                failures.append(exc)
+                failures.append((h.hospital_id, exc))  # before the server can see it fail
                 listener.close()  # the server may still wait in accept
+            finally:
+                if conn is not None:
+                    conn.close()
 
         threads = [threading.Thread(target=hospital, args=(h,), name=f"hospital-{h.hospital_id}",
                                     daemon=True) for h in hospitals]
@@ -81,12 +87,18 @@ def tcp_federation():
             state, evals = run_server_rounds(
                 workers, arch, fed_cfg,
                 lambda params: evaluate(forward(arch, params, pooled_x), pooled_y))
+        except TransportError as exc:
+            if failures:
+                hid, worker_exc = failures[0]
+                raise RuntimeError(
+                    f"hospital {hid} failed during federation: {worker_exc}") from worker_exc
+            raise
         finally:
             listener.close()
             for t in threads:
                 t.join(timeout=30.0)
-            if failures:
-                raise failures[0]
+        if failures:
+            raise failures[0][1]
         return state, evals, transport
 
     return run

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import struct
 import threading
+import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -485,7 +486,9 @@ def test_worker_failure_surfaces_with_context():
         run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0))
 
 
-def test_worker_failure_releases_the_healthy_workers():
+@pytest.mark.parametrize("route", ["in_process", "tcp"])
+def test_worker_failure_releases_the_healthy_workers(route, tcp_federation):
+    federate = run_federation if route == "in_process" else tcp_federation
     good = _hospital(2, seed=3)
     bad = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]), good.train_y,
                           good.test_x, good.test_y)
@@ -493,10 +496,31 @@ def test_worker_failure_releases_the_healthy_workers():
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1, seed=0)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="hospital 2 failed"):
-        run_federation([_hospital(1, seed=1), bad], arch, fed, TrainConfig(epochs=1, seed=0))
+        federate([_hospital(1, seed=1), bad], arch, fed, TrainConfig(epochs=1, seed=0))
     left = [t for t in threading.enumerate()
             if t not in before and t.name.startswith("hospital-") and t.is_alive()]
     assert left == []
+
+
+class _ConnectFailsIn:
+    """A TCP transport whose ``connect()`` raises in one hospital's thread.
+
+    It raises late, once the other hospitals have had time to register, so
+    the server is waiting in ``accept`` for the one that fails.
+    """
+
+    def __init__(self, inner, hospital_id: int):
+        self._inner = inner
+        self._thread = f"hospital-{hospital_id}"
+
+    def listen(self):
+        return self._inner.listen()
+
+    def connect(self):
+        if threading.current_thread().name == self._thread:
+            time.sleep(0.3)
+            raise tp.TransportError("cannot connect: refused")
+        return self._inner.connect()
 
 
 class _InlineConnectFailsFor(tp.InProcessTransport):
@@ -512,16 +536,20 @@ class _InlineConnectFailsFor(tp.InProcessTransport):
         return super().connect(peer)
 
 
-def test_a_hospital_that_cannot_connect_ends_the_run():
+@pytest.mark.parametrize("route", ["in_process", "tcp"])
+def test_a_hospital_that_cannot_connect_ends_the_run(route, tcp_federation):
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=3, rounds=2, seed=0)
     hospitals = [_hospital(k, seed=k) for k in (1, 2, 3)]
-    transport = _InlineConnectFailsFor(2)
+    if route == "in_process":
+        federate, transport = run_federation, _InlineConnectFailsFor(2)
+    else:
+        federate, transport = tcp_federation, _ConnectFailsIn(tp.TcpTransport(), 2)
     raised = []
 
     def run():
         try:
-            run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
+            federate(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
         except Exception as exc:  # noqa: BLE001 - inspected below
             raised.append(exc)
 
@@ -533,7 +561,8 @@ def test_a_hospital_that_cannot_connect_ends_the_run():
     assert "hospital 2 failed" in str(raised[0]) and "refused" in str(raised[0])
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("hospital-") and t.is_alive()]
-    assert transport.endpoints and all(end._closed for end in transport.endpoints)
+    endpoints = getattr(transport, "_inner", transport).endpoints
+    assert endpoints and all(end._closed for end in endpoints)
 
 
 class _AcceptFails(tp.InProcessTransport):
@@ -591,7 +620,9 @@ def test_run_federation_refuses_a_transport_it_cannot_drive():
     assert tcp.port == 0 and tcp.endpoints == []  # it never listened
 
 
-def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals():
+@pytest.mark.parametrize("route", ["in_process", "tcp"])
+def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals(route,
+                                                                            tcp_federation):
     # All-negative test labels pass the accuracy gate, but the pooled AUROC
     # of round 0 is undefined.
     hospitals = [_hospital(1, seed=1), _hospital(2, seed=2)]
@@ -599,9 +630,12 @@ def test_a_server_side_error_propagates_unchanged_and_releases_the_hospitals():
         h.test_y[:] = 0.0
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=3, gate_metric="accuracy")
-    transport = tp.InProcessTransport()
+    if route == "in_process":
+        federate, transport = run_federation, tp.InProcessTransport()
+    else:
+        federate, transport = tcp_federation, tp.TcpTransport("127.0.0.1", 0)
     with pytest.raises(ValueError, match="auroc") as info:
-        run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
+        federate(hospitals, arch, fed, TrainConfig(epochs=1, seed=0), transport)
     assert info.type is ValueError
     assert transport.endpoints and all(end._closed for end in transport.endpoints)
     assert not [t for t in threading.enumerate()
