@@ -72,7 +72,7 @@ _MEASUREMENTS_HEADER = ["episode_id", "variable", "hour", "value"]
 
 
 def variable_names(n_variables: int) -> tuple[str, ...]:
-    """First `n_variables` canonical names, padded with generic ones past 7."""
+    """First `n_variables` names of ``DEFAULT_VARIABLES``, padded with generic ones past its end."""
     if n_variables < 1:
         raise ValueError(f"n_variables must be >= 1, got {n_variables}")
     names = list(DEFAULT_VARIABLES[:n_variables])
@@ -85,7 +85,7 @@ class SyntheticConfig:
     """Knobs for the synthetic episode generator; see ``MAX_SYNTHETIC_POINTS``."""
 
     n_episodes: int
-    n_variables: int = 7
+    n_variables: int = len(DEFAULT_VARIABLES)
     prevalence: float = 0.15
     effect_size: float = 1.0
     points_per_variable: tuple[int, int] = (4, 12)

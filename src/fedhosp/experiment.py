@@ -44,7 +44,7 @@ from .federation import (
     run_federation,
 )
 from .metrics import evaluate
-from .models import ModelArch, TrainConfig, forward, init_params, train
+from .models import MODEL_KINDS, ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "stage", "load_data",
            "prepare", "fit", "run_experiment", "run_comparison", "format_comparison",
@@ -52,10 +52,9 @@ __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "stage", "load_dat
 
 REPORT_SCHEMA_VERSION = 1
 
-MODELS = ("lr", "mlp")
 MODES = ("central", "federated")
 # ExperimentConfig fields whose value must be one of a fixed set (flag choices)
-CHOICES = {"model": MODELS, "mode": MODES, "gate_metric": tuple(GATE_METRICS),
+CHOICES = {"model": MODEL_KINDS, "mode": MODES, "gate_metric": tuple(GATE_METRICS),
            "partition_strategy": PARTITION_STRATEGIES}
 # Each stage's seed is the master seed plus its offset.
 SEED_OFFSETS = {"data": 0, "split": 1, "partition": 2, "init": 3, "train": 4}
@@ -92,8 +91,7 @@ class ExperimentConfig:
 
     Exactly one data source: ``data_dir`` (measurements.csv + labels.csv)
     or the synthetic generator (``n_episodes``). The master ``seed`` fans
-    out as ``SEED_OFFSETS`` says: data=seed, split=seed+1, partition=
-    seed+2, init/federation=seed+3, training=seed+4.
+    out to each stage's seed as ``SEED_OFFSETS`` says.
 
     Construction checks every field whatever the mode (its annotated type,
     then the mode and, by building every sub-config once, each range and
@@ -323,7 +321,7 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
     data = prepare(cfg)
     cells = {
         f"{model}-{mode}": fit(replace(cfg, model=model, mode=mode), data)["metrics"]
-        for model in MODELS for mode in MODES
+        for model in MODEL_KINDS for mode in MODES
     }
     report = {**report_header(cfg), "cells": cells}
     if cfg.out_dir is not None:
@@ -334,7 +332,7 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
 def format_comparison(report: dict) -> str:
     """Plain-text table with one row per (model, mode) cell."""
     lines = [f"{'setup':<16}{'AUROC':>9}{'AUPRC':>9}{'accuracy':>10}"]
-    for model in MODELS:
+    for model in MODEL_KINDS:
         for mode in MODES:
             m = report["cells"][f"{model}-{mode}"]
             lines.append(

@@ -60,8 +60,7 @@ class FederationConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round did: the candidate's gate metric value (accuracy, or AUROC
-    under the auroc gate) and whether it was kept."""
+    """What one round did: the candidate's ``gate_metric`` value and whether it was kept."""
 
     round: int
     candidate_accuracy: float
@@ -83,8 +82,8 @@ class FederationState:
 
 @dataclass(frozen=True)
 class FedConfig:
-    """Federation-level knobs. Per-hospital training lives in TrainConfig, except
-    its ``epochs``: every hospital trains ``local_epochs`` per round instead."""
+    """Federation-level knobs. ``n_hospitals`` is the count ``serve`` waits for; each
+    hospital trains ``local_epochs`` per round in place of ``TrainConfig.epochs``."""
 
     n_hospitals: int
     rounds: int
@@ -223,7 +222,7 @@ def check_gate_labels(hospital: HospitalDataset, gate_metric: str) -> None:
 
 
 def local_test_accuracy(hospital: HospitalDataset, params: np.ndarray,
-                        arch: ModelArch, gate_metric: str = "accuracy") -> tuple[float, int]:
+                        arch: ModelArch, gate_metric: str) -> tuple[float, int]:
     """Gate metric of the given parameters on this hospital's test set."""
     if gate_metric not in GATE_METRICS:
         raise ValueError(f"unknown gate_metric {gate_metric!r}; "
@@ -306,7 +305,7 @@ class Hospital:
     data: HospitalDataset
     arch: ModelArch
     train_cfg: TrainConfig
-    gate_metric: str = "accuracy"
+    gate_metric: str
 
     def __post_init__(self) -> None:
         self.workspace = AdamState(self.arch.n_params)
@@ -330,7 +329,7 @@ class Hospital:
 
 
 def worker_loop(conn, hospital: HospitalDataset, arch: ModelArch,
-                train_cfg: TrainConfig, gate_metric: str = "accuracy") -> None:
+                train_cfg: TrainConfig, gate_metric: str) -> None:
     """Serve ``Hospital(hospital, ...)`` over an established connection:
     register, then answer every message until Shutdown, and close."""
     peer = Hospital(hospital, arch, train_cfg, gate_metric)
@@ -429,7 +428,8 @@ def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rn
 def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
                       fed_cfg: FedConfig, evaluate_global=None,
                       ) -> tuple[FederationState, list[EvalResult]]:
-    """Drive all federation rounds over already-registered connections.
+    """Drive all federation rounds over the registered workers alone: a round's
+    cohort is ``select_cohort(len(workers), ...)`` mapped onto their sorted ids.
 
     ``evaluate_global`` (optional) is called with the committed global
     parameters after each round; its results form the returned evaluation
@@ -443,8 +443,8 @@ def run_server_rounds(workers: dict[int, RegisteredWorker], arch: ModelArch,
     eval_history: list[EvalResult] = []
     try:
         for rnd in range(fed_cfg.rounds):
-            cohort = select_cohort(fed_cfg.n_hospitals, fed_cfg.cohort_fraction,
-                                   (fed_cfg.seed, rnd))
+            cohort = [ids[k - 1] for k in select_cohort(len(ids), fed_cfg.cohort_fraction,
+                                                        (fed_cfg.seed, rnd))]
             updates = _exchange(workers, cohort, tp.BroadcastModel(rnd, state.global_params),
                                 tp.LocalUpdate, rnd, arch.n_params)
             weights = compute_weights([m.n_samples for m in updates])

@@ -28,6 +28,10 @@ import numpy as np
 
 __all__ = [
     "MAX_PARAMS",
+    "MODEL_KINDS",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPS",
     "ModelArch",
     "AdamState",
     "TrainConfig",
@@ -53,6 +57,10 @@ PROB_CLAMP = 1e-12
 # 0.15 GB at the bound.
 MAX_PARAMS = 1_000_000
 
+MODEL_KINDS = ("lr", "mlp")
+# Adam's beta1, beta2 and eps for every model: Kingma & Ba's defaults (arXiv 1412.6980).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class ModelArch:
@@ -66,8 +74,8 @@ class ModelArch:
     hidden_dim: int = 50
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lr", "mlp"):
-            raise ValueError(f"unknown model kind {self.kind!r}; expected 'lr' or 'mlp'")
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.kind == "mlp" and self.hidden_dim < 1:
@@ -206,9 +214,8 @@ class AdamState:
 
     Mutable: ``adam_step`` advances it in place, ``reset`` returns it to a
     fresh state. ``grad`` is where ``train`` has ``gradient`` write each
-    step's gradient; one more vector is ``adam_step``'s scratch. The
-    hyperparameters live in ``TrainConfig``. A workspace serves one caller
-    at a time, so give each thread its own.
+    step's gradient; one more vector is ``adam_step``'s scratch. A
+    workspace serves one caller at a time, so give each thread its own.
     """
 
     def __init__(self, n_params: int):
@@ -227,7 +234,7 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update of ``params``, in place.
+    """One bias-corrected Adam update of ``params`` at ``cfg.lr``, in place.
 
     Overwrites ``params``, ``state.m`` and ``state.v`` and advances
     ``state.step_count``; ``grads`` is only read. Allocates no vector: the
@@ -246,7 +253,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and Adam moments must have identical length")
     t = state.step_count + 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, step = state.m, state.v, state._step
     np.multiply(grads, 1.0 - b1, out=step)
     m *= b1
@@ -258,7 +265,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     r = math.sqrt(1.0 - b2**t)
     alpha = cfg.lr * r / (1.0 - b1**t)
     np.sqrt(v, out=step)
-    step += cfg.eps * r                           # den = sqrt(v) + eps*r
+    step += ADAM_EPS * r                          # den = sqrt(v) + eps*r
     np.divide(m, step, out=step)
     step *= alpha                                 # (m / den) * alpha
     params -= step
@@ -267,7 +274,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Local training hyperparameters, Adam's included.
+    """Local training hyperparameters; Adam's other constants are fixed above.
 
     ``seed`` drives a dedicated shuffle generator, so training order never
     depends on any other randomness in the program.
@@ -277,19 +284,14 @@ class TrainConfig:
     seed: int
     batch_size: int = 8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie strictly between 0 and 1")
-        if not (self.lr > 0.0 and self.eps > 0.0):
-            raise ValueError("lr and eps must be positive")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be positive")
 
 
 def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,

@@ -446,6 +446,39 @@ def test_tcp_and_in_process_runs_are_bit_identical(tcp_federation):
     assert tcp.total_wire_bytes == in_process.total_wire_bytes > 0
 
 
+def _serve_inline(hospitals, arch, fed_cfg):
+    """``run_server_rounds`` over in-process ``Hospital`` peers registered
+    under their own ids; returns the final state."""
+    transport = tp.InProcessTransport()
+    listener = transport.listen()
+    for h in hospitals:
+        transport.connect(Hospital(h, arch, TrainConfig(epochs=1, seed=0), fed_cfg.gate_metric))
+    try:
+        workers = wait_for_registrations(listener, [h.hospital_id for h in hospitals])
+        return federation.run_server_rounds(workers, arch, fed_cfg)[0]
+    finally:
+        listener.close()
+
+
+@pytest.mark.parametrize("n_hospitals", [1, 3])
+def test_server_rounds_train_every_registered_hospital_whatever_n_hospitals_says(n_hospitals):
+    hospitals = [_hospital(1, seed=1), _hospital(2, seed=2)]
+    arch = ModelArch("lr", input_dim=3)
+    state = _serve_inline(hospitals, arch, FedConfig(n_hospitals=n_hospitals, rounds=3, seed=4))
+    assert [r.cohort for r in state.history] == [(1, 2)] * 3
+    expected = _serve_inline(hospitals, arch, FedConfig(n_hospitals=2, rounds=3, seed=4))
+    assert np.array_equal(state.global_params, expected.global_params)
+    assert state.history == expected.history
+
+
+def test_server_rounds_map_each_cohort_onto_the_registered_ids():
+    hospitals = [_hospital(k, seed=k) for k in (7, 3, 5)]
+    fed = FedConfig(n_hospitals=3, rounds=6, cohort_fraction=0.34, seed=2)
+    state = _serve_inline(hospitals, ModelArch("lr", input_dim=3), fed)
+    assert [r.cohort for r in state.history] == [
+        tuple((3, 5, 7)[k - 1] for k in select_cohort(3, 0.34, (2, rnd))) for rnd in range(6)]
+
+
 def test_duplicate_registration_is_rejected():
     transport = tp.InProcessTransport()
     listener = transport.listen()
@@ -654,7 +687,7 @@ def test_a_failing_round_closes_every_worker_connection(make_transport):
     def hospital(h):
         conn = transport.connect()
         try:
-            worker_loop(conn, h, arch, TrainConfig(epochs=1, seed=0))
+            worker_loop(conn, h, arch, TrainConfig(epochs=1, seed=0), "accuracy")
         except tp.TransportError as exc:
             ended[h.hospital_id] = type(exc)
         conn.close()
@@ -667,7 +700,8 @@ def test_a_failing_round_closes_every_worker_connection(make_transport):
         t.start()
     if inline:
         for k in (1, 2):
-            transport.connect(Hospital(_hospital(k, seed=k), arch, TrainConfig(epochs=1, seed=0)))
+            transport.connect(Hospital(_hospital(k, seed=k), arch, TrainConfig(epochs=1, seed=0),
+                                       "accuracy"))
 
     def evaluate_global(params):
         raise ZeroDivisionError("evaluation failed")
@@ -697,7 +731,8 @@ def test_a_silent_peer_does_not_stall_registration(monkeypatch):
     h = _hospital(1)
     arch = ModelArch("lr", input_dim=3)
     worker = threading.Thread(
-        target=lambda: worker_loop(transport.connect(), h, arch, TrainConfig(epochs=1, seed=0)),
+        target=lambda: worker_loop(transport.connect(), h, arch, TrainConfig(epochs=1, seed=0),
+                                   "accuracy"),
         name="hospital-1", daemon=True)
     worker.start()
     registered = []
@@ -757,7 +792,7 @@ def test_an_in_process_run_starts_no_thread_and_opens_no_socket(make_transport, 
 def test_hospital_answers_one_message_at_a_time():
     h = _hospital(4, n_train=16)
     arch = ModelArch("lr", input_dim=3)
-    peer = Hospital(h, arch, TrainConfig(epochs=1, seed=0))
+    peer = Hospital(h, arch, TrainConfig(epochs=1, seed=0), "accuracy")
     assert peer.register() == tp.Register(4, 16, 12)
     params = init_params(arch, 1)
     update = peer.handle(tp.BroadcastModel(2, params))
@@ -891,7 +926,8 @@ def test_worker_loop_round_trip_over_plain_pair():
     h = _hospital(5, n_train=16)
     arch = ModelArch("lr", input_dim=3)
     worker = threading.Thread(
-        target=lambda: worker_loop(worker_end, h, arch, TrainConfig(epochs=1, seed=0)),
+        target=lambda: worker_loop(worker_end, h, arch, TrainConfig(epochs=1, seed=0),
+                                   "accuracy"),
     )
     worker.start()
     assert conn.recv() == tp.Register(5, 16, 12)
