@@ -276,8 +276,11 @@ def extract_points(points: Points, variables, take: np.ndarray | None = None) ->
     if len(column) < len(variables):
         repeated = next(var for i, var in enumerate(variables) if column[var] != i)
         raise ValueError(f"variables name {repeated!r} more than once")
-    if take is None:
-        take = np.ones(len(points.episode_ids), dtype=bool)
+    n_episodes = len(points.episode_ids)
+    take = np.ones(n_episodes, dtype=bool) if take is None else np.asarray(take)
+    if take.dtype != bool or take.shape != (n_episodes,):
+        raise ValueError(f"take must be a boolean vector of one entry per episode "
+                         f"({n_episodes}), got {take.dtype} of shape {take.shape}")
     column_of = np.array([column.get(var, -1) for var in points.variables], dtype=np.intp)
     point_column = column_of[points.variable]
     keep = take[points.episode] & (point_column >= 0)

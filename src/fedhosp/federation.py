@@ -27,7 +27,7 @@ import numpy as np
 from . import transport as tp
 from .data import HospitalDataset
 from .metrics import EvalResult, accuracy, auroc, evaluate
-from .models import AdamState, ModelArch, TrainConfig, forward, init_params, train
+from .models import AdamState, ModelArch, TrainConfig, check_count, forward, init_params, train
 
 __all__ = [
     "HospitalDataset",
@@ -94,12 +94,9 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_hospitals < 1:
-            raise ValueError(f"n_hospitals must be >= 1, got {self.n_hospitals}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_epochs < 0:
-            raise ValueError(f"local_epochs must be >= 0, got {self.local_epochs}")
+        for field, minimum in (("n_hospitals", 1), ("rounds", 1), ("local_epochs", 0),
+                               ("seed", 0)):
+            check_count(self, field, minimum)
         if not 0.0 < self.cohort_fraction <= 1.0:
             raise ValueError(
                 f"cohort_fraction must lie in (0,1], got {self.cohort_fraction}"

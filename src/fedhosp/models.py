@@ -62,6 +62,16 @@ MODEL_KINDS = ("lr", "mlp")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def check_count(owner, field: str, minimum: int) -> None:
+    """Raise ValueError naming ``field`` unless ``owner.field`` is an int (never
+    a bool) of at least ``minimum``."""
+    value = getattr(owner, field)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{field} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelArch:
     """Classifier family plus the dimensions that fix its parameter count.
@@ -286,10 +296,8 @@ class TrainConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for field, minimum in (("epochs", 0), ("seed", 0), ("batch_size", 1)):
+            check_count(self, field, minimum)
         if not self.lr > 0.0:
             raise ValueError("lr must be positive")
 

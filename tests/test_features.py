@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ def test_a_repeated_variable_name_is_an_error(variables, repeated):
         extract(episodes, variables)
     with pytest.raises(ValueError, match=error):
         extract_points(points_of(episodes), variables)
+
+
+@pytest.mark.parametrize("take, got", [
+    (np.ones(8, dtype=bool), "bool of shape (8,)"),
+    (np.ones(12, dtype=bool), "bool of shape (12,)"),
+    (np.arange(10, dtype=np.int64), "int64 of shape (10,)"),
+    (np.ones((10, 1), dtype=bool), "bool of shape (10, 1)"),
+], ids=["short", "long", "integer", "matrix"])
+def test_take_must_mark_each_episode_once(take, got):
+    points = points_of([_episode(f"e{i}", i % 2, hr=[(1.0, 2.0)]) for i in range(10)])
+    message = f"take must be a boolean vector of one entry per episode (10), got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extract_points(points, ("hr",), take)
+    halves = extract_points(points, ("hr",), [k < 5 for k in range(10)])
+    assert halves.episode_ids == ("e0", "e1", "e2", "e3", "e4")
 
 
 def test_feature_names_align_with_columns():

@@ -318,6 +318,19 @@ def test_fed_config_validation():
         FedConfig(n_hospitals=0, rounds=1)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("n_hospitals", 2.0, "n_hospitals must be an int, got 2.0"),
+    ("rounds", 2.5, "rounds must be an int, got 2.5"),
+    ("rounds", True, "rounds must be an int, got True"),
+    ("local_epochs", 1.5, "local_epochs must be an int, got 1.5"),
+    ("seed", 0.5, "seed must be an int, got 0.5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_fed_config_rejects_a_count_or_seed_that_is_not_an_int_in_range(field, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FedConfig(**{"n_hospitals": 2, "rounds": 1, field: bad})
+
+
 def test_single_hospital_round_equals_centralized_training():
     h = _hospital(n_train=40)
     arch = ModelArch("lr", input_dim=3)
@@ -431,15 +444,19 @@ def test_auroc_gate_rejects_single_class_test_shard_before_round_0():
     assert len(state.history) == 3
 
 
-def test_tcp_and_in_process_runs_are_bit_identical(tcp_federation):
-    arch = ModelArch("lr", input_dim=3)
-    fed = FedConfig(n_hospitals=2, rounds=4, local_epochs=1, gate_enabled=True, seed=13)
+@pytest.mark.parametrize("kind, gate_metric, n_hospitals, cohort_fraction", [
+    ("lr", "accuracy", 2, 1.0), ("mlp", "auroc", 3, 0.34),
+], ids=["lr-accuracy-2-full", "mlp-auroc-3-partial"])
+def test_tcp_and_in_process_runs_are_bit_identical(tcp_federation, kind, gate_metric,
+                                                   n_hospitals, cohort_fraction):
+    arch = ModelArch(kind, input_dim=3, hidden_dim=4)
+    fed = FedConfig(n_hospitals=n_hospitals, rounds=4, local_epochs=1, gate_enabled=True,
+                    cohort_fraction=cohort_fraction, gate_metric=gate_metric, seed=13)
     cfg = TrainConfig(epochs=1, seed=40)
+    ids = range(1, n_hospitals + 1)
     in_process = tp.InProcessTransport()
-    s_ip, e_ip = run_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
-                                arch, fed, cfg, in_process)
-    s_tcp, e_tcp, tcp = tcp_federation([_hospital(1, seed=1), _hospital(2, seed=2)],
-                                       arch, fed, cfg)
+    s_ip, e_ip = run_federation([_hospital(k, seed=k) for k in ids], arch, fed, cfg, in_process)
+    s_tcp, e_tcp, tcp = tcp_federation([_hospital(k, seed=k) for k in ids], arch, fed, cfg)
     assert np.array_equal(s_ip.global_params, s_tcp.global_params)
     assert s_ip.history == s_tcp.history
     assert e_ip == e_tcp
