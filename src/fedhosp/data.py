@@ -72,7 +72,7 @@ _MEASUREMENTS_HEADER = ["episode_id", "variable", "hour", "value"]
 
 
 def variable_names(n_variables: int) -> tuple[str, ...]:
-    """First `n_variables` names of ``DEFAULT_VARIABLES``, padded with generic ones past its end."""
+    """First `n_variables` of ``DEFAULT_VARIABLES``, then generic names past its end."""
     if n_variables < 1:
         raise ValueError(f"n_variables must be >= 1, got {n_variables}")
     names = list(DEFAULT_VARIABLES[:n_variables])

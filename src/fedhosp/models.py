@@ -63,11 +63,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def check_count(owner, field: str, minimum: int) -> None:
-    """Raise ValueError naming ``field`` unless ``owner.field`` is an int (never
-    a bool) of at least ``minimum``."""
+    """Raise ValueError naming ``field`` unless ``owner.field`` is an int (not a
+    bool) of at least ``minimum``."""
     value = getattr(owner, field)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field} must be an int, got {value!r}")
+        raise ValueError(f"{field} must be int, got {value!r}")
     if value < minimum:
         raise ValueError(f"{field} must be >= {minimum}, got {value}")
 
@@ -284,7 +284,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Local training hyperparameters; Adam's other constants are fixed above.
+    """Local training hyperparameters; Adam's beta1, beta2 and eps are ``ADAM_*``.
 
     ``seed`` drives a dedicated shuffle generator, so training order never
     depends on any other randomness in the program.

@@ -319,11 +319,11 @@ def test_fed_config_validation():
 
 
 @pytest.mark.parametrize("field, bad, message", [
-    ("n_hospitals", 2.0, "n_hospitals must be an int, got 2.0"),
-    ("rounds", 2.5, "rounds must be an int, got 2.5"),
-    ("rounds", True, "rounds must be an int, got True"),
-    ("local_epochs", 1.5, "local_epochs must be an int, got 1.5"),
-    ("seed", 0.5, "seed must be an int, got 0.5"),
+    ("n_hospitals", 2.0, "n_hospitals must be int, got 2.0"),
+    ("rounds", 2.5, "rounds must be int, got 2.5"),
+    ("rounds", True, "rounds must be int, got True"),
+    ("local_epochs", 1.5, "local_epochs must be int, got 1.5"),
+    ("seed", 0.5, "seed must be int, got 0.5"),
     ("seed", -1, "seed must be >= 0, got -1"),
 ])
 def test_fed_config_rejects_a_count_or_seed_that_is_not_an_int_in_range(field, bad, message):

@@ -247,14 +247,14 @@ def test_train_config_rejects_adam_hyperparameters_out_of_range(field, bad):
 
 
 @pytest.mark.parametrize("field, bad, message", [
-    ("epochs", 1.5, "epochs must be an int, got 1.5"),
-    ("epochs", True, "epochs must be an int, got True"),
+    ("epochs", 1.5, "epochs must be int, got 1.5"),
+    ("epochs", True, "epochs must be int, got True"),
     ("epochs", -1, "epochs must be >= 0, got -1"),
-    ("seed", 1.5, "seed must be an int, got 1.5"),
-    ("seed", np.int64(2), f"seed must be an int, got {np.int64(2)!r}"),
+    ("seed", 1.5, "seed must be int, got 1.5"),
+    ("seed", np.int64(2), f"seed must be int, got {np.int64(2)!r}"),
     ("seed", -1, "seed must be >= 0, got -1"),
-    ("batch_size", 2.5, "batch_size must be an int, got 2.5"),
-    ("batch_size", False, "batch_size must be an int, got False"),
+    ("batch_size", 2.5, "batch_size must be int, got 2.5"),
+    ("batch_size", False, "batch_size must be int, got False"),
     ("batch_size", 0, "batch_size must be >= 1, got 0"),
 ])
 def test_train_config_rejects_a_count_or_seed_that_is_not_an_int_in_range(field, bad, message):
