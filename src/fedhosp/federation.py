@@ -383,6 +383,11 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
     return workers
 
 
+def _prefixed(exc: tp.TransportError, prefix: str) -> tp.TransportError:
+    """A new error of ``exc``'s own class, its message ``exc``'s after ``prefix``."""
+    return type(exc)(f"{prefix}{exc}")
+
+
 def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rnd: int,
               n_params: int) -> list:
     """Send ``request`` to each listed hospital, then take one checked reply from each.
@@ -397,14 +402,14 @@ def _exchange(workers: dict[int, RegisteredWorker], ids, request, reply_type, rn
         for k in ids:
             workers[k].conn.send(request)
     except tp.TransportError as exc:
-        raise type(exc)(f"round {rnd}: hospital {k}: {exc}") from exc
+        raise _prefixed(exc, f"round {rnd}: hospital {k}: ") from exc
     replies = []
     for k in ids:
         w = workers[k]
         try:
             msg = w.conn.recv()
         except tp.TransportError as exc:
-            raise type(exc)(f"round {rnd}: hospital {k}: {exc}") from exc
+            raise _prefixed(exc, f"round {rnd}: hospital {k}: ") from exc
         if not isinstance(msg, reply_type) or msg.hospital_id != k or msg.round != rnd:
             raise tp.ProtocolError(
                 f"round {rnd}: expected {reply_type.__name__} from hospital {k}, got {msg!r}"
@@ -479,10 +484,11 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
     hospitals do not fit ``fed_cfg``: ids other than exactly
     1..``fed_cfg.n_hospitals``, or, with the auroc gate, a hospital whose
     test labels are all one class; then ``TypeError`` for a transport other
-    than an ``InProcessTransport``. A transport failure is raised as a
-    ``RuntimeError`` naming the hospital that failed first, as is any failure
-    of a hospital, from ``transport.connect`` on; any other error propagates
-    unchanged. Either way every connection is closed first.
+    than an ``InProcessTransport``. A failed hospital is reported as
+    ``run_server_rounds`` reports it, by a ``TransportError`` prefixed
+    "round R: hospital K: " (or "hospital K: " if ``transport.connect``
+    failed) whose ``__cause__`` chain holds its own exception; any other
+    error propagates unchanged. Either way every connection is closed first.
     """
     hospitals = sorted(hospitals, key=lambda h: h.hospital_id)
     ids = [h.hospital_id for h in hospitals]
@@ -511,25 +517,14 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
             last_result = evaluate(forward(arch, params, pooled_x), pooled_y)
         return last_result
 
-    failures: list[tuple[int, Exception]] = []
     listener = transport.listen()
     try:
         for h in hospitals:
             try:
                 transport.connect(Hospital(h, arch, worker_cfg, fed_cfg.gate_metric))
-            except Exception as exc:  # noqa: BLE001 - the server then fails in accept
-                failures.append((h.hospital_id, exc))
+            except tp.TransportError as exc:
+                raise _prefixed(exc, f"hospital {h.hospital_id}: ") from exc
         return run_server_rounds(wait_for_registrations(listener, ids), arch, fed_cfg,
                                  evaluate_global)
-    except tp.TransportError as exc:
-        # A hospital that fails once connected leaves its error on its connection.
-        failures += [(c.peer.data.hospital_id, c.error) for c in transport.endpoints
-                     if c.error is not None]
-        if failures:
-            hid, worker_exc = failures[0]
-            raise RuntimeError(
-                f"hospital {hid} failed during federation: {worker_exc}"
-            ) from worker_exc
-        raise RuntimeError(f"federation transport failure: {exc}") from exc
     finally:
         listener.close()

@@ -314,11 +314,11 @@ class InProcessConnection:
     """The server's end of a connection to a peer answered inline: ``send``
     hands the decoded frame to ``peer.handle`` and queues its encoded reply,
     the ``peer.register()`` Register first. A peer that raises closes the
-    connection, as a failed TCP worker's socket closes, and leaves its
-    exception in ``error``."""
+    connection, as a failed TCP worker's socket closes, and raises a
+    ``TransportClosedError`` whose ``__cause__`` is the peer's exception."""
 
     def __init__(self, peer):
-        self.peer, self.error, self._closed = peer, None, False
+        self.peer, self._closed = peer, False
         self._replies: collections.deque[bytes] = collections.deque()
         self.bytes_sent = self.bytes_received = 0  # to and from the peer
         self._answer(peer.register)
@@ -329,7 +329,6 @@ class InProcessConnection:
             reply = ask()
             frame = None if reply is None else encode(reply)
         except Exception as exc:
-            self.error = exc
             self.close()
             raise TransportClosedError(f"the peer failed: {exc}") from exc
         if frame is not None:

@@ -13,7 +13,7 @@ from hypothesis import settings
 from fedhosp.federation import run_server_rounds, wait_for_registrations, worker_loop
 from fedhosp.metrics import evaluate
 from fedhosp.models import forward
-from fedhosp.transport import TcpTransport, TransportError
+from fedhosp.transport import TcpTransport
 
 # Every run draws the same examples and replays nothing from a local
 # example database, so a pass or a failure does not depend on past runs.
@@ -51,26 +51,27 @@ def tcp_federation():
     Each hospital is a ``worker_loop`` thread named ``hospital-K`` that trains
     ``fed_cfg.local_epochs`` per round, as in ``run_federation``; the server
     waits for every registration, then runs ``run_server_rounds`` with a hook
-    that evaluates the committed parameters on the pooled test rows. Errors
-    are raised as ``run_federation`` raises them: a transport error after a
-    hospital failed as a ``RuntimeError`` naming the hospital that failed
-    first, any other server error unchanged, in each case once every thread
-    has ended.
+    that evaluates the committed parameters on the pooled test rows. The
+    server's error is raised unchanged once every thread has ended: a
+    hospital that fails in a round is named by ``run_server_rounds``'s
+    "round R: hospital K: " prefix, and one that fails before it registers
+    closes the listener, so the server's ``accept`` fails. A hospital's own
+    error is raised only after a server that succeeded.
     """
 
     def run(hospitals, arch, fed_cfg, train_cfg, transport=None):
         transport = transport or TcpTransport("127.0.0.1", 0)
         listener = transport.listen()
         worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)
-        failures = []  # (hospital id, error), in the order the hospitals failed
+        failures = []  # in the order the hospitals failed
 
         def hospital(h):
             conn = None
             try:
                 conn = transport.connect()
                 worker_loop(conn, h, arch, worker_cfg, fed_cfg.gate_metric)
-            except Exception as exc:  # noqa: BLE001 - raised by the server's thread below
-                failures.append((h.hospital_id, exc))  # before the server can see it fail
+            except Exception as exc:  # noqa: BLE001 - raised below if the server succeeds
+                failures.append(exc)
                 listener.close()  # the server may still wait in accept
             finally:
                 if conn is not None:
@@ -87,18 +88,12 @@ def tcp_federation():
             state, evals = run_server_rounds(
                 workers, arch, fed_cfg,
                 lambda params: evaluate(forward(arch, params, pooled_x), pooled_y))
-        except TransportError as exc:
-            if failures:
-                hid, worker_exc = failures[0]
-                raise RuntimeError(
-                    f"hospital {hid} failed during federation: {worker_exc}") from worker_exc
-            raise
         finally:
             listener.close()
             for t in threads:
                 t.join(timeout=30.0)
         if failures:
-            raise failures[0][1]
+            raise failures[0]
         return state, evals, transport
 
     return run

@@ -532,8 +532,13 @@ def test_worker_failure_surfaces_with_context():
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1,
                     gate_metric="auroc", seed=0)
-    with pytest.raises(RuntimeError, match="hospital 2"):
+    with pytest.raises(tp.TransportClosedError,
+                       match=r"^round 0: hospital 2: the peer failed: ") as info:
         run_federation(hospitals, arch, fed, TrainConfig(epochs=1, seed=0))
+    closed = info.value.__cause__  # the connection's own report; the hospital's error below
+    assert type(closed) is tp.TransportClosedError
+    assert type(closed.__cause__) is ValueError
+    assert str(closed.__cause__) == "feature length mismatch: expected 3, got 4"
 
 
 @pytest.mark.parametrize("route", ["in_process", "tcp"])
@@ -545,7 +550,7 @@ def test_worker_failure_releases_the_healthy_workers(route, tcp_federation):
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1, seed=0)
     before = set(threading.enumerate())
-    with pytest.raises(RuntimeError, match="hospital 2 failed"):
+    with pytest.raises(tp.TransportClosedError, match="^round 0: hospital 2: "):
         federate([_hospital(1, seed=1), bad], arch, fed, TrainConfig(epochs=1, seed=0))
     left = [t for t in threading.enumerate()
             if t not in before and t.name.startswith("hospital-") and t.is_alive()]
@@ -591,10 +596,14 @@ def test_a_hospital_that_cannot_connect_ends_the_run(route, tcp_federation):
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=3, rounds=2, seed=0)
     hospitals = [_hospital(k, seed=k) for k in (1, 2, 3)]
+    # In process, the failed connect is named; over TCP, the hospital that
+    # cannot connect closes the listener, and the server fails in accept.
     if route == "in_process":
         federate, transport = run_federation, _InlineConnectFailsFor(2)
+        error, message = tp.TransportError, "hospital 2: cannot connect: refused"
     else:
         federate, transport = tcp_federation, _ConnectFailsIn(tp.TcpTransport(), 2)
+        error, message = tp.TransportClosedError, "listener closed: "
     raised = []
 
     def run():
@@ -607,8 +616,8 @@ def test_a_hospital_that_cannot_connect_ends_the_run(route, tcp_federation):
     server.start()
     server.join(timeout=10.0)
     assert not server.is_alive(), "the server still waits for hospital 2 to register"
-    assert len(raised) == 1 and type(raised[0]) is RuntimeError
-    assert "hospital 2 failed" in str(raised[0]) and "refused" in str(raised[0])
+    assert len(raised) == 1 and type(raised[0]) is error
+    assert str(raised[0]).startswith(message)
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("hospital-") and t.is_alive()]
     endpoints = getattr(transport, "_inner", transport).endpoints
@@ -630,12 +639,12 @@ class _AcceptFails(tp.InProcessTransport):
 
 def test_a_transport_failure_with_no_failed_hospital_is_named_as_such():
     transport = _AcceptFails()
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(tp.TransportClosedError) as info:
         run_federation([_hospital(1, seed=1), _hospital(2, seed=2)], ModelArch("lr", input_dim=3),
                        FedConfig(n_hospitals=2, rounds=1), TrainConfig(epochs=1, seed=0),
                        transport)
-    assert str(info.value) == "federation transport failure: accept refused by the test"
-    assert type(info.value.__cause__) is tp.TransportClosedError
+    # raised as the listener raised it: no round and no hospital to name
+    assert str(info.value) == "accept refused by the test" and info.value.__cause__ is None
     assert len(transport.endpoints) == 2 and all(end._closed for end in transport.endpoints)
 
 
@@ -779,7 +788,8 @@ def test_run_federation_closes_every_in_process_endpoint(fail):
         hospitals[1] = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]),
                                        good.train_y, good.test_x, good.test_y)
     transport = tp.InProcessTransport()
-    with pytest.raises(RuntimeError, match="hospital 2 failed") if fail else nullcontext():
+    with (pytest.raises(tp.TransportClosedError, match="^round 0: hospital 2: ") if fail
+          else nullcontext()):
         run_federation(hospitals, ModelArch("lr", input_dim=3), FedConfig(n_hospitals=2, rounds=2),
                        TrainConfig(epochs=1, seed=0), transport)
     assert len(transport.endpoints) == 2
