@@ -98,6 +98,8 @@ class SyntheticConfig:
             raise ValueError(f"n_variables must be >= 1, got {self.n_variables}")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError(f"prevalence must lie in (0,1), got {self.prevalence}")
+        if not math.isfinite(self.effect_size):
+            raise ValueError(f"effect_size must be finite, got {self.effect_size}")
         lo, hi = self.points_per_variable
         if lo < 0 or hi < lo:
             raise ValueError(f"points_per_variable range invalid: ({lo}, {hi})")
@@ -396,8 +398,8 @@ class PartitionPlan:
             )
         if self.n_hospitals < 1:
             raise ValueError(f"n_hospitals must be >= 1, got {self.n_hospitals}")
-        if self.strategy == "label_skew" and self.skew_alpha <= 0.0:
-            raise ValueError(f"skew_alpha must be positive, got {self.skew_alpha}")
+        if self.strategy == "label_skew" and not 0.0 < self.skew_alpha < math.inf:
+            raise ValueError(f"skew_alpha must be positive and finite, got {self.skew_alpha}")
 
 
 @dataclass(eq=False)

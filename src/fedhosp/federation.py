@@ -101,6 +101,8 @@ class FedConfig:
             raise ValueError(
                 f"cohort_fraction must lie in (0,1], got {self.cohort_fraction}"
             )
+        if not isinstance(self.gate_enabled, bool):
+            raise ValueError(f"gate_enabled must be bool, got {self.gate_enabled!r}")
         if self.gate_metric not in GATE_METRICS:
             raise ValueError(
                 f"unknown gate_metric {self.gate_metric!r}; "
@@ -505,16 +507,19 @@ def run_federation(hospitals, arch: ModelArch, fed_cfg: FedConfig,
                         f"{type(transport).__name__}: over TCP, use wait_for_registrations "
                         f"and run_server_rounds with worker_loop peers")
     worker_cfg = replace(train_cfg, epochs=fed_cfg.local_epochs)
-    pooled_x = np.vstack([h.test_x for h in hospitals])
-    pooled_y = np.concatenate([h.test_y for h in hospitals])
-    last_params, last_result = None, None
+    pooled = last_params = last_result = None
 
     def evaluate_global(params: np.ndarray) -> EvalResult:
-        # A reverted round commits the very same array again: reuse its result.
-        nonlocal last_params, last_result
+        # Pooled when first needed, after round 0's exchanges have named any
+        # hospital whose test rows do not fit the model. A reverted round
+        # commits the very same array again: reuse its result.
+        nonlocal pooled, last_params, last_result
+        if pooled is None:
+            pooled = (np.vstack([h.test_x for h in hospitals]),
+                      np.concatenate([h.test_y for h in hospitals]))
         if params is not last_params:
             last_params = params
-            last_result = evaluate(forward(arch, params, pooled_x), pooled_y)
+            last_result = evaluate(forward(arch, params, pooled[0]), pooled[1])
         return last_result
 
     listener = transport.listen()

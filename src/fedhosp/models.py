@@ -86,10 +86,9 @@ class ModelArch:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1 for mlp, got {self.hidden_dim}")
+        check_count(self, "input_dim", 1)
+        if self.kind == "mlp":
+            check_count(self, "hidden_dim", 1)
         if self.n_params > MAX_PARAMS:
             raise ValueError(
                 f"{self.kind} with input_dim {self.input_dim} and hidden_dim "
@@ -300,6 +299,8 @@ class TrainConfig:
             check_count(self, field, minimum)
         if not self.lr > 0.0:
             raise ValueError("lr must be positive")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
 
 
 def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,

@@ -51,12 +51,14 @@ def tcp_federation():
     Each hospital is a ``worker_loop`` thread named ``hospital-K`` that trains
     ``fed_cfg.local_epochs`` per round, as in ``run_federation``; the server
     waits for every registration, then runs ``run_server_rounds`` with a hook
-    that evaluates the committed parameters on the pooled test rows. The
-    server's error is raised unchanged once every thread has ended: a
-    hospital that fails in a round is named by ``run_server_rounds``'s
-    "round R: hospital K: " prefix, and one that fails before it registers
-    closes the listener, so the server's ``accept`` fails. A hospital's own
-    error is raised only after a server that succeeded.
+    that evaluates the committed parameters on the pooled test rows, pooled
+    at each call so that round 0's exchanges name a hospital whose rows do
+    not fit before pooling can fail. The server's error is raised unchanged
+    once every thread has ended: a hospital that fails in a round is named
+    by ``run_server_rounds``'s "round R: hospital K: " prefix, and one that
+    fails before it registers closes the listener, so the server's
+    ``accept`` fails. A hospital's own error is raised only after a server
+    that succeeded.
     """
 
     def run(hospitals, arch, fed_cfg, train_cfg, transport=None):
@@ -77,17 +79,17 @@ def tcp_federation():
                 if conn is not None:
                     conn.close()
 
+        def evaluate_global(params):
+            return evaluate(forward(arch, params, np.vstack([h.test_x for h in hospitals])),
+                            np.concatenate([h.test_y for h in hospitals]))
+
         threads = [threading.Thread(target=hospital, args=(h,), name=f"hospital-{h.hospital_id}",
                                     daemon=True) for h in hospitals]
         for t in threads:
             t.start()
-        pooled_x = np.vstack([h.test_x for h in hospitals])
-        pooled_y = np.concatenate([h.test_y for h in hospitals])
         try:
             workers = wait_for_registrations(listener, [h.hospital_id for h in hospitals])
-            state, evals = run_server_rounds(
-                workers, arch, fed_cfg,
-                lambda params: evaluate(forward(arch, params, pooled_x), pooled_y))
+            state, evals = run_server_rounds(workers, arch, fed_cfg, evaluate_global)
         finally:
             listener.close()
             for t in threads:

@@ -515,6 +515,10 @@ BAD_EXPERIMENT_VALUES = [
     ({"points_min": 5, "points_max": 4}, ["--points-min", "5", "--points-max", "4"], "points"),
     ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
     ({"partition_strategy": "round_robin"}, ["--partition", "round_robin"], "partition"),
+    ({"partition_strategy": "label_skew", "skew_alpha": float("nan")},
+     ["--partition", "label_skew", "--skew-alpha", "nan"], "skew_alpha must be positive and finite"),
+    ({"learning_rate": float("inf")}, ["--learning-rate", "inf"], "lr must be finite"),
+    ({"effect_size": float("nan")}, ["--effect-size", "nan"], "effect_size must be finite"),
 ]
 
 

@@ -82,6 +82,12 @@ def test_generate_degenerate_prevalence_rejected():
             SyntheticConfig(n_episodes=100, prevalence=prevalence)
 
 
+@pytest.mark.parametrize("effect_size", [math.nan, math.inf, -math.inf])
+def test_synthetic_config_rejects_an_effect_size_that_is_not_finite(effect_size):
+    with pytest.raises(ValueError, match=f"^effect_size must be finite, got {effect_size}$"):
+        SyntheticConfig(n_episodes=100, effect_size=effect_size)
+
+
 def test_synthetic_size_is_bounded():
     from fedhosp.data import MAX_SYNTHETIC_POINTS
 
@@ -563,5 +569,8 @@ def test_partition_builds_hospital_datasets():
 def test_partition_plan_validation():
     with pytest.raises(ValueError, match="strategy"):
         PartitionPlan("random", 2)
-    with pytest.raises(ValueError, match="skew_alpha"):
-        PartitionPlan("label_skew", 2, skew_alpha=0.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=f"^skew_alpha must be positive and finite, got {alpha}$"):
+            PartitionPlan("label_skew", 2, skew_alpha=alpha)
+    PartitionPlan("equal_iid", 2, skew_alpha=math.nan)  # equal_iid reads no skew_alpha

@@ -7,6 +7,7 @@ import struct
 import threading
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def _hospital(hid=1, n_train=24, n_test=12, d=3, seed=0, separation=2.0):
     train_x, train_y = draw(n_train)
     test_x, test_y = draw(n_test)
     return HospitalDataset(hid, train_x, train_y, test_x, test_y)
+
+
+def _one_column_wider(h, part):
+    """``h`` with its ``part`` rows ("train" or "test") one column wider than
+    its other rows: a hospital that fails when it trains or when it scores."""
+    x = getattr(h, f"{part}_x")
+    return replace(h, **{f"{part}_x": np.hstack([x, x[:, :1]])})
 
 
 class _Scripted:
@@ -316,6 +324,9 @@ def test_fed_config_validation():
         FedConfig(n_hospitals=2, rounds=0)
     with pytest.raises(ValueError, match="^n_hospitals must be >= 1, got 0$"):
         FedConfig(n_hospitals=0, rounds=1)
+    for flag in ("no", 1, None):
+        with pytest.raises(ValueError, match=f"^gate_enabled must be bool, got {flag!r}$"):
+            FedConfig(n_hospitals=2, rounds=1, gate_enabled=flag)
 
 
 @pytest.mark.parametrize("field, bad, message", [
@@ -525,10 +536,7 @@ def test_failed_registration_closes_the_registered_connections():
 
 def test_worker_failure_surfaces_with_context():
     # a worker whose train rows are wider than the model fails in local training
-    good = _hospital(2, seed=3)
-    bad = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]), good.train_y,
-                          good.test_x, good.test_y)
-    hospitals = [_hospital(1, seed=1), bad]
+    hospitals = [_hospital(1, seed=1), _one_column_wider(_hospital(2, seed=3), "train")]
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1,
                     gate_metric="auroc", seed=0)
@@ -544,9 +552,7 @@ def test_worker_failure_surfaces_with_context():
 @pytest.mark.parametrize("route", ["in_process", "tcp"])
 def test_worker_failure_releases_the_healthy_workers(route, tcp_federation):
     federate = run_federation if route == "in_process" else tcp_federation
-    good = _hospital(2, seed=3)
-    bad = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]), good.train_y,
-                          good.test_x, good.test_y)
+    bad = _one_column_wider(_hospital(2, seed=3), "train")
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=2, local_epochs=1, seed=0)
     before = set(threading.enumerate())
@@ -555,6 +561,39 @@ def test_worker_failure_releases_the_healthy_workers(route, tcp_federation):
     left = [t for t in threading.enumerate()
             if t not in before and t.name.startswith("hospital-") and t.is_alive()]
     assert left == []
+
+
+@pytest.mark.parametrize("route", ["in_process", "tcp"])
+def test_a_hospital_that_fails_in_training_is_reported_alike_on_both_routes(route,
+                                                                           tcp_federation):
+    federate = run_federation if route == "in_process" else tcp_federation
+    hospitals = [_hospital(1, seed=1), _one_column_wider(_hospital(2, seed=2), "train"),
+                 _hospital(3, seed=3)]
+    with pytest.raises(tp.TransportError) as info:
+        federate(hospitals, ModelArch("lr", input_dim=3), FedConfig(n_hospitals=3, rounds=2),
+                 TrainConfig(epochs=1, seed=0))
+    # the class and prefix run_server_rounds gives, whichever side the hospital ran on
+    assert type(info.value) is tp.TransportClosedError
+    assert str(info.value).startswith("round 0: hospital 2: ")
+
+
+@pytest.mark.parametrize("route", ["in_process", "tcp"])
+def test_a_hospital_that_fails_in_evaluation_ends_the_run(route, tcp_federation):
+    # hospital 2 trains on its train rows, then cannot score its too-wide test rows
+    hospitals = [_hospital(1, seed=1), _one_column_wider(_hospital(2, seed=3), "test")]
+    if route == "in_process":
+        federate, transport = run_federation, tp.InProcessTransport()
+    else:
+        federate, transport = tcp_federation, tp.TcpTransport("127.0.0.1", 0)
+    before = set(threading.enumerate())
+    with pytest.raises(tp.TransportClosedError, match="^round 0: hospital 2: "):
+        federate(hospitals, ModelArch("lr", input_dim=3), FedConfig(n_hospitals=2, rounds=2),
+                 TrainConfig(epochs=1, seed=0), transport)
+    # one end per hospital in process; over TCP, the server's end and the hospital's
+    assert len(transport.endpoints) == (2 if route == "in_process" else 4)
+    assert all(end._closed for end in transport.endpoints)
+    assert not [t for t in threading.enumerate()
+                if t not in before and t.name.startswith("hospital-") and t.is_alive()]
 
 
 class _ConnectFailsIn:
@@ -784,9 +823,7 @@ def test_a_silent_peer_does_not_stall_registration(monkeypatch):
 def test_run_federation_closes_every_in_process_endpoint(fail):
     hospitals = [_hospital(1, seed=1), _hospital(2, seed=3)]
     if fail:  # train rows wider than the model: hospital 2 fails in local training
-        good = hospitals[1]
-        hospitals[1] = HospitalDataset(2, np.hstack([good.train_x, good.train_x[:, :1]]),
-                                       good.train_y, good.test_x, good.test_y)
+        hospitals[1] = _one_column_wider(hospitals[1], "train")
     transport = tp.InProcessTransport()
     with (pytest.raises(tp.TransportClosedError, match="^round 0: hospital 2: ") if fail
           else nullcontext()):

@@ -262,6 +262,29 @@ def test_train_config_rejects_a_count_or_seed_that_is_not_an_int_in_range(field,
         TrainConfig(**{"epochs": 1, "seed": 0, field: bad})
 
 
+def test_train_config_rejects_an_infinite_lr():
+    with pytest.raises(ValueError, match="^lr must be finite, got inf$"):
+        TrainConfig(epochs=1, seed=0, lr=math.inf)
+
+
+@pytest.mark.parametrize("kind, dims, message", [
+    ("lr", {"input_dim": True}, "input_dim must be int, got True"),
+    ("lr", {"input_dim": 2.5}, "input_dim must be int, got 2.5"),
+    ("lr", {"input_dim": 0}, "input_dim must be >= 1, got 0"),
+    ("mlp", {"input_dim": 2.5}, "input_dim must be int, got 2.5"),
+    ("mlp", {"input_dim": 3, "hidden_dim": 2.5}, "hidden_dim must be int, got 2.5"),
+    ("mlp", {"input_dim": 3, "hidden_dim": False}, "hidden_dim must be int, got False"),
+    ("mlp", {"input_dim": 3, "hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
+])
+def test_arch_rejects_a_dimension_that_is_not_an_int_in_range(kind, dims, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelArch(kind, **dims)
+
+
+def test_arch_checks_hidden_dim_for_mlp_only():
+    assert ModelArch("lr", input_dim=3, hidden_dim=2.5).n_params == 4
+
+
 def _toy_separable(n=40, seed=5):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
