@@ -31,15 +31,14 @@ import sys
 from contextlib import closing
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_type_hints
 
+from .checks import check_type
 from .data import generate, save_episodes
 from .experiment import (
     CHOICES,
-    FIELD_TYPES,
     ExperimentConfig,
     ExperimentError,
-    check_type,
     federation_report,
     format_comparison,
     load_data,
@@ -105,6 +104,7 @@ def _variable_names(text: str | None) -> tuple[str, ...] | None:
 
 
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 # ExperimentConfig field -> flag, where the two differ
 _FLAG = {"n_episodes": "--episodes", "n_variables": "--variables", "n_hospitals": "--hospitals",
          "partition_strategy": "--partition", "out_dir": "--out", "gate_enabled": "--gate"}
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         defaults = _defaults(command)
         for name in (*names, *own):
             # A field's flag is typed by its annotation; --gate also gives --no-gate.
-            kind = FIELD_TYPES[name] if name in names else own[name]
+            kind = _FIELD_TYPES[name] if name in names else own[name]
             typed = ({"action": argparse.BooleanOptionalAction} if kind is bool else
                      {"type": (get_args(kind) or (kind,))[0], "choices": CHOICES.get(name)})
             p.add_argument(_flag(name), dest=name, **typed,

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_fields
 from .features import HORIZON_HOURS, Episode, Points
 
 __all__ = [
@@ -92,14 +93,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_episodes < 2:
-            raise ValueError(f"n_episodes must be >= 2, got {self.n_episodes}")
-        if self.n_variables < 1:
-            raise ValueError(f"n_variables must be >= 1, got {self.n_variables}")
+        check_fields(self, n_episodes=2, n_variables=1, seed=0)
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError(f"prevalence must lie in (0,1), got {self.prevalence}")
-        if not math.isfinite(self.effect_size):
-            raise ValueError(f"effect_size must be finite, got {self.effect_size}")
         lo, hi = self.points_per_variable
         if lo < 0 or hi < lo:
             raise ValueError(f"points_per_variable range invalid: ({lo}, {hi})")
@@ -137,19 +133,21 @@ def generate_points(cfg: SyntheticConfig) -> Points:
 
     lo, hi = cfg.points_per_variable
     counts, hour_draws, noise_draws = [], array("d"), array("d")
-    for _ in range(cfg.n_episodes):
-        for std in noise_stds:
-            n_pts = int(rng.integers(lo, hi, endpoint=True))
-            counts.append(n_pts)
-            hour_draws.frombytes(rng.uniform(0.0, HORIZON_HOURS, n_pts).tobytes())
-            noise_draws.frombytes(rng.normal(0.0, std, n_pts).tobytes())
+    for _ in range(cfg.n_episodes * cfg.n_variables):
+        n_pts = int(rng.integers(lo, hi, endpoint=True))
+        counts.append(n_pts)
+        hour_draws.frombytes(rng.random(n_pts).tobytes())
+        noise_draws.frombytes(rng.standard_normal(n_pts).tobytes())
     series_of_point = np.repeat(np.arange(len(counts)), counts)
-    hours = np.frombuffer(hour_draws)
+    episode, variable = np.divmod(series_of_point, cfg.n_variables)
+    # numpy's uniform(0, H) and normal(0, s) are 0.0 + H * u and 0.0 + s * z, bit for bit.
+    hours, noise = np.frombuffer(hour_draws), np.frombuffer(noise_draws)
+    hours *= HORIZON_HOURS
+    noise *= noise_stds[variable]
     hour = hours[np.lexsort((hours, series_of_point))]
     # One level per series, (baseline + shift) + noise as in a scalar loop.
     levels = baselines + np.where(positive[:, None], cfg.effect_size * noise_stds, 0.0)
-    value = levels.ravel()[series_of_point] + np.frombuffer(noise_draws)
-    episode, variable = np.divmod(series_of_point, cfg.n_variables)
+    value = levels.ravel()[series_of_point] + noise
     return Points(tuple(f"e{i:05d}" for i in range(cfg.n_episodes)), positive.astype(np.int64),
                   variable_names(cfg.n_variables), episode, variable, hour, value)
 
@@ -391,15 +389,14 @@ class PartitionPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, n_hospitals=1, seed=0)
         if self.strategy not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"unknown partition strategy {self.strategy!r}; "
                 f"expected one of {PARTITION_STRATEGIES}"
             )
-        if self.n_hospitals < 1:
-            raise ValueError(f"n_hospitals must be >= 1, got {self.n_hospitals}")
-        if self.strategy == "label_skew" and not 0.0 < self.skew_alpha < math.inf:
-            raise ValueError(f"skew_alpha must be positive and finite, got {self.skew_alpha}")
+        if self.strategy == "label_skew" and not self.skew_alpha > 0.0:
+            raise ValueError(f"skew_alpha must be positive, got {self.skew_alpha}")
 
 
 @dataclass(eq=False)

@@ -16,10 +16,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
+from .checks import check_fields
 from .data import (
     PARTITION_STRATEGIES,
     HospitalDataset,
@@ -76,15 +76,6 @@ def stage(name: str):
         raise ExperimentError(f"{name} stage: {exc}") from exc
 
 
-def check_type(key: str, value, kind) -> None:
-    """Raise ValueError naming ``key`` unless ``value`` is a ``kind`` as given;
-    a bool counts only as a bool, an int also as a float."""
-    kinds = get_args(kind) or (kind,)
-    allowed = kinds + (int,) if float in kinds else kinds
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in kinds):
-        raise ValueError(f"{key} must be {getattr(kind, '__name__', kind)}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run depends on.
@@ -127,12 +118,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        for key, kind in FIELD_TYPES.items():
-            check_type(key, getattr(self, key), kind)
+        check_fields(self, seed=0)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly in (0,1), got {self.test_fraction}")
         self.synthetic()
@@ -167,9 +155,6 @@ class ExperimentConfig:
     def arch(self, n_variables: int) -> ModelArch:
         return ModelArch(self.model, input_dim=STATS_PER_VARIABLE * n_variables,
                          hidden_dim=self.hidden_dim)
-
-
-FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def report_header(cfg: ExperimentConfig) -> dict:
@@ -310,10 +295,11 @@ def federation_report(state: FederationState) -> dict:
 def write_report(report: dict, path) -> None:
     """Write ``report`` as sorted, indented JSON to ``path``, making its
     directory. The report holds JSON values only (dicts, lists, tuples, str,
-    int, float, bool, None): a numpy array or numpy integer raises TypeError."""
+    int, finite float, bool, None): a numpy array or numpy integer raises
+    TypeError, and a NaN or infinite float ValueError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:

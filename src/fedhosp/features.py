@@ -224,11 +224,12 @@ def _count_block_stats(block: np.ndarray) -> np.ndarray:
     vmax, vmin = block.max(axis=1), block.min(axis=1)
     mean = np.mean(block, axis=1)
     out[:, 0], out[:, 1], out[:, 2], out[:, 5] = vmax, vmin, mean, n
-    if n >= 2:
-        out[:, 3] = np.std(block, axis=1, ddof=1)
-    if n >= 3:
+    if n >= 2:  # np.std(block, axis=1, ddof=1)'s ufuncs, in its order
         dev = block - mean[:, None]
-        m2 = np.mean(dev**2, axis=1)
+        s2 = np.sum(np.square(dev), axis=1)
+        out[:, 3] = np.sqrt(s2 / (n - 1))
+    if n >= 3:
+        m2 = s2 / n
         scale = np.maximum(np.abs(vmax), np.abs(vmin))
         skewed = np.flatnonzero(m2 > np.maximum(_REL_VAR_FLOOR * scale * scale, _ABS_VAR_FLOOR))
         if skewed.size:

@@ -25,9 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport as tp
+from .checks import check_fields
 from .data import HospitalDataset
 from .metrics import EvalResult, accuracy, auroc, evaluate
-from .models import AdamState, ModelArch, TrainConfig, check_count, forward, init_params, train
+from .models import AdamState, ModelArch, TrainConfig, forward, init_params, train
 
 __all__ = [
     "HospitalDataset",
@@ -94,15 +95,11 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for field, minimum in (("n_hospitals", 1), ("rounds", 1), ("local_epochs", 0),
-                               ("seed", 0)):
-            check_count(self, field, minimum)
+        check_fields(self, n_hospitals=1, rounds=1, local_epochs=0, seed=0)
         if not 0.0 < self.cohort_fraction <= 1.0:
             raise ValueError(
                 f"cohort_fraction must lie in (0,1], got {self.cohort_fraction}"
             )
-        if not isinstance(self.gate_enabled, bool):
-            raise ValueError(f"gate_enabled must be bool, got {self.gate_enabled!r}")
         if self.gate_metric not in GATE_METRICS:
             raise ValueError(
                 f"unknown gate_metric {self.gate_metric!r}; "

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields
+
 __all__ = [
     "MAX_PARAMS",
     "MODEL_KINDS",
@@ -62,16 +64,6 @@ MODEL_KINDS = ("lr", "mlp")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def check_count(owner, field: str, minimum: int) -> None:
-    """Raise ValueError naming ``field`` unless ``owner.field`` is an int (not a
-    bool) of at least ``minimum``."""
-    value = getattr(owner, field)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field} must be int, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{field} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class ModelArch:
     """Classifier family plus the dimensions that fix its parameter count.
@@ -84,11 +76,9 @@ class ModelArch:
     hidden_dim: int = 50
 
     def __post_init__(self) -> None:
+        check_fields(self, input_dim=1, **({"hidden_dim": 1} if self.kind == "mlp" else {}))
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        check_count(self, "input_dim", 1)
-        if self.kind == "mlp":
-            check_count(self, "hidden_dim", 1)
         if self.n_params > MAX_PARAMS:
             raise ValueError(
                 f"{self.kind} with input_dim {self.input_dim} and hidden_dim "
@@ -295,12 +285,9 @@ class TrainConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
-        for field, minimum in (("epochs", 0), ("seed", 0), ("batch_size", 1)):
-            check_count(self, field, minimum)
+        check_fields(self, epochs=0, seed=0, batch_size=1)
         if not self.lr > 0.0:
             raise ValueError("lr must be positive")
-        if not math.isfinite(self.lr):
-            raise ValueError(f"lr must be finite, got {self.lr}")
 
 
 def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,

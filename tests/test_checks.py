@@ -1,0 +1,76 @@
+"""The one value check: every field of every public config class refuses a
+value of the wrong type, a bool for a number and a non-finite float, naming
+the field. The cases are generated from the classes' annotations, so a field
+added later is covered without editing this file."""
+
+from __future__ import annotations
+
+import math
+import re
+from dataclasses import fields
+from typing import get_type_hints
+
+import pytest
+
+from fedhosp.checks import check_type
+from fedhosp.data import PartitionPlan, SyntheticConfig
+from fedhosp.experiment import ExperimentConfig
+from fedhosp.federation import FedConfig
+from fedhosp.models import ModelArch, TrainConfig
+
+# class -> the arguments of a valid instance
+VALID = {
+    SyntheticConfig: {"n_episodes": 100},
+    PartitionPlan: {"strategy": "equal_iid", "n_hospitals": 2},
+    ModelArch: {"kind": "mlp", "input_dim": 3},
+    TrainConfig: {"epochs": 1, "seed": 0},
+    FedConfig: {"n_hospitals": 2, "rounds": 1},
+    ExperimentConfig: {},
+}
+# annotation -> values of the wrong type, or non-finite
+WRONG = {
+    int: (2.5, True, "3", None),
+    float: (math.nan, math.inf, -math.inf, "0.5", True, None),
+    bool: (1, "yes", None),
+    str: (3, b"x", None),
+    str | None: (3, b"x"),
+    tuple[int, int]: ((1.5, 3), (4, "12"), (4,), [4, 12], None),
+}
+
+
+def _cases():
+    for cls, valid in VALID.items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            for value in WRONG[hints[f.name]]:
+                yield pytest.param(cls, valid, f.name, value,
+                                   id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, valid, name, value", _cases())
+def test_every_config_field_refuses_a_wrong_value_by_name(cls, valid, name, value):
+    cls(**valid)
+    with pytest.raises(ValueError, match=rf"^{name}(\[\d\])? must be "):
+        cls(**{**valid, name: value})
+
+
+@pytest.mark.parametrize("value, kind, message", [
+    (1, float, None),
+    (1.5, float, None),
+    (True, bool, None),
+    (None, str | None, None),
+    ((4, 12), tuple[int, int], None),
+    (True, int, "x must be int, got True"),
+    (math.nan, float, "x must be finite, got nan"),
+    (-math.inf, float | None, "x must be finite, got -inf"),
+    ((4, 12, 1), tuple[int, int], "x must be tuple[int, int], got (4, 12, 1)"),
+    ([4, 12], tuple[int, int], "x must be tuple[int, int], got [4, 12]"),
+    ((4, 1.5), tuple[int, int], "x[1] must be int, got 1.5"),
+    (3, str | None, "x must be str | None, got 3"),
+])
+def test_check_type_states_the_one_rule(value, kind, message):
+    if message is None:
+        check_type("x", value, kind)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_type("x", value, kind)

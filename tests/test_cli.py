@@ -516,8 +516,9 @@ BAD_EXPERIMENT_VALUES = [
     ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
     ({"partition_strategy": "round_robin"}, ["--partition", "round_robin"], "partition"),
     ({"partition_strategy": "label_skew", "skew_alpha": float("nan")},
-     ["--partition", "label_skew", "--skew-alpha", "nan"], "skew_alpha must be positive and finite"),
-    ({"learning_rate": float("inf")}, ["--learning-rate", "inf"], "lr must be finite"),
+     ["--partition", "label_skew", "--skew-alpha", "nan"], "skew_alpha must be finite"),
+    ({"skew_alpha": float("inf")}, ["--skew-alpha", "inf"], "skew_alpha must be finite"),
+    ({"learning_rate": float("inf")}, ["--learning-rate", "inf"], "learning_rate must be finite"),
     ({"effect_size": float("nan")}, ["--effect-size", "nan"], "effect_size must be finite"),
 ]
 
@@ -551,6 +552,14 @@ def test_every_bad_value_exits_2_before_the_data_stage(tmp_path, capsys, command
     given = {"mode": "federated", "data_dir": str(tmp_path / "missing")}
     _assert_usage_errors(
         _bad_value_argvs(command, given, tmp_path, BAD_EXPERIMENT_VALUES), capsys)
+
+
+def test_a_non_finite_skew_alpha_is_refused_under_equal_iid_too(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--episodes", "60", "--epochs", "1", "--skew-alpha", "nan", "--out", str(out)]
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().err == "error: skew_alpha must be finite, got nan\n"
+    assert not (out / "report.json").exists()
 
 
 def test_config_file_types_are_checked_not_converted(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhosp.data import (
+    PARTITION_STRATEGIES,
     PartitionPlan,
     SyntheticConfig,
     generate,
@@ -569,8 +570,11 @@ def test_partition_builds_hospital_datasets():
 def test_partition_plan_validation():
     with pytest.raises(ValueError, match="strategy"):
         PartitionPlan("random", 2)
-    for alpha in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError,
-                           match=f"^skew_alpha must be positive and finite, got {alpha}$"):
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^skew_alpha must be positive, got {alpha}$"):
             PartitionPlan("label_skew", 2, skew_alpha=alpha)
-    PartitionPlan("equal_iid", 2, skew_alpha=math.nan)  # equal_iid reads no skew_alpha
+    PartitionPlan("equal_iid", 2, skew_alpha=0.0)  # equal_iid reads no skew_alpha's range
+    for alpha in (math.nan, math.inf):  # but every strategy refuses a non-finite one
+        for strategy in PARTITION_STRATEGIES:
+            with pytest.raises(ValueError, match=f"^skew_alpha must be finite, got {alpha}$"):
+                PartitionPlan(strategy, 2, skew_alpha=alpha)

@@ -136,6 +136,9 @@ def test_write_report_writes_tuples_as_lists_and_refuses_numpy_values(tmp_path):
     for value in (np.int64(1), np.zeros(2)):
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_report({"value": value}, path)
+    for value in (float("nan"), float("inf")):  # JSON has no such value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report({"value": value}, path)
 
 
 def _reaches_its_extremes(rows) -> bool:

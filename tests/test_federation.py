@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 import struct
 import threading
 import time
@@ -510,11 +511,12 @@ def test_server_rounds_map_each_cohort_onto_the_registered_ids():
 def test_duplicate_registration_is_rejected():
     transport = tp.InProcessTransport()
     listener = transport.listen()
-    first, second, unique = (transport.connect(_Scripted(tp.Register(k, 10, 5)))
-                             for k in (1, 1, 2))
+    first, second, stranger, unique = (transport.connect(_Scripted(tp.Register(k, 10, 5)))
+                                       for k in (1, 1, 3, 2))
     workers = wait_for_registrations(listener, {1, 2})
     assert workers[1].conn is first and workers[2].conn is unique
     assert second._closed  # duplicate id: connection dropped
+    assert stranger._closed  # id not expected: connection dropped
     assert not first._closed and not unique._closed
     for w in workers.values():
         w.conn.close()
@@ -881,18 +883,19 @@ def test_a_registration_with_an_empty_set_is_closed(sizes):
 
 
 @pytest.mark.parametrize("update, result, fault", [
-    ((0, np.zeros(4)), 5, "n_samples size 0, expected 10"),
-    ((10, np.zeros(7)), 5, "params size 7, expected 4"),
-    ((10, np.zeros(4)), 6, "n_test size 6, expected 5"),
-], ids=["n_samples", "params", "n_test"])
+    ((0, np.zeros(4)), (0.5, 5), "n_samples size 0, expected 10"),
+    ((10, np.zeros(7)), (0.5, 5), "params size 7, expected 4"),
+    ((10, np.zeros(4)), (0.5, 6), "n_test size 6, expected 5"),
+    ((10, np.zeros(4)), (1.5, 5), "sent an EvalResult value 1.5 outside [0, 1]"),
+], ids=["n_samples", "params", "n_test", "value"])
 def test_a_reply_that_contradicts_the_registration_is_a_protocol_error(update, result, fault):
     transport = tp.InProcessTransport()
     listener = transport.listen()
     # The whole one-round session, scripted.
     transport.connect(_Scripted(tp.Register(hospital_id=1, n_train=10, n_test=5),
-                                tp.LocalUpdate(1, 0, *update), tp.EvalResult(1, 0, 0.5, result)))
+                                tp.LocalUpdate(1, 0, *update), tp.EvalResult(1, 0, *result)))
     workers = wait_for_registrations(listener, [1])
-    with pytest.raises(tp.ProtocolError, match=f"round 0: hospital 1 .*{fault}"):
+    with pytest.raises(tp.ProtocolError, match=f"^round 0: hospital 1 .*{re.escape(fault)}$"):
         federation.run_server_rounds(workers, ModelArch("lr", input_dim=3),
                                      FedConfig(n_hospitals=1, rounds=1))
     assert all(end._closed for end in transport.endpoints)

