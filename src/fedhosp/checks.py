@@ -18,7 +18,7 @@ def check_type(key: str, value, kind) -> None:
     allowed = kinds + (int,) if float in kinds else kinds
     if (not isinstance(value, allowed) or (isinstance(value, bool) and bool not in kinds)
             or items and len(value) != len(items)):
-        name = kind.__name__ if isinstance(kind, type) else kind
+        name = kind.__name__ if type(kind) is type else kind
         raise ValueError(f"{key} must be {name}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
@@ -33,10 +33,7 @@ def check_fields(obj, **minimums: int) -> None:
     """``check_type`` of every annotated field of the dataclass ``obj``, then
     ``<field> must be >= <minimum>`` for each field given below its minimum."""
     for name, kind in _type_hints(type(obj)).items():
-        value = getattr(obj, name)
-        # A value of exactly the annotated type costs one identity test.
-        if type(value) is not kind or (kind is float and not math.isfinite(value)):
-            check_type(name, value, kind)
+        check_type(name, getattr(obj, name), kind)
     for name, minimum in minimums.items():
         if getattr(obj, name) < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {getattr(obj, name)}")

@@ -224,16 +224,18 @@ def _count_block_stats(block: np.ndarray) -> np.ndarray:
     vmax, vmin = block.max(axis=1), block.min(axis=1)
     mean = np.mean(block, axis=1)
     out[:, 0], out[:, 1], out[:, 2], out[:, 5] = vmax, vmin, mean, n
-    if n >= 2:  # np.std(block, axis=1, ddof=1)'s ufuncs, in its order
-        dev = block - mean[:, None]
-        s2 = np.sum(np.square(dev), axis=1)
+    if n >= 2:  # np.std(block, axis=1, ddof=1)'s ufuncs, in its order, squared in place
+        sq = block - mean[:, None]
+        s2 = np.sum(np.multiply(sq, sq, out=sq), axis=1)
         out[:, 3] = np.sqrt(s2 / (n - 1))
     if n >= 3:
         m2 = s2 / n
         scale = np.maximum(np.abs(vmax), np.abs(vmin))
         skewed = np.flatnonzero(m2 > np.maximum(_REL_VAR_FLOOR * scale * scale, _ABS_VAR_FLOOR))
         if skewed.size:
-            m3 = np.mean(dev[skewed] ** 3, axis=1)
+            dev = block[skewed]  # a copy
+            dev -= mean[skewed, None]
+            m3 = np.mean(dev**3, axis=1)
             denom = np.array([x**1.5 for x in m2[skewed].tolist()])
             out[skewed, 4] = m3 / denom
     return out
