@@ -3,10 +3,11 @@
 K simulated hospitals each hold a private shard of ICU-style episodes.
 A server coordinates rounds of local training and dataset-size-weighted
 parameter averaging, optionally gated so that only candidates matching the
-best test accuracy so far are committed. The package also ships the full
-supporting pipeline: a synthetic episode generator, windowed-statistics
-feature extraction, from-scratch LR/MLP training with Adam, AUROC/AUPRC
-metrics, and a binary wire protocol with in-process and TCP transports.
+best gate value so far (test accuracy or AUROC) are committed. The package
+also ships the full supporting pipeline: a synthetic episode generator,
+windowed-statistics feature extraction, from-scratch LR/MLP training with
+Adam, AUROC/AUPRC metrics, and a binary wire protocol with in-process and
+TCP transports.
 
 Typical entry points: :func:`fedhosp.experiment.run_experiment` for whole
 pipelines, :func:`fedhosp.federation.run_federation` for an in-process

@@ -1,4 +1,5 @@
-"""The one value check of every config field and option: its annotated type, where
+"""The one value check of every config field, option and wire message field,
+and of ``HospitalDataset`` and ``metrics.EvalResult``: its annotated type, where
 a bool counts only as a bool, an int also as a float, and a float must be finite."""
 
 from __future__ import annotations
@@ -10,19 +11,26 @@ from typing import get_args, get_origin, get_type_hints
 __all__ = ["check_type", "check_fields"]
 
 
+@cache
+def _rule(kind) -> tuple[tuple[type, ...], bool, tuple, str]:
+    """What ``check_type`` asks of a ``kind``: the types a value may have,
+    whether a bool counts, a ``tuple[...]``'s (index, item kind)s, and its name."""
+    items = tuple(enumerate(get_args(kind))) if get_origin(kind) is tuple else ()
+    kinds = (tuple,) if items else get_args(kind) or (kind,)
+    allowed = kinds + (int,) if float in kinds else kinds
+    return allowed, bool in kinds, items, kind.__name__ if type(kind) is type else str(kind)
+
+
 def check_type(key: str, value, kind) -> None:
     """Raise ValueError naming ``key`` unless ``value`` is a ``kind``: a type, a
     union such as ``str | None``, or a ``tuple[...]``, checked item by item."""
-    items = get_args(kind) if get_origin(kind) is tuple else None
-    kinds = (tuple,) if items else get_args(kind) or (kind,)
-    allowed = kinds + (int,) if float in kinds else kinds
-    if (not isinstance(value, allowed) or (isinstance(value, bool) and bool not in kinds)
+    allowed, bool_counts, items, name = _rule(kind)
+    if (not isinstance(value, allowed) or (not bool_counts and isinstance(value, bool))
             or items and len(value) != len(items)):
-        name = kind.__name__ if type(kind) is type else kind
         raise ValueError(f"{key} must be {name}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    for i, item_kind in enumerate(items or ()):
+    for i, item_kind in items:
         check_type(f"{key}[{i}]", value[i], item_kind)
 
 

@@ -84,7 +84,7 @@ def _parse_endpoint(opts: dict, name: str, lowest_port: int) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise UsageError(f"{option} must look like HOST:PORT, got {text!r}")
-    if not (port.isdigit() and lowest_port <= int(port) <= 65535):
+    if not (port.isascii() and port.isdigit() and lowest_port <= int(port) <= 65535):
         raise UsageError(f"{option}: the port in {text!r} must be an integer in "
                          f"{lowest_port}-65535")
     return host, int(port)

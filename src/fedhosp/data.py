@@ -414,8 +414,7 @@ class HospitalDataset:
         self.test_x = np.atleast_2d(np.asarray(self.test_x, dtype=np.float64))
         self.train_y = np.asarray(self.train_y).reshape(-1)
         self.test_y = np.asarray(self.test_y).reshape(-1)
-        if self.hospital_id < 0:
-            raise ValueError(f"hospital_id must be non-negative, got {self.hospital_id}")
+        check_fields(self, hospital_id=0)
         for part, x, y in (("train", self.train_x, self.train_y),
                            ("test", self.test_x, self.test_y)):
             if x.shape[0] < 1:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields
+
 __all__ = ["DECISION_THRESHOLD", "EvalResult", "auroc", "auprc", "accuracy", "evaluate"]
 
 # A score at or above this predicts the positive class, for ``accuracy``.
@@ -96,8 +98,7 @@ class EvalResult:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("EvalResult needs n >= 1")
+        check_fields(self, n=1)
 
 
 def evaluate(scores, labels) -> EvalResult:

@@ -15,13 +15,12 @@ elements, which decode as a read-only view of the frame. Example frames::
     BroadcastModel(round=0, [1.0])      11 00 00 00   02  00 00 00 00
                                         01 00 00 00   00 00 00 00 00 00 f0 3f
 
-Each message is checked once per hop. The constructor checks every field:
-an int in its u32/u64 range, a finite real, finite params that form a flat
-vector (converted to float64). ``decode`` runs only the part the head
-struct cannot guarantee, that f64 fields and params are finite: unpacking
-"I"/"Q" yields ints in range, and params decode as a flat float64 view. It
-then builds the message without rerunning the constructor, and raises its
-messages as ``ProtocolError``.
+The constructor is a message's one check. It checks each scalar field by
+``fedhosp.checks``' rule (an int for u32/u64, a finite float for f64), then
+that an int lies in its u32/u64 range, and that params, converted to
+float64, form a flat vector of finite values. ``decode`` builds every
+message through that constructor and raises its messages as
+``ProtocolError``.
 
 The message vocabulary deliberately has no variant that could carry feature
 rows or labels — only parameters, sample counts, and metric scalars — so
@@ -39,8 +38,6 @@ byte counts match and a federation run is bit-identical across the two.
 from __future__ import annotations
 
 import collections
-import math
-import numbers
 import socket
 import struct
 import threading
@@ -49,6 +46,8 @@ from dataclasses import make_dataclass
 from typing import Union
 
 import numpy as np
+
+from .checks import check_type
 
 __all__ = [
     "Register",
@@ -113,15 +112,6 @@ class DeadlineError(TransportError):
     """A whole message did not arrive within the receive timeout."""
 
 
-def _check_finite(name: str, wire: str, value) -> None:
-    """The check a decoded field still needs: an f64 or params field is finite."""
-    if wire == "params":
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} contain non-finite values")
-    elif wire == "f64" and not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 class _Message:
     """Validation and equality shared by the classes built from ``_SCHEMA``.
 
@@ -137,13 +127,12 @@ class _Message:
                     object.__setattr__(self, name, value)
                 if value.ndim != 1:
                     raise ValueError(f"{name} must be a flat vector, got shape {value.shape}")
-            elif wire == "f64":
-                if type(value) is not float and not isinstance(value, numbers.Real):
-                    raise ValueError(f"{name} must be a finite number, got {value!r}")
-            elif not ((type(value) is int or isinstance(value, (int, np.integer)))
-                      and 0 <= value <= _INT_MAX[wire]):
-                raise ValueError(f"{name} must be a {wire}, got {value!r}")
-            _check_finite(name, wire, value)
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} contain non-finite values")
+            else:
+                check_type(name, value, _ANNOTATION[wire])
+                if wire in _INT_MAX and not 0 <= value <= _INT_MAX[wire]:
+                    raise ValueError(f"{name} must be a {wire}, got {value!r}")
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and all(
@@ -186,11 +175,8 @@ def encode(msg: Message) -> bytes:
 
 
 def decode(data: bytes) -> Message:
-    """Parse one complete frame back into a message (inverse of encode).
-
-    Checks what the head struct cannot guarantee, that floats and params are
-    finite, and builds the message without rerunning its constructor's checks.
-    """
+    """Parse one complete frame back into a message (inverse of encode), built
+    by its constructor, whose ``ValueError`` is raised as ``ProtocolError``."""
     size = len(data)
     if size < 4:
         raise FramingError(f"frame shorter than its length prefix: {size} bytes")
@@ -217,13 +203,9 @@ def decode(data: bytes) -> Message:
     if end != size:
         raise ProtocolError(f"payload has {size - end} unexpected trailing bytes")
     try:
-        for (name, wire), value in zip(cls.FIELDS, values):
-            _check_finite(name, wire, value)
+        return cls(*values)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
-    msg = object.__new__(cls)
-    msg.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return msg
 
 
 # --------------------------------------------------------------------------

@@ -1,22 +1,29 @@
-"""The one value check: every field of every public config class refuses a
-value of the wrong type, a bool for a number and a non-finite float, naming
-the field. The cases are generated from the classes' annotations, so a field
-added later is covered without editing this file."""
+"""The one value check: every field of every public config class, and every
+scalar field of every wire message, ``HospitalDataset`` and
+``metrics.EvalResult``, refuses a value of the wrong type, a bool for a number
+and a non-finite float, naming the field in the rule's words. The cases are
+generated from the classes' annotations and from ``transport.MESSAGE_TYPES``,
+so a field or message added later is covered without editing this file."""
 
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import fields
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 
+from fedhosp import metrics, transport
 from fedhosp.checks import check_type
-from fedhosp.data import PartitionPlan, SyntheticConfig
+from fedhosp.data import HospitalDataset, PartitionPlan, SyntheticConfig
 from fedhosp.experiment import ExperimentConfig
 from fedhosp.federation import FedConfig
 from fedhosp.models import ModelArch, TrainConfig
+
+# wire type -> a valid value of a message field
+_WIRE_VALID = {"u32": 1, "u64": 1, "f64": 0.5, "params": np.zeros(1)}
 
 # class -> the arguments of a valid instance
 VALID = {
@@ -26,11 +33,17 @@ VALID = {
     TrainConfig: {"epochs": 1, "seed": 0},
     FedConfig: {"n_hospitals": 2, "rounds": 1},
     ExperimentConfig: {},
+    HospitalDataset: {"hospital_id": 0, "train_x": np.zeros((2, 3)), "train_y": [0, 1],
+                      "test_x": np.zeros((1, 3)), "test_y": [1]},
+    metrics.EvalResult: {"auroc": 0.5, "auprc": 0.5, "accuracy": 0.5, "n": 1},
+    **{cls: {name: _WIRE_VALID[wire] for name, wire in cls.FIELDS}
+       for cls in transport.MESSAGE_TYPES if cls.FIELDS},
 }
-# annotation -> values of the wrong type, or non-finite
+# annotation -> values of the wrong type, or non-finite; arrays have their own tests
 WRONG = {
-    int: (2.5, True, "3", None),
-    float: (math.nan, math.inf, -math.inf, "0.5", True, None),
+    np.ndarray: (),
+    int: (2.5, True, np.int64(3), "3", None),
+    float: (math.nan, math.inf, -math.inf, np.float32(0.5), "0.5", True, None),
     bool: (1, "yes", None),
     str: (3, b"x", None),
     str | None: (3, b"x"),
@@ -43,14 +56,21 @@ def _cases():
         hints = get_type_hints(cls)
         for f in fields(cls):
             for value in WRONG[hints[f.name]]:
-                yield pytest.param(cls, valid, f.name, value,
+                yield pytest.param(cls, valid, f.name, hints[f.name], value,
                                    id=f"{cls.__name__}.{f.name}={value!r}")
 
 
-@pytest.mark.parametrize("cls, valid, name, value", _cases())
-def test_every_config_field_refuses_a_wrong_value_by_name(cls, valid, name, value):
+def _rule_words(kind) -> str:
+    """A pattern of the rule's words for a wrong ``kind`` value: the name of the
+    kind or of one of its parts, or ``finite``."""
+    names = (k.__name__ if type(k) is type else str(k) for k in (kind, *get_args(kind)))
+    return "|".join(map(re.escape, (*names, "finite")))
+
+
+@pytest.mark.parametrize("cls, valid, name, kind, value", _cases())
+def test_every_config_field_refuses_a_wrong_value_by_name(cls, valid, name, kind, value):
     cls(**valid)
-    with pytest.raises(ValueError, match=rf"^{name}(\[\d\])? must be "):
+    with pytest.raises(ValueError, match=rf"^{name}(\[\d\])? must be ({_rule_words(kind)}), got "):
         cls(**{**valid, name: value})
 
 

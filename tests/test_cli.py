@@ -695,7 +695,7 @@ def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connectin
         assert "refused by the test" in err
 
 
-@pytest.mark.parametrize("port", ["99999", "-5"])
+@pytest.mark.parametrize("port", ["99999", "-5", "²"])
 def test_serve_port_out_of_range_is_a_usage_error(capsys, port):
     assert _run(["serve", "--listen", f"127.0.0.1:{port}", "--rounds", "1"]) == 2
     err = capsys.readouterr().err

@@ -1012,8 +1012,11 @@ def test_worker_loop_round_trip_over_plain_pair():
 
 
 def test_hospital_dataset_validation():
-    with pytest.raises(ValueError, match="^hospital_id must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match="^hospital_id must be >= 0, got -1$"):
         HospitalDataset(-1, np.zeros((2, 3)), np.zeros(2), np.zeros((1, 3)), np.zeros(1))
+    for hospital_id in (2.5, True):
+        with pytest.raises(ValueError, match=f"^hospital_id must be int, got {hospital_id}$"):
+            HospitalDataset(hospital_id, np.zeros((2, 3)), [0, 1], np.zeros((1, 3)), [1])
     with pytest.raises(ValueError, match="empty test"):
         HospitalDataset(1, np.zeros((2, 3)), np.zeros(2), np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError, match="mismatch"):

@@ -1,11 +1,11 @@
 """Each package module imports only the package modules below it.
 
-The layers, lowest first: checks, the one value check of every config class
-and option, imports no package module and may be imported by every other;
-features, models, metrics and transport import no package module but checks;
-data builds on features alone, as the stand-in for the restricted clinical
-data; federation on data, metrics, models and transport; experiment on
-everything below it, and cli on everything.
+The layers, lowest first: checks, the one value check of every config class,
+option, wire message and ``HospitalDataset``, imports no package module and
+may be imported by every other; features, models, metrics and transport
+import no package module but checks; data builds on features alone, as the
+stand-in for the restricted clinical data; federation on data, metrics,
+models and transport; experiment on everything below it, and cli on everything.
 """
 
 from __future__ import annotations

@@ -201,7 +201,7 @@ def test_decode_rejects_a_non_finite_eval_value_with_the_constructor_message(bad
                                                         n_test=100))
     with pytest.raises(tp.ProtocolError) as info:
         tp.decode(frame)
-    assert str(info.value) == expected == f"value must be a finite number, got {bad!r}"
+    assert str(info.value) == expected == f"value must be finite, got {bad!r}"
 
 
 @NON_FINITE
@@ -259,8 +259,8 @@ def test_messages_validate_fields():
         tp.BroadcastModel(round=0, params=np.array([np.inf]))
     with pytest.raises(ValueError, match="flat"):
         tp.BroadcastModel(round=0, params=np.zeros((2, 3)))
-    for value in (None, "x", np.nan):
-        with pytest.raises(ValueError, match="finite number"):
+    for value, words in ((None, "float"), ("x", "float"), (np.nan, "finite")):
+        with pytest.raises(ValueError, match=f"^value must be {words}, got "):
             tp.EvalResult(hospital_id=1, round=0, value=value, n_test=1)
 
 
