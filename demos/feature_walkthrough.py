@@ -11,12 +11,12 @@ Run:  python3 demos/feature_walkthrough.py
 
 import numpy as np
 
-from fedhosp.data import SyntheticConfig, generate_points
+from fedhosp.data import SyntheticConfig, generate
 from fedhosp.features import (
     STAT_NAMES,
     WINDOW_NAMES,
     Episode,
-    extract_points,
+    extract,
     feature_names,
     fit_scaler,
     slice_windows,
@@ -52,11 +52,12 @@ for name, contents in zip(WINDOW_NAMES, windows):
 print("\nempty window ->", window_stats([]))
 
 # --- a full matrix from a synthetic cohort --------------------------------
-# The cohort comes as flat per-point arrays, with no Episode record built.
+# The cohort comes as one Points record of flat per-point arrays, with no
+# Episode record built.
 cfg = SyntheticConfig(n_episodes=200, n_variables=3, seed=11)
-points = generate_points(cfg)
+points = generate(cfg)
 variables = points.variables
-fm = extract_points(points, variables)
+fm = extract(points, variables)
 print(f"\n{len(fm.episode_ids)} episodes x {len(variables)} variables "
       f"-> matrix {fm.rows.shape}  (42 stats per variable)")
 

@@ -29,6 +29,7 @@ from .experiment import ExperimentConfig, run_comparison, run_experiment
 from .features import (
     Episode,
     FeatureMatrix,
+    Points,
     Scaler,
     extract,
     fit_scaler,
@@ -63,6 +64,7 @@ __all__ = [
     "InProcessTransport",
     "ModelArch",
     "PartitionPlan",
+    "Points",
     "Scaler",
     "SyntheticConfig",
     "TcpTransport",

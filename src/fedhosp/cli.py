@@ -49,7 +49,7 @@ from .experiment import (
     stage,
     write_report,
 )
-from .features import extract_points, feature_names
+from .features import extract, feature_names
 from .federation import (
     FederationConfigError,
     check_gate_labels,
@@ -151,18 +151,17 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
 
 
 def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
-    episodes = generate(cfg.synthetic())
+    points = generate(cfg.synthetic())
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_episodes(episodes, out / "measurements.csv", out / "labels.csv")
-    print(f"wrote {len(episodes)} episodes to {out}/measurements.csv and {out}/labels.csv")
+    save_episodes(points, out / "measurements.csv", out / "labels.csv")
+    print(f"wrote {len(points)} episodes to {out}/measurements.csv and {out}/labels.csv")
     return 0
 
 
 def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
     variables = _variable_names(opts["variables"])  # outside the stage: a usage error
     with stage("feature"):  # load_data's own data-stage error passes through
-        matrix = extract_points(*load_data(replace(cfg, data_dir=opts["data"]), variables))
+        matrix = extract(*load_data(replace(cfg, data_dir=opts["data"]), variables))
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:

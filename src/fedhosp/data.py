@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_fields
-from .features import HORIZON_HOURS, Episode, Points
+from .features import HORIZON_HOURS, Points
 
 __all__ = [
     "DEFAULT_VARIABLES",
@@ -40,13 +40,10 @@ __all__ = [
     "PartitionPlan",
     "HospitalDataset",
     "variable_names",
-    "generate_points",
     "generate",
     "save_episodes",
     "Points",
-    "load_points",
     "load_episodes",
-    "split_mask",
     "split_train_test",
     "partition_rows",
     "partition",
@@ -113,7 +110,7 @@ class SyntheticConfig:
         return round(self.prevalence * self.n_episodes)
 
 
-def generate_points(cfg: SyntheticConfig) -> Points:
+def generate(cfg: SyntheticConfig) -> Points:
     """Draw a synthetic episode set as ``Points``; byte-identical across calls per seed.
 
     Exactly ``round(prevalence * n)`` episodes are positive, chosen by a
@@ -152,26 +149,6 @@ def generate_points(cfg: SyntheticConfig) -> Points:
                   variable_names(cfg.n_variables), episode, variable, hour, value)
 
 
-def generate(cfg: SyntheticConfig) -> list[Episode]:
-    """``generate_points`` as Episode records; every episode holds a series,
-    empty or not, for each of the ``n_variables`` names in order."""
-    p = generate_points(cfg)
-    n_vars = len(p.variables)
-    counts = np.bincount(p.episode * n_vars + p.variable, minlength=len(p.episode_ids) * n_vars)
-    bounds = [0, *np.cumsum(counts).tolist()]
-    hours, values = p.hour.tolist(), p.value.tolist()
-    ids, labels, variables = p.episode_ids, p.labels.tolist(), p.variables
-    # Freed before the episodes are built, so the peak stays near the
-    # per-point loop's: only the two lists are extra.
-    del p
-    # One (start, end) per series, in draw order; zip stops at the last
-    # variable without taking the next episode's first span.
-    spans = zip(bounds, bounds[1:])
-    return [Episode(eid, {var: list(zip(hours[start:end], values[start:end]))
-                          for var, (start, end) in zip(variables, spans)}, label)
-            for eid, label in zip(ids, labels)]
-
-
 class _Echo:
     """A file whose ``write`` returns its text, so ``csv.writer.writerow``
     returns the formatted row instead of writing it."""
@@ -181,29 +158,30 @@ class _Echo:
         return text
 
 
-def save_episodes(episodes, measurements_path, labels_path) -> None:
-    """Write episodes to the two-file CSV format; floats round-trip exactly.
+def save_episodes(points: Points, measurements_path, labels_path) -> None:
+    """Write ``points`` to the two-file CSV format in point order; floats round-trip exactly.
 
-    ``csv.writer`` quotes each series' ``episode_id,variable,`` prefix
-    once; its points follow as ``str`` text, which never needs quoting,
-    in one write per series. The bytes equal a ``writerow`` per point;
-    a numpy scalar is written as the Python number it holds.
+    ``csv.writer`` quotes the ``episode_id,variable,`` prefix of each run of
+    points in one series once; the points follow as ``str`` text, which never
+    needs quoting, in one write per run. The bytes equal a ``writerow`` per point.
     """
-    episodes = list(episodes)
     for path in (measurements_path, labels_path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     quote = csv.writer(_Echo())
+    series = points.episode * len(points.variables) + points.variable
+    starts = np.flatnonzero(np.diff(series, prepend=-1)).tolist()
+    hours, values = points.hour.tolist(), points.value.tolist()
     with open(measurements_path, "w", newline="") as f:
         f.write(quote.writerow(_MEASUREMENTS_HEADER))
-        for ep in episodes:
-            for var, points in ep.series.items():
-                prefix = quote.writerow([ep.episode_id, var, ""])[:-2]  # drop the line end
-                f.write("".join([f"{prefix}{h},{v}\r\n" for h, v in points]))
+        for start, end in zip(starts, starts[1:] + [len(hours)]):
+            prefix = quote.writerow([points.episode_ids[points.episode[start]],
+                                     points.variables[points.variable[start]], ""])[:-2]
+            f.write("".join([f"{prefix}{h},{v}\r\n" for h, v in zip(hours[start:end],
+                                                                      values[start:end])]))
     with open(labels_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["episode_id", "label"])
-        for ep in episodes:
-            writer.writerow([ep.episode_id, int(ep.label)])
+        writer.writerows(zip(points.episode_ids, points.labels.tolist()))
 
 
 def _parse_error(path, line_no: int, problem: str) -> ValueError:
@@ -233,9 +211,9 @@ def _load_labels(labels_path) -> dict[str, int]:
     return labels
 
 
-def _columns(lines, index: dict[str, int]):
-    """(variables, episode, variable, hour, value) of the measurement rows in
-    ``lines``, the file's lines after its header.
+def _points(lines, labels: dict[str, int], index: dict[str, int]) -> Points:
+    """``Points`` of the measurement rows in ``lines``, the file's lines after
+    its header, and of ``labels``.
 
     Raises ValueError or KeyError where ``_checked_rows`` would find a bad
     row, but without saying which, and returns no rows for a blank first line.
@@ -253,7 +231,8 @@ def _columns(lines, index: dict[str, int]):
     del table  # the name strings, most of the table's memory
     if not (((hour >= 0.0) & (hour <= HORIZON_HOURS)).all() and np.isfinite(value).all()):
         raise ValueError("an hour or value is out of range")
-    return tuple(variables), episode, variable, hour, value
+    return Points(tuple(labels), np.fromiter(labels.values(), np.int64, len(labels)),
+                  tuple(variables), episode, variable, hour, value)
 
 
 def _checked_rows(measurements_path, index: dict[str, int]) -> io.StringIO:
@@ -291,7 +270,7 @@ def _checked_rows(measurements_path, index: dict[str, int]) -> io.StringIO:
     return rows
 
 
-def load_points(measurements_path, labels_path) -> Points:
+def load_episodes(measurements_path, labels_path) -> Points:
     """Read the two-file CSV format into ``Points`` in file order, with the
     names the rows hold, sorted, as ``variables``.
 
@@ -312,37 +291,20 @@ def load_points(measurements_path, labels_path) -> Points:
             raise _parse_error(measurements_path, 1, f"unexpected header {header!r}")
         n_lines = count()  # the lines loadtxt takes: one per row if none is blank or split
         try:
-            columns = _columns(map(operator.itemgetter(0), zip(f, n_lines)), index)
+            points = _points(map(operator.itemgetter(0), zip(f, n_lines)), labels, index)
         except (ValueError, KeyError):
-            columns = None
-    if columns is None or next(n_lines) != columns[-1].size:
+            points = None
+    if points is None or next(n_lines) != points.hour.size:
         rows = _checked_rows(measurements_path, index)
         try:
-            columns = _columns(rows, index)
+            points = _points(rows, labels, index)
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{Path(measurements_path).name}: {exc}") from None
-    return Points(tuple(labels), np.fromiter(labels.values(), np.int64, len(labels)), *columns)
+    return points
 
 
-def load_episodes(measurements_path, labels_path) -> list[Episode]:
-    """``load_points`` as Episode records, in labels.csv order.
-
-    An episode's variables keep the order their rows first appear in; each
-    series is sorted by hour, rows of equal hour in file order.
-    """
-    p = load_points(measurements_path, labels_path)
-    series = [{} for _ in p.episode_ids]
-    rows = zip(p.episode.tolist(), p.variable.tolist(), p.hour.tolist(), p.value.tolist())
-    for episode, variable, hour, value in rows:
-        series[episode].setdefault(p.variables[variable], []).append((hour, value))
-    for points in chain.from_iterable(s.values() for s in series):
-        points.sort(key=operator.itemgetter(0))
-    return [Episode(eid, s, label)
-            for eid, s, label in zip(p.episode_ids, series, p.labels.tolist())]
-
-
-def split_mask(labels, test_fraction: float, seed: int) -> np.ndarray:
-    """Label-stratified random split of ``labels``: True marks the test side.
+def split_train_test(points: Points, test_fraction: float, seed: int) -> tuple[Points, Points]:
+    """Label-stratified random split of ``points`` into (train, test).
 
     Per class, ``round(test_fraction * n_class)`` episodes go to the test
     side; both sides must keep at least one episode of each class.
@@ -350,10 +312,9 @@ def split_mask(labels, test_fraction: float, seed: int) -> np.ndarray:
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie strictly in (0,1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    labels = np.asarray(labels)
-    is_test = np.zeros(labels.size, dtype=bool)
+    is_test = np.zeros(len(points), dtype=bool)
     for label in (0, 1):
-        class_idx = np.flatnonzero(labels == label)
+        class_idx = np.flatnonzero(points.labels == label)
         n_test = round(test_fraction * class_idx.size)
         if n_test < 1 or n_test >= class_idx.size:
             raise ValueError(
@@ -361,16 +322,7 @@ def split_mask(labels, test_fraction: float, seed: int) -> np.ndarray:
                 f"{test_fraction} leaves train or test empty for it"
             )
         is_test[rng.permutation(class_idx)[:n_test]] = True
-    return is_test
-
-
-def split_train_test(episodes, test_fraction: float, seed: int) -> tuple[list[Episode], list[Episode]]:
-    """``split_mask`` of the episodes' labels, as (train, test) episode lists."""
-    episodes = list(episodes)
-    is_test = split_mask([ep.label for ep in episodes], test_fraction, seed).tolist()
-    train = [ep for ep, t in zip(episodes, is_test) if not t]
-    test = [ep for ep, t in zip(episodes, is_test) if t]
-    return train, test
+    return points.take(~is_test), points.take(is_test)
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,12 @@ from .data import (
     PartitionPlan,
     Points,
     SyntheticConfig,
-    generate_points,
-    load_points,
+    generate,
+    load_episodes,
     partition,
-    split_mask,
+    split_train_test,
 )
-from .features import STATS_PER_VARIABLE, FeatureMatrix, extract_points, fit_scaler, transform
-# Not called here: bench/layers.py wraps these names in this module's namespace,
-# and tests/test_bench_trace.py checks that they stay defined.
-from .data import load_episodes, split_train_test  # noqa: F401
-from .features import extract  # noqa: F401
+from .features import STATS_PER_VARIABLE, FeatureMatrix, extract, fit_scaler, transform
 from .federation import (
     GATE_METRICS,
     FedConfig,
@@ -182,10 +178,10 @@ def load_data(cfg: ExperimentConfig,
     """
     with stage("data"):
         if cfg.data_dir is None:
-            points, where = generate_points(cfg.synthetic()), "in the synthetic episodes"
+            points, where = generate(cfg.synthetic()), "in the synthetic episodes"
         else:
             data_dir = Path(cfg.data_dir)
-            points = load_points(data_dir / "measurements.csv", data_dir / "labels.csv")
+            points = load_episodes(data_dir / "measurements.csv", data_dir / "labels.csv")
             where = f"under {data_dir}"
         if not (variables or points.variables):
             raise ValueError(f"no measurements found {where}")
@@ -229,14 +225,13 @@ class Prepared:
 def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> Prepared:
     """Data (see ``load_data``), split and feature stages; model and mode play no part.
 
-    The data stay in arrays from ``load_data``'s points to the feature rows:
-    no Episode record is built.
+    The data stay in ``Points`` from ``load_data`` to the feature rows.
     """
     points, variables = load_data(cfg, variables)
     with stage("feature"):
-        is_test = split_mask(points.labels, cfg.test_fraction, cfg.stage_seeds["split"])
-        return Prepared(variables, extract_points(points, variables, ~is_test),
-                        extract_points(points, variables, is_test))
+        sides = split_train_test(points, cfg.test_fraction, cfg.stage_seeds["split"])
+        del points  # each side holds its own copy of its points
+        return Prepared(variables, *(extract(side, variables) for side in sides))
 
 
 def fit(cfg: ExperimentConfig, data: Prepared) -> dict:

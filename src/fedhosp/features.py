@@ -16,12 +16,12 @@ so e.g. a point at exactly hour 24 belongs to last-50% but not first-50%.
 Windows are measured on the fixed horizon, not the observed span, which
 keeps features comparable across episodes with different coverage.
 
-``extract_points`` computes all windows of all episodes at once, with no
-Python call per window:
+``extract`` computes all windows of all episodes at once, with no Python
+call per window:
 
-1. Each point of a ``Points`` record gets the series key ``row * V +
-   column`` (row among the episodes taken, column among the names asked
-   for); a stable sort by key puts each series together in time order.
+1. Each point of a ``Points`` record gets the series key ``episode * V +
+   column`` (column among the names asked for); a stable sort by key puts
+   each series together in time order.
 2. Each window is one boolean mask over the hours, using the same ``<`` and
    ``>=`` tests as ``slice_windows``. Within a window a series' points stay
    contiguous and in time order.
@@ -29,8 +29,9 @@ Python call per window:
    the same count n are gathered into one (m, n) block, and the statistics
    are row reductions (``axis=1``) over it.
 
-``fedhosp.data.generate_points`` and ``load_points`` give ``Points`` with
-no Episode built; ``extract`` takes Episode records through ``points_of``.
+``Points`` is the one record of an episode set: ``fedhosp.data.generate``
+and ``load_episodes`` return it, ``Points.take`` keeps the episodes a mask
+marks, and no Episode record is built on the way to feature rows.
 
 The result is bit-identical to applying ``window_stats`` to the output of
 ``slice_windows``, series by series. A row of a C-contiguous block reaches
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -61,8 +62,6 @@ __all__ = [
     "slice_windows",
     "window_stats",
     "extract",
-    "extract_points",
-    "points_of",
     "feature_names",
     "fit_scaler",
     "transform",
@@ -122,12 +121,13 @@ class Episode:
 
 @dataclass(frozen=True, eq=False)
 class Points:
-    """Every measurement of an episode set, as flat arrays.
+    """Every measurement of an episode set, as flat arrays; ``len`` counts the episodes.
 
     Point i is ``episode_ids[episode[i]]``'s ``variables[variable[i]]`` at
     ``hour[i]`` with ``value[i]``; ``labels`` follows ``episode_ids``.
     ``variables`` are the names a run takes by default: a CSV file's, sorted,
-    the synthetic ``variable_names``, or ``points_of``'s in order of first use.
+    or the synthetic ``variable_names``.
+
     """
 
     episode_ids: tuple[str, ...]
@@ -137,6 +137,21 @@ class Points:
     variable: np.ndarray
     hour: np.ndarray
     value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.episode_ids)
+
+    def take(self, mask) -> Points:
+        """The episodes ``mask`` marks, one bool per episode, with their points, in order."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (len(self),):
+            raise ValueError(f"take must be a boolean vector of one entry per episode "
+                             f"({len(self)}), got {mask.dtype} of shape {mask.shape}")
+        keep = mask[self.episode]
+        row = np.cumsum(mask) - 1
+        return Points(tuple(compress(self.episode_ids, mask.tolist())), self.labels[mask],
+                      self.variables, row[self.episode[keep]], self.variable[keep],
+                      self.hour[keep], self.value[keep])
 
 
 def slice_windows(series) -> tuple[list[tuple[float, float]], ...]:
@@ -241,33 +256,9 @@ def _count_block_stats(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def points_of(episodes) -> Points:
-    """Episode records as ``Points``: each episode's series in its own order,
-    the names in order of first appearance."""
-    episodes = list(episodes)
-    names: dict[str, int] = {}
-    # Flat int lists, not (episode, column) tuples: freed tuples left ~1 MB more RSS.
-    columns = [names.setdefault(var, len(names)) for ep in episodes for var in ep.series]
-    series = [points for ep in episodes for points in ep.series.values()]
-    lengths = np.fromiter(map(len, series), dtype=np.intp, count=len(series))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(series)),
-                       dtype=np.float64, count=2 * int(lengths.sum()))
-    per_episode = np.fromiter((len(ep.series) for ep in episodes), np.intp, len(episodes))
-    episode = np.repeat(np.repeat(np.arange(len(episodes)), per_episode), lengths)
-    variable = np.repeat(np.array(columns, np.intp), lengths)
-    return Points(tuple(ep.episode_id for ep in episodes),
-                  np.array([ep.label for ep in episodes], dtype=np.int64), tuple(names),
-                  episode, variable, flat[0::2], flat[1::2])
-
-
-def extract(episodes, variables) -> FeatureMatrix:
-    """``extract_points`` over Episode records."""
-    return extract_points(points_of(episodes), variables)
-
-
-def extract_points(points: Points, variables, take: np.ndarray | None = None) -> FeatureMatrix:
-    """Feature matrix of the episodes ``take`` marks (default: all) in ``points``
-    over the ordered ``variables``, no name twice.
+def extract(points: Points, variables) -> FeatureMatrix:
+    """Feature matrix of the episodes in ``points`` over the ordered
+    ``variables``, no name twice.
 
     A variable an episode lacks gives the empty-window statistics (all zeros),
     so every row has width 42*V. The module docstring says how it is computed.
@@ -279,25 +270,18 @@ def extract_points(points: Points, variables, take: np.ndarray | None = None) ->
     if len(column) < len(variables):
         repeated = next(var for i, var in enumerate(variables) if column[var] != i)
         raise ValueError(f"variables name {repeated!r} more than once")
-    n_episodes = len(points.episode_ids)
-    take = np.ones(n_episodes, dtype=bool) if take is None else np.asarray(take)
-    if take.dtype != bool or take.shape != (n_episodes,):
-        raise ValueError(f"take must be a boolean vector of one entry per episode "
-                         f"({n_episodes}), got {take.dtype} of shape {take.shape}")
     column_of = np.array([column.get(var, -1) for var in points.variables], dtype=np.intp)
     point_column = column_of[points.variable]
-    keep = take[points.episode] & (point_column >= 0)
-    row = np.cumsum(take) - 1
-    key = row[points.episode[keep]] * len(variables) + point_column[keep]
+    keep = point_column >= 0
+    key = points.episode[keep] * len(variables) + point_column[keep]
     hour, value = points.hour[keep], points.value[keep]
-    # Episodes and draws list each series in time order and files usually do, so a
-    # stable sort by key is usually enough; a series out of time order needs the full sort.
+    # Draws list each series in time order and files usually do, so a stable
+    # sort by key is usually enough; a series out of time order needs the full sort.
     order = np.argsort(key, kind="stable")
     if (np.diff(hour[order])[np.diff(key[order]) == 0] < 0).any():
         order = np.lexsort((hour, key))
-    return _sorted_rows(hour[order], value[order], key[order],
-                        tuple(compress(points.episode_ids, take.tolist())),
-                        points.labels[take], variables)
+    return _sorted_rows(hour[order], value[order], key[order], points.episode_ids,
+                        points.labels, variables)
 
 
 def _sorted_rows(hour, value, key, episode_ids, labels, variables) -> FeatureMatrix:

@@ -15,9 +15,10 @@ import time
 import numpy as np
 import pytest
 
+from episode_route import extract, load_episodes
+
 from fedhosp.cli import _flag, build_parser, main
-from fedhosp.data import load_episodes
-from fedhosp.features import STATS_PER_VARIABLE, extract, feature_names
+from fedhosp.features import STATS_PER_VARIABLE, feature_names
 from fedhosp.transport import TcpTransport, TransportError
 
 
@@ -300,15 +301,13 @@ def shards(tmp_path):
     """
     from fedhosp.data import SyntheticConfig, generate, save_episodes
 
-    episodes = generate(SyntheticConfig(n_episodes=60, n_variables=2,
-                                        prevalence=0.3, seed=5))
-    by_label = sorted(range(60), key=lambda i: episodes[i].label)
-    halves = (by_label[0::2], by_label[1::2])
+    points = generate(SyntheticConfig(n_episodes=60, n_variables=2, prevalence=0.3, seed=5))
+    first = np.zeros(60, dtype=bool)
+    first[np.argsort(points.labels, kind="stable")[0::2]] = True
     paths = []
-    for k, idx in enumerate(halves, start=1):
+    for k, shard in enumerate((points.take(first), points.take(~first)), start=1):
         shard_dir = tmp_path / f"shard{k}"
-        save_episodes([episodes[i] for i in idx],
-                      shard_dir / "measurements.csv", shard_dir / "labels.csv")
+        save_episodes(shard, shard_dir / "measurements.csv", shard_dir / "labels.csv")
         paths.append(shard_dir)
     return paths
 

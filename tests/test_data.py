@@ -1,4 +1,7 @@
-"""Generator, CSV round-trip, split and partition tests."""
+"""Generator, CSV round-trip, split and partition tests.
+
+Most cases state what ``fedhosp.data`` computes through ``episode_route``,
+which gives its draws and files as ``Episode`` records."""
 
 from __future__ import annotations
 
@@ -13,17 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from episode_route import generate, load_episodes, save_episodes, split_train_test
+from fedhosp import data
 from fedhosp.data import (
     PARTITION_STRATEGIES,
     PartitionPlan,
     SyntheticConfig,
-    generate,
-    generate_points,
-    load_episodes,
     partition,
     partition_rows,
-    save_episodes,
-    split_train_test,
     variable_names,
 )
 from fedhosp.features import HORIZON_HOURS, Episode
@@ -105,10 +105,10 @@ def test_synthetic_size_is_bounded():
 @pytest.mark.parametrize("n_variables, points", [(1, (1, 1)), (3, (0, 2)), (7, (4, 12)),
                                                  (9, (0, 5)), (2, (0, 0))])
 def test_generate_points_flatten_generate(n_variables, points):
-    """``generate_points`` holds ``generate``'s episodes, series by series."""
+    """``data.generate``'s ``Points`` hold ``generate``'s episodes, series by series."""
     cfg = SyntheticConfig(n_episodes=15, n_variables=n_variables, prevalence=0.3,
                           points_per_variable=points, seed=20 + n_variables)
-    episodes, p = generate(cfg), generate_points(cfg)
+    episodes, p = generate(cfg), data.generate(cfg)
     assert p.episode_ids == tuple(ep.episode_id for ep in episodes)
     assert p.labels.tolist() == [ep.label for ep in episodes]
     assert p.variables == variable_names(n_variables)
@@ -238,8 +238,9 @@ def test_round_trip_keeps_episode_without_measurements(tmp_path):
 
 
 def test_save_writes_numpy_scalars_and_ints_as_the_numbers_they_hold(tmp_path):
-    """What ``save_episodes`` writes, ``load_points`` reads: numpy scalars and
-    ints as points, a bool and an ``np.int64`` as labels."""
+    """What ``save_episodes`` writes, ``load_episodes`` reads: numpy scalars and
+    ints as points, as the float64 ``Points`` holds, a bool and an ``np.int64``
+    as labels."""
     episodes = [
         Episode("a", {"hr": [(np.float64(0.1), np.float64(-0.0)), (3, 72),
                              (np.float64(48.0), np.float64(1e300))]}, True),
@@ -248,7 +249,7 @@ def test_save_writes_numpy_scalars_and_ints_as_the_numbers_they_hold(tmp_path):
     ]
     m, l = tmp_path / "m.csv", tmp_path / "l.csv"
     save_episodes(episodes, m, l)
-    assert m.read_text().splitlines()[1:3] == ["a,hr,0.1,-0.0", "a,hr,3,72"]
+    assert m.read_text().splitlines()[1:3] == ["a,hr,0.1,-0.0", "a,hr,3.0,72.0"]
     assert l.read_text().splitlines() == ["episode_id,label", "a,1", "b,0"]
     loaded = load_episodes(m, l)
     assert repr(loaded) == repr([
@@ -322,8 +323,8 @@ def _reference_error(path, line_no, problem):
 
 
 def _reference_load(measurements_path, labels_path):
-    """The row-by-row ``csv.reader`` loader ``load_points`` replaced: the
-    oracle for ``load_episodes``' output and error messages."""
+    """The row-by-row ``csv.reader`` loader ``data.load_episodes`` replaced:
+    the oracle for its output and error messages."""
     labels: dict[str, int] = {}
     with open(labels_path, newline="") as f:
         reader = csv.reader(f)

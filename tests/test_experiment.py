@@ -7,19 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from episode_route import extract, generate, load_episodes, save_episodes, split_train_test
 
-import fedhosp.data as data_module
 import fedhosp.experiment as experiment
-from fedhosp.data import (
-    MAX_SYNTHETIC_POINTS,
-    PartitionPlan,
-    SyntheticConfig,
-    generate,
-    load_episodes,
-    partition,
-    save_episodes,
-    split_train_test,
-)
+from fedhosp.data import MAX_SYNTHETIC_POINTS, PartitionPlan, SyntheticConfig, partition
 from fedhosp.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -29,7 +20,7 @@ from fedhosp.experiment import (
     run_experiment,
     write_report,
 )
-from fedhosp.features import Episode, extract
+from fedhosp.features import Episode
 from fedhosp.federation import FedConfig
 from fedhosp.models import ModelArch, TrainConfig
 
@@ -173,13 +164,13 @@ def test_comparison_runs_all_four_cells():
 
 def test_comparison_prepares_its_data_once(monkeypatch):
     calls = []
-    real_extract_points = experiment.extract_points
+    real_extract = experiment.extract
 
-    def counting_extract_points(*args, **kwargs):
+    def counting_extract(*args, **kwargs):
         calls.append(1)
-        return real_extract_points(*args, **kwargs)
+        return real_extract(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "extract_points", counting_extract_points)
+    monkeypatch.setattr(experiment, "extract", counting_extract)
     run_comparison(_cfg(n_episodes=80, rounds=2, n_hospitals=2))
     assert len(calls) == 2  # train and test rows, shared by all four cells
 
@@ -189,7 +180,6 @@ def _no_episodes(*args, **kwargs):
 
 
 def test_synthetic_prepare_builds_no_episode(monkeypatch):
-    monkeypatch.setattr(data_module, "generate", _no_episodes)
     monkeypatch.setattr(Episode, "__post_init__", _no_episodes)
     got = prepare(_cfg(n_episodes=60, n_variables=3))
     assert len(got.train.episode_ids) + len(got.test.episode_ids) == 60

@@ -7,9 +7,11 @@ import re
 
 import numpy as np
 import pytest
+from episode_route import extract, points_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedhosp import features
 from fedhosp.features import (
     HORIZON_HOURS,
     STAT_NAMES,
@@ -18,11 +20,8 @@ from fedhosp.features import (
     Episode,
     FeatureMatrix,
     Scaler,
-    extract,
-    extract_points,
     feature_names,
     fit_scaler,
-    points_of,
     slice_windows,
     transform,
     window_stats,
@@ -200,7 +199,7 @@ def test_a_repeated_variable_name_is_an_error(variables, repeated):
     with pytest.raises(ValueError, match=error):
         extract(episodes, variables)
     with pytest.raises(ValueError, match=error):
-        extract_points(points_of(episodes), variables)
+        features.extract(points_of(episodes), variables)
 
 
 @pytest.mark.parametrize("take, got", [
@@ -213,8 +212,8 @@ def test_take_must_mark_each_episode_once(take, got):
     points = points_of([_episode(f"e{i}", i % 2, hr=[(1.0, 2.0)]) for i in range(10)])
     message = f"take must be a boolean vector of one entry per episode (10), got {got}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        extract_points(points, ("hr",), take)
-    halves = extract_points(points, ("hr",), [k < 5 for k in range(10)])
+        points.take(take)
+    halves = features.extract(points.take([k < 5 for k in range(10)]), ("hr",))
     assert halves.episode_ids == ("e0", "e1", "e2", "e3", "e4")
 
 
