@@ -1,5 +1,9 @@
 """Synthetic episode generation, CSV round-trip, splitting and partitioning.
 
+An episode set is one ``Points`` record (see ``fedhosp.features``):
+``generate`` draws one, ``save_episodes`` writes one, ``load_episodes`` reads
+one and ``split_train_test`` cuts one in two.
+
 The generator is a stand-in for restricted-access clinical data: it draws
 per-variable baselines and noise scales once per run, then shifts the
 positive class upward by ``effect_size`` noise-standard-deviations, giving
@@ -42,7 +46,6 @@ __all__ = [
     "variable_names",
     "generate",
     "save_episodes",
-    "Points",
     "load_episodes",
     "split_train_test",
     "partition_rows",
@@ -61,7 +64,9 @@ DEFAULT_VARIABLES = (
 
 # Bound on n_episodes * n_variables * max points per series (at least 1), the
 # most points a synthetic dataset may hold: 30x a 2,000-episode, 7-variable,
-# 12-point set, and about 0.7 GB at the ~130 bytes per point ``generate`` peaks at.
+# 12-point set. Under tracemalloc ``generate`` peaks at ~62 bytes per point,
+# generate + ``save_episodes`` at ~115 and ``experiment.prepare`` at ~140: at
+# most 0.3, 0.6 and 0.7 GB.
 MAX_SYNTHETIC_POINTS = 5_000_000
 
 PARTITION_STRATEGIES = ("equal_iid", "label_skew")
@@ -174,8 +179,9 @@ def save_episodes(points: Points, measurements_path, labels_path) -> None:
     with open(measurements_path, "w", newline="") as f:
         f.write(quote.writerow(_MEASUREMENTS_HEADER))
         for start, end in zip(starts, starts[1:] + [len(hours)]):
-            prefix = quote.writerow([points.episode_ids[points.episode[start]],
-                                     points.variables[points.variable[start]], ""])[:-2]
+            row = [points.episode_ids[points.episode[start]],
+                   points.variables[points.variable[start]], ""]
+            prefix = quote.writerow(row)[:-2]  # drop the line end
             f.write("".join([f"{prefix}{h},{v}\r\n" for h, v in zip(hours[start:end],
                                                                       values[start:end])]))
     with open(labels_path, "w", newline="") as f:
@@ -229,8 +235,6 @@ def _points(lines, labels: dict[str, int], index: dict[str, int]) -> Points:
     variable = np.fromiter(map(variables.__getitem__, table["variable"]), np.intp, table.size)
     hour, value = table["hour"].copy(), table["value"].copy()
     del table  # the name strings, most of the table's memory
-    if not (((hour >= 0.0) & (hour <= HORIZON_HOURS)).all() and np.isfinite(value).all()):
-        raise ValueError("an hour or value is out of range")
     return Points(tuple(labels), np.fromiter(labels.values(), np.int64, len(labels)),
                   tuple(variables), episode, variable, hour, value)
 
@@ -277,7 +281,7 @@ def load_episodes(measurements_path, labels_path) -> Points:
     The labels file defines which episodes exist (an episode may have zero
     measurements); a measurement row naming an unlisted episode is an error.
     ``np.loadtxt`` parses the measurement rows, one line of the open file at
-    a time, and the checks run over whole columns. If one fails, or a line
+    a time, and ``Points`` checks the whole columns. If a check fails, or a line
     held no row (a blank line, or a quoted line break), one ``csv.reader``
     pass raises the first bad row's error; a file with none is parsed again
     as that pass wrote it. A number ``float`` reads but numpy does not

@@ -24,14 +24,13 @@ from .data import (
     PARTITION_STRATEGIES,
     HospitalDataset,
     PartitionPlan,
-    Points,
     SyntheticConfig,
     generate,
     load_episodes,
     partition,
     split_train_test,
 )
-from .features import STATS_PER_VARIABLE, FeatureMatrix, extract, fit_scaler, transform
+from .features import STATS_PER_VARIABLE, FeatureMatrix, Points, extract, fit_scaler, transform
 from .federation import (
     GATE_METRICS,
     FedConfig,

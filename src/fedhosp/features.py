@@ -38,9 +38,10 @@ The result is bit-identical to applying ``window_stats`` to the output of
 numpy's reduction loop exactly as a 1-D array of the same values does, so
 sums use the same pairwise order. ``m2 ** 1.5`` is taken with Python float
 ``**`` (the C library's ``pow``), as the scalar code does; numpy's
-vectorised ``power`` can differ in the last bit. ``slice_windows`` and
-``window_stats`` stay public as the scalar oracle that the tests compare
-``extract`` against, byte for byte.
+vectorised ``power`` can differ in the last bit. ``Episode``,
+``slice_windows`` and ``window_stats`` stay public as that scalar definition:
+the feature walkthrough teaches with them, and the tests compare ``extract``
+against them byte for byte.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
+
+from .checks import check_fields
 
 __all__ = [
     "HORIZON_HOURS",
@@ -128,6 +131,9 @@ class Points:
     ``variables`` are the names a run takes by default: a CSV file's, sorted,
     or the synthetic ``variable_names``.
 
+    Construction raises ValueError unless the ids are unique with one 0/1
+    label each, the four point arrays are 1-D of one length, the indices are
+    integers in range, every hour lies in [0, 48] and every value is finite.
     """
 
     episode_ids: tuple[str, ...]
@@ -137,6 +143,30 @@ class Points:
     variable: np.ndarray
     hour: np.ndarray
     value: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.labels.shape != (len(self),):
+            raise ValueError(f"{len(self)} episode ids but labels of shape {self.labels.shape}")
+        shapes = [a.shape for a in (self.episode, self.variable, self.hour, self.value)]
+        if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+            raise ValueError(f"point arrays must be 1-D of one length, got shapes {shapes}")
+        if len(set(self.episode_ids)) < len(self):
+            raise ValueError("episode ids are not unique")
+        for name, index, upper in (("label", self.labels, 2),
+                                   ("episode index", self.episode, len(self)),
+                                   ("variable index", self.variable, len(self.variables))):
+            if index.dtype.kind not in "iu":
+                raise ValueError(f"{name} array must hold integers, got {index.dtype}")
+            bad = index[(index < 0) | (index >= upper)]
+            if bad.size:
+                raise ValueError(f"{name} {bad[0]} outside [0, {upper})")
+        bad = self.hour[~((self.hour >= 0.0) & (self.hour <= HORIZON_HOURS))]
+        if bad.size:
+            raise ValueError(f"hour {float(bad[0])!r} outside [0, {HORIZON_HOURS:g}]")
+        bad = self.value[~np.isfinite(self.value)]
+        if bad.size:
+            raise ValueError(f"non-finite value {float(bad[0])!r}")
 
     def __len__(self) -> int:
         return len(self.episode_ids)
@@ -208,6 +238,7 @@ class FeatureMatrix:
     variables: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        check_fields(self)
         n_vars = len(self.variables)
         if self.rows.ndim != 2 or self.rows.shape[1] != STATS_PER_VARIABLE * n_vars:
             raise ValueError(

@@ -3,7 +3,8 @@
 ``bench/sample.py`` calls fedhosp's public functions with its own configs; a
 changed signature or default would otherwise surface only as failed samples
 of ``python3 bench/run.py``. Each workload runs here at a few rounds on a
-few hundred episodes, under the same ``Clock`` a sample uses.
+few hundred episodes, under the same ``Clock`` a sample uses, untraced and
+traced as ``--trace 1`` traces it.
 """
 
 from __future__ import annotations
@@ -48,3 +49,22 @@ def test_every_workload_runs_and_passes_its_checks(sample, workload, tmp_path):
     assert clock.wall_s is not None and 0.0 <= out["auroc"] <= 1.0
     if workload == "fed-lr-tcp":
         assert sample.run_fed_lr_inprocess(1)["digest"] == out["digest"]
+
+
+@pytest.mark.parametrize("workload", ["ingest", "fed-mlp", "fed-lr-tcp"])
+def test_every_traced_workload_makes_the_counts_its_config_implies(sample, workload, tmp_path):
+    """A sample of ``bench/sample.py --trace 1``: the traced steps, rounds and
+    frames match the config, and ingest times its CSV load and extraction."""
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    layers.install(tracer)
+    try:
+        out = sample.RUNNERS[workload](1, tmp_path, sample.Clock(workload in sample.INTERPRETED,
+                                                                 tracer))
+    finally:
+        tracer.restore()
+    per_layer = layers.metrics(tracer, out)
+    assert layers.count_mismatches(tracer, out, per_layer) == []
+    if workload == "ingest":
+        assert per_layer["data.load_ms_per_1k_episodes"] > 0
+        assert per_layer["features.extract_ms_per_1k_episodes"] > 0

@@ -1,7 +1,8 @@
 """The one value check: every field of every public config class, and every
-scalar field of every wire message, ``HospitalDataset`` and
-``metrics.EvalResult``, refuses a value of the wrong type, a bool for a number
-and a non-finite float, naming the field in the rule's words. The cases are
+scalar or ``tuple`` field of every wire message, ``HospitalDataset``,
+``metrics.EvalResult``, ``Points`` and ``FeatureMatrix``, refuses a value of
+the wrong type, a bool for a number and a non-finite float, naming the field
+in the rule's words. The cases are
 generated from the classes' annotations and from ``transport.MESSAGE_TYPES``,
 so a field or message added later is covered without editing this file."""
 
@@ -19,6 +20,7 @@ from fedhosp import metrics, transport
 from fedhosp.checks import check_type
 from fedhosp.data import HospitalDataset, PartitionPlan, SyntheticConfig
 from fedhosp.experiment import ExperimentConfig
+from fedhosp.features import FeatureMatrix, Points
 from fedhosp.federation import FedConfig
 from fedhosp.models import ModelArch, TrainConfig
 
@@ -36,6 +38,11 @@ VALID = {
     HospitalDataset: {"hospital_id": 0, "train_x": np.zeros((2, 3)), "train_y": [0, 1],
                       "test_x": np.zeros((1, 3)), "test_y": [1]},
     metrics.EvalResult: {"auroc": 0.5, "auprc": 0.5, "accuracy": 0.5, "n": 1},
+    Points: {"episode_ids": ("a", "b"), "labels": np.array([0, 1]), "variables": ("hr",),
+             "episode": np.array([1]), "variable": np.array([0]), "hour": np.array([1.0]),
+             "value": np.array([2.0])},
+    FeatureMatrix: {"rows": np.zeros((2, 42)), "episode_ids": ("a", "b"),
+                    "labels": np.array([0, 1]), "variables": ("hr",)},
     **{cls: {name: _WIRE_VALID[wire] for name, wire in cls.FIELDS}
        for cls in transport.MESSAGE_TYPES if cls.FIELDS},
 }
@@ -48,6 +55,7 @@ WRONG = {
     str: (3, b"x", None),
     str | None: (3, b"x"),
     tuple[int, int]: ((1.5, 3), (4, "12"), (4,), [4, 12], None),
+    tuple[str, ...]: (("a", 3), (None, "b"), ["a", "b"], "ab", None),
 }
 
 
@@ -87,6 +95,11 @@ def test_every_config_field_refuses_a_wrong_value_by_name(cls, valid, name, kind
     ([4, 12], tuple[int, int], "x must be tuple[int, int], got [4, 12]"),
     ((4, 1.5), tuple[int, int], "x[1] must be int, got 1.5"),
     (3, str | None, "x must be str | None, got 3"),
+    ((), tuple[str, ...], None),
+    (("a", "b", "c"), tuple[str, ...], None),
+    (("a", "b", 3), tuple[str, ...], "x[2] must be str, got 3"),
+    (["a"], tuple[str, ...], "x must be tuple[str, ...], got ['a']"),
+    ((1, 0.5, math.nan), tuple[float, ...], "x[2] must be finite, got nan"),
 ])
 def test_check_type_states_the_one_rule(value, kind, message):
     if message is None:

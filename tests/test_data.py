@@ -258,6 +258,15 @@ def test_save_writes_numpy_scalars_and_ints_as_the_numbers_they_hold(tmp_path):
     ])
 
 
+def test_save_refuses_duplicate_ids_before_writing(tmp_path):
+    """An id twice cannot make ``Points``, so no labels.csv is written that
+    ``load_episodes`` would refuse."""
+    m, l = tmp_path / "m.csv", tmp_path / "l.csv"
+    with pytest.raises(ValueError, match="^episode ids are not unique$"):
+        save_episodes([Episode("a", {"hr": [(1.0, 2.0)]}, 0), Episode("a", {}, 1)], m, l)
+    assert not m.exists() and not l.exists()
+
+
 def _write(path, text):
     path.write_text(text)
     return path

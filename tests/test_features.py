@@ -19,6 +19,7 @@ from fedhosp.features import (
     WINDOW_NAMES,
     Episode,
     FeatureMatrix,
+    Points,
     Scaler,
     feature_names,
     fit_scaler,
@@ -213,8 +214,48 @@ def test_take_must_mark_each_episode_once(take, got):
     message = f"take must be a boolean vector of one entry per episode (10), got {got}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         points.take(take)
-    halves = features.extract(points.take([k < 5 for k in range(10)]), ("hr",))
-    assert halves.episode_ids == ("e0", "e1", "e2", "e3", "e4")
+    half = points.take([k < 5 for k in range(10)])
+    assert len(points) == 10 and len(half) == 5
+    assert features.extract(half, ("hr",)).episode_ids == ("e0", "e1", "e2", "e3", "e4")
+
+
+def _points(**changes):
+    """Two episodes, two variables, three points, with ``changes`` made."""
+    fields = dict(episode_ids=("a", "b"), labels=np.array([0, 1]), variables=("hr", "sbp"),
+                  episode=np.array([0, 0, 1]), variable=np.array([0, 1, 1]),
+                  hour=np.array([0.0, 24.0, 48.0]), value=np.array([1.0, 2.0, 3.0]))
+    return Points(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"hour": np.array([0.0, 60.0, 48.0])}, "hour 60.0 outside [0, 48]"),
+    ({"hour": np.array([-1.0, 24.0, 48.0])}, "hour -1.0 outside [0, 48]"),
+    ({"hour": np.array([0.0, np.nan, 48.0])}, "hour nan outside [0, 48]"),
+    ({"value": np.array([1.0, np.inf, 3.0])}, "non-finite value inf"),
+    ({"value": np.array([1.0, 2.0, np.nan])}, "non-finite value nan"),
+    ({"episode": np.array([0, -1, 1])}, "episode index -1 outside [0, 2)"),
+    ({"episode": np.array([0, 5, 1])}, "episode index 5 outside [0, 2)"),
+    ({"variable": np.array([0, 3, 1])}, "variable index 3 outside [0, 2)"),
+    ({"episode": np.array([0.0, 0.0, 1.0])}, "episode index array must hold integers, got float64"),
+    ({"labels": np.array([0, 2])}, "label 2 outside [0, 2)"),
+    ({"labels": np.array([0.0, 1.0])}, "label array must hold integers, got float64"),
+    ({"labels": np.array([0, 1, 1])}, "2 episode ids but labels of shape (3,)"),
+    ({"labels": np.array([[0, 1]])}, "2 episode ids but labels of shape (1, 2)"),
+    ({"value": np.array([1.0, 2.0])},
+     "point arrays must be 1-D of one length, got shapes [(3,), (3,), (3,), (2,)]"),
+    ({"episode": np.array([[0, 0, 1]])},
+     "point arrays must be 1-D of one length, got shapes [(1, 3), (3,), (3,), (3,)]"),
+    ({"episode_ids": ("a", "a")}, "episode ids are not unique"),
+    ({"episode_ids": ["a", "b"]}, "episode_ids must be tuple[str, ...], got ['a', 'b']"),
+    ({"variables": ("hr", 2)}, "variables[1] must be str, got 2"),
+    ({"hour": [0.0, 24.0, 48.0]}, "hour must be ndarray, got [0.0, 24.0, 48.0]"),
+], ids=["hour_60", "hour_-1", "hour_nan", "value_inf", "value_nan", "episode_-1", "episode_5",
+        "variable_3", "float_index", "label_2", "float_labels", "labels_long", "labels_2d",
+        "value_short", "episode_2d", "duplicate_id", "ids_list", "variable_name", "hour_list"])
+def test_points_refuses_a_malformed_record(changes, error):
+    _points()
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        _points(**changes)
 
 
 def test_feature_names_align_with_columns():
