@@ -6,35 +6,37 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import repeat
 from typing import get_args, get_origin, get_type_hints
 
 __all__ = ["check_type", "check_fields"]
 
 
 @cache
-def _rule(kind) -> tuple[tuple[type, ...], bool, tuple, bool, str]:
-    """What ``check_type`` asks of a ``kind``: the types a value may have, whether a
-    bool counts, a ``tuple[...]``'s item kinds, whether it is a ``tuple[X, ...]``, its name."""
+def _rule(kind) -> tuple[tuple[type, ...], bool, tuple, object, str]:
+    """What ``check_type`` asks of a ``kind``: the types a value may have, whether a bool
+    counts, a ``tuple[...]``'s (index, item kind)s or ``tuple[X, ...]``'s X, and its name."""
     args = get_args(kind) if get_origin(kind) is tuple else ()
-    variadic = args[1:] == (Ellipsis,)
+    each = args[0] if args[1:] == (Ellipsis,) else None
+    items = () if each else tuple(enumerate(args))
     kinds = (tuple,) if args else get_args(kind) or (kind,)
     allowed = kinds + (int,) if float in kinds else kinds
-    name = kind.__name__ if type(kind) is type else str(kind)
-    return allowed, bool in kinds, args[:1] if variadic else args, variadic, name
+    return allowed, bool in kinds, items, each, kind.__name__ if type(kind) is type else str(kind)
 
 
 def check_type(key: str, value, kind) -> None:
     """Raise ValueError naming ``key`` unless ``value`` is a ``kind``: a type, a union
     such as ``str | None``, or a ``tuple[...]`` or ``tuple[X, ...]``, checked item by item."""
-    allowed, bool_counts, items, variadic, name = _rule(kind)
+    allowed, bool_counts, items, each, name = _rule(kind)
     if (not isinstance(value, allowed) or (not bool_counts and isinstance(value, bool))
-            or items and not variadic and len(value) != len(items)):
+            or items and len(value) != len(items)):
         raise ValueError(f"{key} must be {name}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    for i, item_kind in enumerate(repeat(items[0], len(value)) if variadic else items):
+    for i, item_kind in items:
         check_type(f"{key}[{i}]", value[i], item_kind)
+    if each is not None:
+        for i, item in enumerate(value):
+            check_type(f"{key}[{i}]", item, each)
 
 
 _type_hints = cache(get_type_hints)  # per class: its annotated fields' types

@@ -179,9 +179,8 @@ def save_episodes(points: Points, measurements_path, labels_path) -> None:
     with open(measurements_path, "w", newline="") as f:
         f.write(quote.writerow(_MEASUREMENTS_HEADER))
         for start, end in zip(starts, starts[1:] + [len(hours)]):
-            row = [points.episode_ids[points.episode[start]],
-                   points.variables[points.variable[start]], ""]
-            prefix = quote.writerow(row)[:-2]  # drop the line end
+            prefix = quote.writerow([points.episode_ids[points.episode[start]],
+                                     points.variables[points.variable[start]], ""])[:-2]
             f.write("".join([f"{prefix}{h},{v}\r\n" for h, v in zip(hours[start:end],
                                                                       values[start:end])]))
     with open(labels_path, "w", newline="") as f:

@@ -229,7 +229,7 @@ def prepare(cfg: ExperimentConfig, variables: tuple[str, ...] | None = None) -> 
     points, variables = load_data(cfg, variables)
     with stage("feature"):
         sides = split_train_test(points, cfg.test_fraction, cfg.stage_seeds["split"])
-        del points  # each side holds its own copy of its points
+        del points  # each side holds a copy of its points; free the whole set before extract
         return Prepared(variables, *(extract(side, variables) for side in sides))
 
 

@@ -311,13 +311,12 @@ def extract(points: Points, variables) -> FeatureMatrix:
     order = np.argsort(key, kind="stable")
     if (np.diff(hour[order])[np.diff(key[order]) == 0] < 0).any():
         order = np.lexsort((hour, key))
-    return _sorted_rows(hour[order], value[order], key[order], points.episode_ids,
-                        points.labels, variables)
+    return _sorted_rows(hour[order], value[order], key[order], points, variables)
 
 
-def _sorted_rows(hour, value, key, episode_ids, labels, variables) -> FeatureMatrix:
-    """The matrix of points sorted by (key, hour), point i in series ``key[i]``."""
-    n_series = len(episode_ids) * len(variables)
+def _sorted_rows(hour, value, key, points: Points, variables) -> FeatureMatrix:
+    """The matrix of ``points``' episodes, from points sorted by (key, hour) in series ``key``."""
+    n_series = len(points) * len(variables)
     masks = [np.ones(hour.size, dtype=bool)]
     masks += [hour < HORIZON_HOURS * q for q in _QUANTS]
     masks += [hour >= HORIZON_HOURS * (1.0 - q) for q in _QUANTS]
@@ -333,8 +332,8 @@ def _sorted_rows(hour, value, key, episode_ids, labels, variables) -> FeatureMat
                 block = w_values[starts[ids, None] + np.arange(n)]
                 stats[ids, w] = _count_block_stats(block)
     return FeatureMatrix(
-        rows=stats.reshape(len(episode_ids), STATS_PER_VARIABLE * len(variables)),
-        episode_ids=episode_ids, labels=labels, variables=variables,
+        rows=stats.reshape(len(points), STATS_PER_VARIABLE * len(variables)),
+        episode_ids=points.episode_ids, labels=points.labels, variables=variables,
     )
 
 
