@@ -9,15 +9,20 @@ Subcommands:
     serve      federation server over TCP
     worker     one hospital process connecting to a server
 
+The library returns reports as values. ``write_report`` alone writes one: train,
+compare and serve each give it their report's file name, and it writes the file
+into the ``--out`` directory (``""`` is the working directory) and prints its
+path. Without ``--out`` they write no file.
+
 Every option has a config-file equivalent: pass ``--config FILE`` pointing at
 a flat JSON object (``{"n_episodes": 200, "seed": 7}``); explicit flags win
 over the file. In every command a key is the ExperimentConfig field its flag
-sets, or the flag's name for an option that sets no field (``listen``,
-``connect``, ``id``, ``shard``, extract's ``data`` and ``out``, and the
-``variables`` names of extract and worker). A field's flag is its name, except
-``n_episodes`` (--episodes), ``n_variables`` (--variables), ``n_hospitals``
-(--hospitals), ``partition_strategy`` (--partition), ``out_dir`` (--out) and
-``gate_enabled`` (--gate/--no-gate).
+sets, or the option's name for an option that sets no field (``out_dir``,
+``listen``, ``connect``, ``id``, ``shard``, extract's ``data`` and ``out``,
+and the ``variables`` names of extract and worker). A key's flag is its name,
+except ``n_episodes`` (--episodes), ``n_variables`` (--variables),
+``n_hospitals`` (--hospitals), ``partition_strategy`` (--partition),
+``out_dir`` (--out) and ``gate_enabled`` (--gate/--no-gate).
 Every command checks every value through ExperimentConfig before any stage.
 Exit codes: 0 success; 2 from option checks, UsageError or FederationConfigError; else 1.
 """
@@ -47,7 +52,6 @@ from .experiment import (
     run_comparison,
     run_experiment,
     stage,
-    write_report,
 )
 from .features import extract, feature_names
 from .federation import (
@@ -105,7 +109,7 @@ def _variable_names(text: str | None) -> tuple[str, ...] | None:
 
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
-# ExperimentConfig field -> flag, where the two differ
+# option -> flag, where the two differ
 _FLAG = {"n_episodes": "--episodes", "n_variables": "--variables", "n_hospitals": "--hospitals",
          "partition_strategy": "--partition", "out_dir": "--out", "gate_enabled": "--gate"}
 
@@ -150,9 +154,25 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
 # subcommands
 
 
+def write_report(report: dict, out_dir: str | None, name: str) -> None:
+    """Write ``report`` as sorted, indented JSON to ``out_dir/name``, making the
+    directory, and print the path; nothing when ``out_dir`` is None.
+
+    The report holds JSON values only (dicts, lists, tuples, str, int, finite
+    float, bool, None): a numpy array or numpy integer raises TypeError, and a
+    NaN or infinite float ValueError.
+    """
+    if out_dir is None:
+        return
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    print(f"report written to {path}")
+
+
 def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
     points = generate(cfg.synthetic())
-    out = Path(cfg.out_dir)
+    out = Path(opts["out_dir"])
     save_episodes(points, out / "measurements.csv", out / "labels.csv")
     print(f"wrote {len(points)} episodes to {out}/measurements.csv and {out}/labels.csv")
     return 0
@@ -174,19 +194,18 @@ def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, opts: dict) -> int:
-    m = run_experiment(cfg)["metrics"]
+    report = run_experiment(cfg)
+    m = report["metrics"]
     print(f"{cfg.model}-{cfg.mode}: "
           f"auroc={m['auroc']:.4f} auprc={m['auprc']:.4f} accuracy={m['accuracy']:.4f}")
-    if cfg.out_dir:
-        print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
+    write_report(report, opts["out_dir"], "report.json")
     return 0
 
 
 def cmd_compare(cfg: ExperimentConfig, opts: dict) -> int:
     report = run_comparison(cfg)
     print(format_comparison(report))
-    if cfg.out_dir:
-        print(f"report written to {Path(cfg.out_dir) / 'comparison.json'}")
+    write_report(report, opts["out_dir"], "comparison.json")
     return 0
 
 
@@ -203,15 +222,15 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
         state, _ = run_server_rounds(workers, arch, fed_cfg)
     finally:
         listener.close()
-    print(f"finished {state.round} rounds; best gate value {state.best_accuracy:.4f} "
-          f"({sum(r.committed for r in state.history)} committed)")
-    if cfg.out_dir:
-        # The workers hold every setting serve does not take; it never learns them.
-        report = {**report_header(replace(cfg, mode="federated")), **federation_report(state)}
-        taken = {"mode", *opts}
-        report["config"] = {k: v if k in taken else None for k, v in report["config"].items()}
-        write_report(report, Path(cfg.out_dir) / "report.json")
-        print(f"report written to {Path(cfg.out_dir) / 'report.json'}")
+    report = report_header(replace(cfg, mode="federated"))
+    # The workers hold every setting serve does not take; it never learns them.
+    taken = {"mode", *opts}
+    report["config"] = {k: v if k in taken else None for k, v in report["config"].items()}
+    fed = report["federation"] = federation_report(state, [workers[i] for i in sorted(workers)])
+    # With the gate off every round commits, so the value kept is the last round's.
+    print(f"finished {state.round} rounds; {'best' if cfg.gate_enabled else 'last'} gate value "
+          f"{fed['best_accuracy']:.4f} ({fed['rounds_committed']} committed)")
+    write_report(report, opts["out_dir"], "report.json")
     return 0
 
 
@@ -257,8 +276,8 @@ _HELP = {
     "gate_enabled": "keep a round's model only if it scores at least the best so far",
     "gate_metric": "what the gate scores", "partition_strategy": "how rows split across hospitals",
     "skew_alpha": "Dirichlet alpha of label_skew (smaller: more skew)",
-    "seed": "master seed", "out_dir": "directory the output files are written to",
-    "config": "flat JSON file supplying any of this command's options",
+    "seed": "master seed", "config": "flat JSON file supplying any of this command's options",
+    "out_dir": "directory the output files are written to",
     "data": "directory with measurements.csv and labels.csv", "out": "output CSV path",
     "variables": "comma-separated variable names, else those observed",
     "listen": "HOST:PORT to listen on (port 0: any free port)", "connect": "server HOST:PORT",
@@ -271,16 +290,18 @@ _HELP = {
 _COMMANDS = {
     "generate": (cmd_generate, "write synthetic episode CSVs",
                  ("n_episodes", "n_variables", "prevalence", "effect_size", "points_min",
-                  "points_max", "seed", "out_dir"),
-                 {}, ("n_episodes", "out_dir")),
+                  "points_max", "seed"),
+                 {"out_dir": str}, ("n_episodes", "out_dir")),
     "extract": (cmd_extract, "episodes -> feature-matrix CSV", (),
                 {"data": str, "out": str, "variables": str}, ("data", "out")),
-    "train": (cmd_train, "run one experiment and report metrics", tuple(_CONFIG_DEFAULTS), {}, ()),
-    "compare": (cmd_compare, "run all four model x mode cells", tuple(_CONFIG_DEFAULTS), {}, ()),
+    "train": (cmd_train, "run one experiment and report metrics", tuple(_CONFIG_DEFAULTS),
+              {"out_dir": str}, ()),
+    "compare": (cmd_compare, "run all four model x mode cells", tuple(_CONFIG_DEFAULTS),
+                {"out_dir": str}, ()),
     "serve": (cmd_serve, "federation server over TCP",
               ("model", "n_variables", "hidden_dim", "n_hospitals", "rounds", "cohort_fraction",
-               "gate_enabled", "seed", "out_dir"),
-              {"listen": str}, ("listen",)),
+               "gate_enabled", "seed"),
+              {"out_dir": str, "listen": str}, ("listen",)),
     "worker": (cmd_worker, "one hospital process",
                ("model", "hidden_dim", "test_fraction", "local_epochs", "batch_size",
                 "learning_rate", "gate_metric", "seed"),

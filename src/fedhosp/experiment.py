@@ -6,12 +6,12 @@ scaling with its own local extremes so raw values never pool anywhere).
 ``prepare`` runs the stages every cell shares (data, split, features) and
 ``fit`` trains and evaluates one (model, mode) cell on them, so a comparison
 prepares its data once. A single master seed fans out into fixed per-stage
-seeds, so a report is reproducible from its config echo alone.
+seeds, so a report is reproducible from its config echo alone. Reports are
+returned as values; this module writes no file (the command line does).
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -43,7 +43,7 @@ from .models import MODEL_KINDS, ModelArch, TrainConfig, forward, init_params, t
 
 __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "stage", "load_data",
            "prepare", "fit", "run_experiment", "run_comparison", "format_comparison",
-           "report_header", "federation_report", "write_report", "REPORT_SCHEMA_VERSION"]
+           "report_header", "federation_report", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -110,7 +110,6 @@ class ExperimentConfig:
     partition_strategy: str = "equal_iid"
     skew_alpha: float = PartitionPlan.skew_alpha
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         check_fields(self, seed=0)
@@ -153,16 +152,9 @@ class ExperimentConfig:
 
 
 def report_header(cfg: ExperimentConfig) -> dict:
-    """What every report starts with: the schema version and ``config``, the
-    experiment parameters only.
-
-    ``out_dir`` names where the report lands, not what was computed, so it is
-    left out — two runs of the same experiment produce byte-identical reports
-    no matter where they are written.
-    """
-    config = asdict(cfg)
-    del config["out_dir"]
-    return {"schema_version": REPORT_SCHEMA_VERSION, "config": config}
+    """What every report starts with: the schema version and ``config``, every
+    ExperimentConfig field."""
+    return {"schema_version": REPORT_SCHEMA_VERSION, "config": asdict(cfg)}
 
 
 def load_data(cfg: ExperimentConfig,
@@ -257,12 +249,8 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
             state, evals = run_federation(hospitals, arch, cfg.fed_config(),
                                           cfg.train_config(cfg.local_epochs))
             result = evals[-1]
-            report["federation"] = {
-                **federation_report(state),
-                "hospital_train_sizes": [h.n_train for h in hospitals],
-                "hospital_test_sizes": [h.n_test for h in hospitals],
-                "eval_history": [asdict(e) for e in evals],
-            }
+            report["federation"] = {**federation_report(state, hospitals),
+                                    "eval_history": [asdict(e) for e in evals]}
 
     report["metrics"] = {"auroc": result.auroc, "auprc": result.auprc,
                          "accuracy": result.accuracy, "n_test": result.n}
@@ -270,30 +258,25 @@ def fit(cfg: ExperimentConfig, data: Prepared) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute the configured pipeline; returns (and optionally writes) the report."""
-    report = fit(cfg, prepare(cfg))
-    if cfg.out_dir is not None:
-        write_report(report, Path(cfg.out_dir) / "report.json")
-    return report
+    """Execute the configured pipeline; returns the report."""
+    return fit(cfg, prepare(cfg))
 
 
-def federation_report(state: FederationState) -> dict:
-    """The gate's outcome: best metric, rounds committed and every round's record."""
+def federation_report(state: FederationState, hospitals) -> dict:
+    """A report's ``federation`` section: the gate's outcome, every round's
+    record, and the train and test sizes of ``hospitals`` (anything with
+    ``n_train`` and ``n_test``, in id order).
+
+    ``best_accuracy`` is the last committed gate value: the best under the
+    gate, and the last round's with the gate off, as every round then commits.
+    """
     return {
         "best_accuracy": state.best_accuracy,
         "rounds_committed": sum(r.committed for r in state.history),
         "rounds": [asdict(r) for r in state.history],
+        "hospital_train_sizes": [h.n_train for h in hospitals],
+        "hospital_test_sizes": [h.n_test for h in hospitals],
     }
-
-
-def write_report(report: dict, path) -> None:
-    """Write ``report`` as sorted, indented JSON to ``path``, making its
-    directory. The report holds JSON values only (dicts, lists, tuples, str,
-    int, finite float, bool, None): a numpy array or numpy integer raises
-    TypeError, and a NaN or infinite float ValueError."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_comparison(cfg: ExperimentConfig) -> dict:
@@ -303,20 +286,12 @@ def run_comparison(cfg: ExperimentConfig) -> dict:
         f"{model}-{mode}": fit(replace(cfg, model=model, mode=mode), data)["metrics"]
         for model in MODEL_KINDS for mode in MODES
     }
-    report = {**report_header(cfg), "cells": cells}
-    if cfg.out_dir is not None:
-        write_report(report, Path(cfg.out_dir) / "comparison.json")
-    return report
+    return {**report_header(cfg), "cells": cells}
 
 
 def format_comparison(report: dict) -> str:
-    """Plain-text table with one row per (model, mode) cell."""
+    """Plain-text table with one row per cell of ``report``, in its order."""
     lines = [f"{'setup':<16}{'AUROC':>9}{'AUPRC':>9}{'accuracy':>10}"]
-    for model in MODEL_KINDS:
-        for mode in MODES:
-            m = report["cells"][f"{model}-{mode}"]
-            lines.append(
-                f"{model + '-' + mode:<16}{m['auroc']:>9.4f}{m['auprc']:>9.4f}"
-                f"{m['accuracy']:>10.4f}"
-            )
+    lines += [f"{cell:<16}{m['auroc']:>9.4f}{m['auprc']:>9.4f}{m['accuracy']:>10.4f}"
+              for cell, m in report["cells"].items()]
     return "\n".join(lines)

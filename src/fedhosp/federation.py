@@ -73,7 +73,8 @@ class RoundRecord:
 @dataclass(frozen=True, eq=False)
 class FederationState:
     """Global parameters plus the gate's bookkeeping: ``best_accuracy`` is the
-    best gate metric value committed (accuracy, or AUROC under the auroc gate)."""
+    last gate metric value committed (accuracy, or AUROC under the auroc gate):
+    the best so far under the gate, the last round's with the gate off."""
 
     global_params: np.ndarray
     round: int = 0

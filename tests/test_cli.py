@@ -17,7 +17,7 @@ import pytest
 
 from episode_route import extract, load_episodes
 
-from fedhosp.cli import _flag, build_parser, main
+from fedhosp.cli import _flag, build_parser, main, write_report
 from fedhosp.features import STATS_PER_VARIABLE, feature_names
 from fedhosp.transport import TcpTransport, TransportError
 
@@ -333,8 +333,8 @@ def test_serve_and_workers_over_tcp(tmp_path, shards):
     finally:
         _reap([server, *workers])
     report = json.loads((out / "report.json").read_text())
-    assert len(report["rounds"]) == 2
-    for entry in report["rounds"]:
+    assert len(report["federation"]["rounds"]) == 2
+    for entry in report["federation"]["rounds"]:
         assert set(entry) == {"round", "candidate_accuracy", "committed", "weights", "cohort"}
     assert "listening on 127.0.0.1" in server_out
     assert "finished 2 rounds; best gate value " in server_out
@@ -424,20 +424,18 @@ def test_a_model_too_large_for_the_data_exits_1(tmp_path, capsys, monkeypatch):
         assert "more than MAX_PARAMS" in err, (argv, err)
 
 
-@pytest.fixture(scope="module")
-def served_config(tmp_path_factory):
-    """The config of a 2-round serve report; its one hospital returns what it
-    is sent and scores it 0.5."""
+def _serve_to_a_raw_peer(tmp_path, values, *flags):
+    """Run ``serve`` with ``flags`` for one hospital and ``len(values)`` rounds; the
+    hospital, a raw peer, returns what it is sent and scores round r's ``values[r]``."""
     from fedhosp import transport as tp
 
-    tmp_path = tmp_path_factory.mktemp("serve")
     port = _free_port()
     config = tmp_path / "serve.json"
-    config.write_text(json.dumps({"rounds": 2, "n_hospitals": 1}))
+    config.write_text(json.dumps({"rounds": len(values), "n_hospitals": 1}))
     codes = []
     server = threading.Thread(target=lambda: codes.append(_run([
         "serve", "--config", str(config), "--listen", f"127.0.0.1:{port}", "--model", "lr",
-        "--variables", "2", "--seed", "5", "--out", str(tmp_path / "served")])), daemon=True)
+        "--variables", "2", "--seed", "5", *flags])), daemon=True)
     server.start()
     peer = _connect_when_listening(port)
     try:
@@ -447,19 +445,114 @@ def served_config(tmp_path_factory):
                 peer.send(tp.LocalUpdate(hospital_id=1, round=msg.round, n_samples=10,
                                          params=msg.params))
             else:
-                peer.send(tp.EvalResult(hospital_id=1, round=msg.round, value=0.5, n_test=5))
+                peer.send(tp.EvalResult(hospital_id=1, round=msg.round,
+                                        value=values[msg.round], n_test=5))
         server.join(timeout=30.0)
     finally:
         peer.close()
     assert codes == [0]
-    return json.loads((tmp_path / "served" / "report.json").read_text())["config"]
 
 
-def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path, served_config):
-    served = served_config
+@pytest.fixture(scope="module")
+def served_report(tmp_path_factory):
+    """The report of a 2-round serve; its one hospital returns what it is sent
+    and scores it 0.5."""
+    tmp_path = tmp_path_factory.mktemp("serve")
+    _serve_to_a_raw_peer(tmp_path, [0.5, 0.5], "--out", str(tmp_path / "served"))
+    return json.loads((tmp_path / "served" / "report.json").read_text())
+
+
+def _json_type(value) -> str:
+    for kind, name in ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
+                       (str, "string"), (list, "array"), (dict, "object")):
+        if isinstance(value, kind):
+            return name
+    raise TypeError(f"not a JSON value: {value!r}")
+
+
+def _key_paths(value, path=()):
+    """(path, JSON type) of a JSON value and of everything in it; a list's
+    items share the path step ``[]``."""
+    yield path, _json_type(value)
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _key_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _key_paths(item, (*path, "[]"))
+
+
+def _federated_train_report(out_dir) -> dict:
     assert _run(["train", "--mode", "federated", "--episodes", "60", "--rounds", "1",
-                 "--out", str(tmp_path / "trained")]) == 0
-    trained = json.loads((tmp_path / "trained" / "report.json").read_text())["config"]
+                 "--out", str(out_dir)]) == 0
+    return json.loads((out_dir / "report.json").read_text())
+
+
+def test_serve_report_paths_are_those_of_a_federated_train_report(tmp_path, served_report):
+    trained = set(_key_paths(_federated_train_report(tmp_path)))
+    # a null in serve's config is a setting the workers hold (see the test below)
+    served = {(path, kind) for path, kind in _key_paths(served_report)
+              if not (path[:1] == ("config",) and kind == "null")}
+    assert served - trained == set()
+    fed = served_report["federation"]
+    assert (fed["hospital_train_sizes"], fed["hospital_test_sizes"]) == ([10], [5])
+    assert (fed["best_accuracy"], fed["rounds_committed"], len(fed["rounds"])) == (0.5, 2, 2)
+
+
+@pytest.mark.parametrize("gate, printed, committed", [
+    ("--gate", "best gate value 0.9000 (1 committed)", 1),
+    ("--no-gate", "last gate value 0.5000 (2 committed)", 2),
+], ids=["gate", "no_gate"])
+def test_serve_keeps_the_last_committed_value(tmp_path, capsys, gate, printed, committed):
+    """With the gate off every round commits, so the value kept is the last
+    round's, not the best."""
+    _serve_to_a_raw_peer(tmp_path, [0.9, 0.5], gate, "--out", str(tmp_path))
+    fed = json.loads((tmp_path / "report.json").read_text())["federation"]
+    assert fed["rounds_committed"] == committed
+    assert fed["best_accuracy"] == {1: 0.9, 2: 0.5}[committed]
+    assert f"finished 2 rounds; {printed}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, name", [
+    ("train", "report.json"), ("compare", "comparison.json"), ("serve", "report.json"),
+])
+def test_an_empty_out_writes_the_report_into_the_working_directory(
+        tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.chdir(tmp_path)
+    if command == "serve":
+        _serve_to_a_raw_peer(tmp_path, [0.5], "--out", "")
+    else:
+        assert _run([command, "--episodes", "60", "--epochs", "1", "--rounds", "1",
+                     "--out", ""]) == 0
+    assert capsys.readouterr().out.endswith(f"report written to {name}\n")
+    assert json.loads((tmp_path / name).read_text())["schema_version"] == 1
+
+
+def test_write_report_creates_parents_and_round_trips(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "deep" / "nested"
+    write_report({"alpha": 1, "beta": [1.5, 2.5]}, str(out), "report.json")
+    assert json.loads((out / "report.json").read_text()) == {"alpha": 1, "beta": [1.5, 2.5]}
+    assert capsys.readouterr().out == f"report written to {out / 'report.json'}\n"
+    monkeypatch.chdir(tmp_path)
+    write_report({"alpha": 1}, None, "report.json")  # no --out: nothing written
+    assert capsys.readouterr().out == "" and not (tmp_path / "report.json").exists()
+
+
+def test_write_report_writes_tuples_as_lists_and_refuses_numpy_values(tmp_path):
+    path = tmp_path / "report.json"
+    write_report({"cohort": (1, 2)}, str(tmp_path), "report.json")
+    assert path.read_text() == '{\n  "cohort": [\n    1,\n    2\n  ]\n}\n'
+    for value in (np.int64(1), np.zeros(2)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report({"value": value}, str(tmp_path), "report.json")
+    for value in (float("nan"), float("inf")):  # JSON has no such value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report({"value": value}, str(tmp_path), "report.json")
+
+
+def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path, served_report):
+    served = served_report["config"]
+    trained = _federated_train_report(tmp_path)["config"]
     assert sorted(served) == sorted(trained)
     assert {k: served[k] for k in ("mode", "model", "n_variables", "n_hospitals", "rounds",
                                    "seed")} == {"mode": "federated", "model": "lr",
@@ -467,11 +560,12 @@ def test_serve_report_config_has_the_keys_of_a_federated_train_report(tmp_path, 
                                                 "rounds": 2, "seed": 5}
 
 
-def test_serve_report_config_is_null_for_the_settings_the_workers_hold(served_config):
+def test_serve_report_config_is_null_for_the_settings_the_workers_hold(served_report):
+    served = served_report["config"]
     held = ("local_epochs", "batch_size", "learning_rate", "test_fraction", "n_episodes",
             "gate_metric")
-    assert {k: served_config[k] for k in held} == dict.fromkeys(held)
-    assert served_config["gate_enabled"] is True and served_config["hidden_dim"] == 50
+    assert {k: served[k] for k in held} == dict.fromkeys(held)
+    assert served["gate_enabled"] is True and served["hidden_dim"] == 50
 
 
 def test_serve_takes_no_gate_metric(capsys):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from fedhosp.experiment import (
     prepare,
     run_comparison,
     run_experiment,
-    write_report,
 )
 from fedhosp.features import Episode
 from fedhosp.federation import FedConfig
@@ -49,7 +47,13 @@ def test_central_report_structure():
         "data": 0, "split": 1, "partition": 2, "init": 3, "train": 4,
     }
     assert "federation" not in report
-    assert "out_dir" not in report["config"]
+    assert list(report["config"]) == [f.name for f in fields(ExperimentConfig)]
+
+
+def test_config_holds_no_output_location():
+    """Where a report lands is the command line's option, so it is no field."""
+    with pytest.raises(TypeError, match="out_dir"):
+        ExperimentConfig(out_dir="runs")
 
 
 def test_federated_report_records_round_history():
@@ -112,24 +116,6 @@ def test_csv_features_equal_extract_over_loaded_episodes(tmp_path, capsys, shuff
 def test_missing_data_dir_is_a_data_stage_error(tmp_path):
     with pytest.raises(ExperimentError, match="data stage"):
         run_experiment(_cfg(data_dir=str(tmp_path / "nope")))
-
-
-def test_write_report_creates_parents_and_round_trips(tmp_path):
-    path = tmp_path / "deep" / "nested" / "report.json"
-    write_report({"alpha": 1, "beta": [1.5, 2.5]}, path)
-    assert json.loads(path.read_text()) == {"alpha": 1, "beta": [1.5, 2.5]}
-
-
-def test_write_report_writes_tuples_as_lists_and_refuses_numpy_values(tmp_path):
-    path = tmp_path / "report.json"
-    write_report({"cohort": (1, 2)}, path)
-    assert path.read_text() == '{\n  "cohort": [\n    1,\n    2\n  ]\n}\n'
-    for value in (np.int64(1), np.zeros(2)):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            write_report({"value": value}, path)
-    for value in (float("nan"), float("inf")):  # JSON has no such value
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            write_report({"value": value}, path)
 
 
 def _reaches_its_extremes(rows) -> bool:
@@ -244,7 +230,7 @@ def test_comparison_cells_equal_separate_runs():
     ("n_episodes", True), ("n_episodes", "100"), ("n_episodes", 100.0),
     ("rounds", "ten"), ("learning_rate", "0.1"), ("learning_rate", False),
     ("gate_enabled", "no"), ("gate_enabled", 1), ("seed", 1.5),
-    ("out_dir", 7), ("data_dir", b"dir"), ("model", None),
+    ("data_dir", b"dir"), ("model", None),
 ])
 def test_config_type_errors_name_the_key(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be "):
