@@ -1,6 +1,7 @@
 """The one value check of every config field, option and wire message field,
 and of ``HospitalDataset`` and ``metrics.EvalResult``: its annotated type, where
-a bool counts only as a bool, an int also as a float, and a float must be finite."""
+a bool counts only as a bool, an int also as a float, and a float must be finite;
+then, where a class asks, its minimum or its fixed set of allowed values."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
-__all__ = ["check_type", "check_fields"]
+__all__ = ["check_type", "check_choice", "check_fields"]
 
 
 @cache
@@ -39,14 +40,24 @@ def check_type(key: str, value, kind) -> None:
             check_type(f"{key}[{i}]", item, each)
 
 
+def check_choice(key: str, value, choices: tuple) -> None:
+    """Raise ValueError naming ``key`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{key} must be one of {choices}, got {value!r}")
+
+
 _type_hints = cache(get_type_hints)  # per class: its annotated fields' types
 
 
-def check_fields(obj, **minimums: int) -> None:
-    """``check_type`` of every annotated field of the dataclass ``obj``, then
-    ``<field> must be >= <minimum>`` for each field given below its minimum."""
+def check_fields(obj, **rules: int | tuple) -> None:
+    """``check_type`` of every annotated field of the dataclass ``obj``, then each
+    rule: a tuple is the field's allowed values (``check_choice``), an int its
+    minimum (``<field> must be >= <minimum>``)."""
     for name, kind in _type_hints(type(obj)).items():
         check_type(name, getattr(obj, name), kind)
-    for name, minimum in minimums.items():
-        if getattr(obj, name) < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {getattr(obj, name)}")
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        if type(rule) is tuple:
+            check_choice(name, value, rule)
+        elif value < rule:
+            raise ValueError(f"{name} must be >= {rule}, got {value}")

@@ -344,12 +344,7 @@ class PartitionPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, n_hospitals=1, seed=0)
-        if self.strategy not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown partition strategy {self.strategy!r}; "
-                f"expected one of {PARTITION_STRATEGIES}"
-            )
+        check_fields(self, strategy=PARTITION_STRATEGIES, n_hospitals=1, seed=0)
         if self.strategy == "label_skew" and not self.skew_alpha > 0.0:
             raise ValueError(f"skew_alpha must be positive, got {self.skew_alpha}")
 

@@ -48,7 +48,7 @@ __all__ = ["ExperimentConfig", "ExperimentError", "Prepared", "stage", "load_dat
 REPORT_SCHEMA_VERSION = 1
 
 MODES = ("central", "federated")
-# ExperimentConfig fields whose value must be one of a fixed set (flag choices)
+# ExperimentConfig fields whose value must be one of a fixed set: its checks, the flags' choices
 CHOICES = {"model": MODEL_KINDS, "mode": MODES, "gate_metric": tuple(GATE_METRICS),
            "partition_strategy": PARTITION_STRATEGIES}
 # Each stage's seed is the master seed plus its offset.
@@ -80,8 +80,8 @@ class ExperimentConfig:
     out to each stage's seed as ``SEED_OFFSETS`` says.
 
     Construction checks every field whatever the mode (its annotated type,
-    then the mode and, by building every sub-config once, each range and
-    choice), so a bad value raises ValueError naming it before any stage runs.
+    then each ``CHOICES`` key and, by building every sub-config once, each
+    range), so a bad value raises ValueError naming it before any stage runs.
     """
 
     model: str = "lr"
@@ -112,9 +112,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, seed=0)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        check_fields(self, seed=0, **CHOICES)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly in (0,1), got {self.test_fraction}")
         self.synthetic()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport as tp
-from .checks import check_fields
+from .checks import check_choice, check_fields
 from .data import HospitalDataset
 from .metrics import EvalResult, accuracy, auroc, evaluate
 from .models import AdamState, ModelArch, TrainConfig, forward, init_params, train
@@ -96,15 +96,11 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, n_hospitals=1, rounds=1, local_epochs=0, seed=0)
+        check_fields(self, n_hospitals=1, rounds=1, local_epochs=0, seed=0,
+                     gate_metric=tuple(GATE_METRICS))
         if not 0.0 < self.cohort_fraction <= 1.0:
             raise ValueError(
                 f"cohort_fraction must lie in (0,1], got {self.cohort_fraction}"
-            )
-        if self.gate_metric not in GATE_METRICS:
-            raise ValueError(
-                f"unknown gate_metric {self.gate_metric!r}; "
-                f"expected one of {tuple(GATE_METRICS)}"
             )
 
 
@@ -221,9 +217,7 @@ def check_gate_labels(hospital: HospitalDataset, gate_metric: str) -> None:
 def local_test_accuracy(hospital: HospitalDataset, params: np.ndarray,
                         arch: ModelArch, gate_metric: str) -> tuple[float, int]:
     """Gate metric of the given parameters on this hospital's test set."""
-    if gate_metric not in GATE_METRICS:
-        raise ValueError(f"unknown gate_metric {gate_metric!r}; "
-                         f"expected one of {tuple(GATE_METRICS)}")
+    check_choice("gate_metric", gate_metric, tuple(GATE_METRICS))
     scores = forward(arch, params, hospital.test_x)
     return float(GATE_METRICS[gate_metric](scores, hospital.test_y)), hospital.n_test
 

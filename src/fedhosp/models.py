@@ -76,9 +76,8 @@ class ModelArch:
     hidden_dim: int = 50
 
     def __post_init__(self) -> None:
-        check_fields(self, input_dim=1, **({"hidden_dim": 1} if self.kind == "mlp" else {}))
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        check_fields(self, kind=MODEL_KINDS, input_dim=1,
+                     **({"hidden_dim": 1} if self.kind == "mlp" else {}))
         if self.n_params > MAX_PARAMS:
             raise ValueError(
                 f"{self.kind} with input_dim {self.input_dim} and hidden_dim "

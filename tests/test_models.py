@@ -28,7 +28,7 @@ LR2 = ModelArch("lr", input_dim=2)
 
 
 def test_arch_validation():
-    with pytest.raises(ValueError, match="unknown model kind"):
+    with pytest.raises(ValueError, match=r"^kind must be one of \('lr', 'mlp'\), got 'xgb'$"):
         ModelArch("xgb", input_dim=3)
     with pytest.raises(ValueError, match="input_dim"):
         ModelArch("lr", input_dim=0)
