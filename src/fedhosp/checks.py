@@ -1,7 +1,8 @@
 """The one value check of every config field, option and wire message field,
 and of ``HospitalDataset`` and ``metrics.EvalResult``: its annotated type, where
 a bool counts only as a bool, an int also as a float, and a float must be finite;
-then, where a class asks, its minimum or its fixed set of allowed values."""
+then, where a class asks, its minimum or its fixed set of allowed values.
+Also ``MAX_PARAMS``, the largest model, which bounds a frame on the wire too."""
 
 from __future__ import annotations
 
@@ -9,25 +10,38 @@ import math
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
-__all__ = ["check_type", "check_choice", "check_fields"]
+__all__ = ["MAX_PARAMS", "check_type", "check_choice", "check_fields"]
+
+# Bound on ModelArch.n_params, and so on the length of a frame on the wire:
+# 67x the 14,801 of a 294-input, 50-unit MLP.
+# A federation holds about two dozen float64 vectors of that length (per
+# hospital the model, Adam's four-vector workspace and frames on the wire;
+# the server's copies and its aggregate). Measured as the growth of peak RSS
+# (ru_maxrss) over the RSS before the call, a 2-round, 2-hospital in-process
+# run_federation of a 5000-input, 50-unit MLP (250,101 parameters), its
+# hospitals answering inline, peaks at about 145 bytes per parameter: about
+# 0.15 GB at the bound.
+MAX_PARAMS = 1_000_000
 
 
 @cache
-def _rule(kind) -> tuple[tuple[type, ...], bool, tuple, object, str]:
+def _rule(kind) -> tuple[tuple[type, ...], bool, tuple, object, str, frozenset]:
     """What ``check_type`` asks of a ``kind``: the types a value may have, whether a bool
-    counts, a ``tuple[...]``'s (index, item kind)s or ``tuple[X, ...]``'s X, and its name."""
+    counts, a ``tuple[...]``'s (index, item kind)s or ``tuple[X, ...]``'s X, its name,
+    and the exact types whose every value passes (not float: it must also be finite)."""
     args = get_args(kind) if get_origin(kind) is tuple else ()
     each = args[0] if args[1:] == (Ellipsis,) else None
     items = () if each else tuple(enumerate(args))
     kinds = (tuple,) if args else get_args(kind) or (kind,)
     allowed = kinds + (int,) if float in kinds else kinds
-    return allowed, bool in kinds, items, each, kind.__name__ if type(kind) is type else str(kind)
+    name = kind.__name__ if type(kind) is type else str(kind)
+    return allowed, bool in kinds, items, each, name, frozenset(allowed) - {float, tuple}
 
 
 def check_type(key: str, value, kind) -> None:
     """Raise ValueError naming ``key`` unless ``value`` is a ``kind``: a type, a union
     such as ``str | None``, or a ``tuple[...]`` or ``tuple[X, ...]``, checked item by item."""
-    allowed, bool_counts, items, each, name = _rule(kind)
+    allowed, bool_counts, items, each, name, _ = _rule(kind)
     if (not isinstance(value, allowed) or (not bool_counts and isinstance(value, bool))
             or items and len(value) != len(items)):
         raise ValueError(f"{key} must be {name}, got {value!r}")
@@ -35,7 +49,8 @@ def check_type(key: str, value, kind) -> None:
         raise ValueError(f"{key} must be finite, got {value!r}")
     for i, item_kind in items:
         check_type(f"{key}[{i}]", value[i], item_kind)
-    if each is not None:
+    # One pass over the items' types; only then, to name the first bad item, one by one.
+    if each is not None and not _rule(each)[5].issuperset(map(type, value)):
         for i, item in enumerate(value):
             check_type(f"{key}[{i}]", item, each)
 

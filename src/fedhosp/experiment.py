@@ -112,7 +112,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, seed=0, **CHOICES)
+        # SyntheticConfig's points and TrainConfig's lr rules, by the keys that set them
+        check_fields(self, seed=0, points_min=0, points_max=self.points_min, **CHOICES)
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly in (0,1), got {self.test_fraction}")
         self.synthetic()

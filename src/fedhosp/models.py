@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_fields
+from .checks import MAX_PARAMS, check_fields
 
 __all__ = [
     "MAX_PARAMS",
@@ -48,16 +48,6 @@ __all__ = [
 # Predicted probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP]
 # inside the loss so it stays finite for saturated sigmoids.
 PROB_CLAMP = 1e-12
-
-# Bound on ModelArch.n_params: 67x the 14,801 of a 294-input, 50-unit MLP.
-# A federation holds about two dozen float64 vectors of that length (per
-# hospital the model, Adam's four-vector workspace and frames on the wire;
-# the server's copies and its aggregate). Measured as the growth of peak RSS
-# (ru_maxrss) over the RSS before the call, a 2-round, 2-hospital in-process
-# run_federation of a 5000-input, 50-unit MLP (250,101 parameters), its
-# hospitals answering inline, peaks at about 145 bytes per parameter: about
-# 0.15 GB at the bound.
-MAX_PARAMS = 1_000_000
 
 MODEL_KINDS = ("lr", "mlp")
 # Adam's beta1, beta2 and eps for every model: Kingma & Ba's defaults (arXiv 1412.6980).
@@ -145,9 +135,10 @@ def init_params(arch: ModelArch, seed: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Clipping keeps exp() in range; saturation error is far below 1e-200.
-    # minimum(maximum()) gives np.clip's values, NaN included, at less call cost.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
+    # Clamping z below keeps exp(-z) in range; saturation error is far below 1e-200.
+    # Above, none is needed: from z of about 36.7, 1 + exp(-z) rounds to 1.0, as at
+    # 500, so these are np.clip(z, -500, 500)'s bytes, NaN and +-inf included.
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -500.0)))
 
 
 def forward(arch: ModelArch, params: np.ndarray, x) -> float | np.ndarray:

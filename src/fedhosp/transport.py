@@ -29,7 +29,9 @@ caller does.
 
 A TCP connection reads ahead into one buffer and reads a frame in one pass,
 parsing its length prefix once, as soon as the 4 bytes are in: a small frame
-costs one system call, and the buffer grows only with bytes that arrive.
+costs one system call, and the buffer grows only with bytes that arrive. A
+prefix above the largest frame the schema allows (a ``LocalUpdate`` of
+``MAX_PARAMS`` parameters) is refused then, before any payload is read.
 The in-process transport, with no socket and no thread, hands each frame to
 a peer answered inline. Both encode and decode every frame once per hop, so
 byte counts match and a federation run is bit-identical across the two.
@@ -47,7 +49,7 @@ from typing import Union
 
 import numpy as np
 
-from .checks import check_type
+from .checks import MAX_PARAMS, check_type
 
 __all__ = [
     "Register",
@@ -157,6 +159,8 @@ Register, BroadcastModel, LocalUpdate, EvalRequest, EvalResult, Shutdown = MESSA
 Message = Union[MESSAGE_TYPES]
 
 _BY_TAG = {cls.TAG: cls for cls in MESSAGE_TYPES}
+# The most payload bytes a frame may declare: the longest message with MAX_PARAMS parameters.
+_MAX_PAYLOAD = max(cls.HEAD.size - 4 + 8 * MAX_PARAMS * cls.COUNTED for cls in MESSAGE_TYPES)
 
 
 def encode(msg: Message) -> bytes:
@@ -228,13 +232,17 @@ class TcpConnection:
         self.bytes_received = 0
 
     def _read_frame(self, deadline: float | None) -> bytes:
-        """The next whole frame, read in one pass: its length is parsed once,
-        as soon as the 4 prefix bytes are in, and reads go on until it is whole."""
+        """The next whole frame, read in one pass: its length is parsed, and refused
+        above ``_MAX_PAYLOAD``, as soon as the 4 prefix bytes are in, and reads go
+        on until it is whole."""
         chunks, have, end = [self._buffer], len(self._buffer), None
         while end is None or have < end:
             if end is None and have >= 4:
                 chunks = [b"".join(chunks)]  # the prefix may span chunks
                 end = 4 + _U32.unpack_from(chunks[0])[0]
+                if end > 4 + _MAX_PAYLOAD:
+                    raise FramingError(f"frame declares {end - 4} payload bytes, more than "
+                                       f"the {_MAX_PAYLOAD} of the largest message")
                 continue
             try:
                 if deadline is not None:

@@ -4,7 +4,8 @@ scalar or ``tuple`` field of every wire message, ``HospitalDataset``,
 the wrong type, a bool for a number and a non-finite float, naming the field
 in the rule's words. The cases are
 generated from the classes' annotations and from ``transport.MESSAGE_TYPES``,
-so a field or message added later is covered without editing this file."""
+so a field or message added later is covered without editing this file. Every
+field that holds one of a fixed set of names refuses any other by one rule."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from fedhosp.checks import check_type
 from fedhosp.data import HospitalDataset, PartitionPlan, SyntheticConfig
 from fedhosp.experiment import ExperimentConfig
 from fedhosp.features import FeatureMatrix, Points
-from fedhosp.federation import FedConfig
+from fedhosp.federation import FedConfig, local_test_accuracy
 from fedhosp.models import ModelArch, TrainConfig
 
 # wire type -> a valid value of a message field
@@ -100,6 +101,9 @@ def test_every_config_field_refuses_a_wrong_value_by_name(cls, valid, name, kind
     (("a", "b", 3), tuple[str, ...], "x[2] must be str, got 3"),
     (["a"], tuple[str, ...], "x must be tuple[str, ...], got ['a']"),
     ((1, 0.5, math.nan), tuple[float, ...], "x[2] must be finite, got nan"),
+    ((np.str_("a"), "b"), tuple[str, ...], None),
+    ((1, 2, True), tuple[int, ...], "x[2] must be int, got True"),
+    ((1, 2.0), tuple[float, ...], None),
 ])
 def test_check_type_states_the_one_rule(value, kind, message):
     if message is None:
@@ -107,3 +111,18 @@ def test_check_type_states_the_one_rule(value, kind, message):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_type("x", value, kind)
+
+
+@pytest.mark.parametrize("owner, field", [
+    (ModelArch, "kind"), (FedConfig, "gate_metric"), (PartitionPlan, "strategy"),
+    (ExperimentConfig, "model"), (ExperimentConfig, "mode"),
+    (ExperimentConfig, "gate_metric"), (ExperimentConfig, "partition_strategy"),
+    (local_test_accuracy, "gate_metric"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_every_choice_field_refuses_an_unknown_name_by_the_one_rule(owner, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be one of \(.*\), got 'f1'$"):
+        if owner is local_test_accuracy:
+            arch = ModelArch("lr", input_dim=3)
+            owner(HospitalDataset(**VALID[HospitalDataset]), np.zeros(arch.n_params), arch, "f1")
+        else:
+            owner(**{**VALID[owner], field: "f1"})

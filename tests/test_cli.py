@@ -612,6 +612,10 @@ BAD_EXPERIMENT_VALUES = [
      ["--partition", "label_skew", "--skew-alpha", "nan"], "skew_alpha must be finite"),
     ({"skew_alpha": float("inf")}, ["--skew-alpha", "inf"], "skew_alpha must be finite"),
     ({"learning_rate": float("inf")}, ["--learning-rate", "inf"], "learning_rate must be finite"),
+    ({"learning_rate": -1}, ["--learning-rate", "-1"], "learning_rate must be positive, got -1"),
+    ({"points_min": -1}, ["--points-min", "-1"], "points_min must be >= 0, got -1"),
+    ({"points_min": 5, "points_max": 3}, ["--points-min", "5", "--points-max", "3"],
+     "points_max must be >= 5, got 3"),
     ({"effect_size": float("nan")}, ["--effect-size", "nan"], "effect_size must be finite"),
 ]
 
@@ -673,6 +677,8 @@ def test_generate_bad_values_exit_2_before_writing(tmp_path, capsys):
         ({"n_episodes": 1}, ["--episodes", "1"], "episodes"),
         ({"prevalence": "0.1"}, None, "prevalence"),
         ({"points_max": 10**9}, ["--points-max", str(10**9)], "points"),
+        ({"points_min": 5, "points_max": 3}, ["--points-min", "5", "--points-max", "3"],
+         "points_max must be >= 5, got 3"),
         ({"seed": -1}, ["--seed", "-1"], "seed"),
         ({"out_dir": 7}, None, "out_dir"),
     ]
@@ -728,6 +734,7 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
         ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
         ({"batch_size": 0}, ["--batch-size", "0"], "batch"),
         ({"learning_rate": "0.1"}, None, "learning_rate"),
+        ({"learning_rate": 0}, ["--learning-rate", "0"], "learning_rate must be positive, got 0"),
         ({"model": "mlp", "hidden_dim": 10**9}, ["--model", "mlp", "--hidden-dim", str(10**9)],
          "MAX_PARAMS"),
         ({"test_fraction": 1.5}, ["--test-fraction", "1.5"], "test_fraction"),

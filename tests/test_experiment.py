@@ -249,7 +249,7 @@ def test_config_keeps_an_int_given_for_a_float():
     ({"cohort_fraction": 2}, "cohort_fraction"),
     ({"batch_size": 0}, "batch_size"),
     ({"epochs": -1}, "epochs must be >= 0"),
-    ({"learning_rate": 0.0}, "lr must be positive"),
+    ({"learning_rate": 0.0}, "learning_rate must be positive"),
     ({"model": "mlp", "hidden_dim": 0}, "hidden_dim must be >= 1"),
     ({"n_hospitals": 0}, "n_hospitals must be >= 1"),
     ({"partition_strategy": "label_skew", "skew_alpha": 0.0}, "skew_alpha"),

@@ -111,7 +111,8 @@ def test_sigmoid_clamp_matches_np_clip_bytes():
     from fedhosp.models import _sigmoid
 
     z = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 500.0, -500.0, 500.5, -500.5,
-                  np.nextafter(500.0, 0.0), 745.2, -745.2, 37.0, -37.0, 1e-300, 5e-324])
+                  np.nextafter(500.0, 0.0), 745.2, -745.2, 37.0, -37.0, 1e-300, 5e-324,
+                  600.0, 709.0, 746.0, 800.0])
     expected = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
     assert _sigmoid(z).tobytes() == expected.tobytes()
 

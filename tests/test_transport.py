@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedhosp import transport as tp
+from fedhosp.checks import MAX_PARAMS
 
 ALL_FIXED = [
     tp.Shutdown(),
@@ -447,10 +448,33 @@ def test_mid_frame_close_is_a_framing_error(pair):
     server.close()
 
 
+def test_the_largest_frame_is_a_local_update_of_max_params():
+    frame = tp.encode(tp.LocalUpdate(hospital_id=1, round=0, n_samples=1,
+                                     params=np.zeros(MAX_PARAMS)))
+    assert len(frame) - 4 == tp._MAX_PAYLOAD == 8_000_021
+
+
+@PAIRS
+@pytest.mark.parametrize("declared", [tp._MAX_PAYLOAD + 1, 0xFFFFFFF0])
+def test_a_prefix_above_the_largest_frame_is_refused_at_once(pair, declared):
+    worker, server = pair()
+    worker._sock.sendall(struct.pack("<I", declared))  # the prefix alone; the peer stays open
+    start = time.monotonic()
+    try:
+        with pytest.raises(tp.FramingError, match=f"^frame declares {declared} payload bytes, "
+                                                  f"more than the {tp._MAX_PAYLOAD} "):
+            server.recv(timeout=2.0)
+        assert time.monotonic() - start < 1.0
+    finally:
+        worker.close()
+        server.close()
+
+
 @PAIRS
 def test_huge_length_prefix_allocates_only_what_arrives(pair):
     worker, server = pair()
-    worker._sock.sendall(struct.pack("<I", 0xFFFFFFFF) + b"\x02\x00")  # declares 4 GiB, sends 2
+    # declares the largest frame allowed, 8 MB, which the bound lets through; sends 2 bytes
+    worker._sock.sendall(struct.pack("<I", tp._MAX_PAYLOAD) + b"\x02\x00")
     worker.close()
     tracemalloc.start()
     try:
