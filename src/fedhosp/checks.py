@@ -1,8 +1,11 @@
 """The one value check of every config field, option and wire message field,
 and of ``HospitalDataset`` and ``metrics.EvalResult``: its annotated type, where
-a bool counts only as a bool, an int also as a float, and a float must be finite;
-then, where a class asks, its minimum or its fixed set of allowed values.
-Also ``MAX_PARAMS``, the largest model, which bounds a frame on the wire too."""
+a bool counts only as a bool, an int also as a float, a float must be finite and
+a ``tuple[X, ...]`` holds only Xs; then, where a class asks, its minimum or its
+fixed set of allowed values. A class states the rules of the fields it holds, and
+a sub-config's field has its ``ExperimentConfig`` key's name, so an error names
+the key a user set. Also ``MAX_PARAMS``, the largest model, which bounds a frame
+on the wire too."""
 
 from __future__ import annotations
 
@@ -25,32 +28,27 @@ MAX_PARAMS = 1_000_000
 
 
 @cache
-def _rule(kind) -> tuple[tuple[type, ...], bool, tuple, object, str, frozenset]:
+def _rule(kind) -> tuple[tuple[type, ...], bool, object, str, frozenset]:
     """What ``check_type`` asks of a ``kind``: the types a value may have, whether a bool
-    counts, a ``tuple[...]``'s (index, item kind)s or ``tuple[X, ...]``'s X, its name,
-    and the exact types whose every value passes (not float: it must also be finite)."""
-    args = get_args(kind) if get_origin(kind) is tuple else ()
-    each = args[0] if args[1:] == (Ellipsis,) else None
-    items = () if each else tuple(enumerate(args))
-    kinds = (tuple,) if args else get_args(kind) or (kind,)
+    counts, ``tuple[X, ...]``'s X, its name, and the exact types whose every value
+    passes (not float: it must also be finite)."""
+    each = get_args(kind)[0] if get_origin(kind) is tuple else None
+    kinds = (tuple,) if each else get_args(kind) or (kind,)
     allowed = kinds + (int,) if float in kinds else kinds
     name = kind.__name__ if type(kind) is type else str(kind)
-    return allowed, bool in kinds, items, each, name, frozenset(allowed) - {float, tuple}
+    return allowed, bool in kinds, each, name, frozenset(allowed) - {float, tuple}
 
 
 def check_type(key: str, value, kind) -> None:
     """Raise ValueError naming ``key`` unless ``value`` is a ``kind``: a type, a union
-    such as ``str | None``, or a ``tuple[...]`` or ``tuple[X, ...]``, checked item by item."""
-    allowed, bool_counts, items, each, name, _ = _rule(kind)
-    if (not isinstance(value, allowed) or (not bool_counts and isinstance(value, bool))
-            or items and len(value) != len(items)):
+    such as ``str | None``, or a ``tuple[X, ...]``, checked item by item."""
+    allowed, bool_counts, each, name, _ = _rule(kind)
+    if not isinstance(value, allowed) or (not bool_counts and isinstance(value, bool)):
         raise ValueError(f"{key} must be {name}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    for i, item_kind in items:
-        check_type(f"{key}[{i}]", value[i], item_kind)
     # One pass over the items' types; only then, to name the first bad item, one by one.
-    if each is not None and not _rule(each)[5].issuperset(map(type, value)):
+    if each is not None and not _rule(each)[4].issuperset(map(type, value)):
         for i, item in enumerate(value):
             check_type(f"{key}[{i}]", item, each)
 

@@ -85,25 +85,27 @@ def variable_names(n_variables: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the synthetic episode generator; see ``MAX_SYNTHETIC_POINTS``."""
+    """Knobs for the synthetic episode generator. Each series holds between
+    ``points_min`` and ``points_max`` points, both included; the whole set at
+    most ``MAX_SYNTHETIC_POINTS``."""
 
     n_episodes: int
     n_variables: int = len(DEFAULT_VARIABLES)
     prevalence: float = 0.15
     effect_size: float = 1.0
-    points_per_variable: tuple[int, int] = (4, 12)
+    points_min: int = 4
+    points_max: int = 12
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, n_episodes=2, n_variables=1, seed=0)
+        check_fields(self, n_episodes=2, n_variables=1, points_min=0,
+                     points_max=self.points_min, seed=0)
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError(f"prevalence must lie in (0,1), got {self.prevalence}")
-        lo, hi = self.points_per_variable
-        if lo < 0 or hi < lo:
-            raise ValueError(f"points_per_variable range invalid: ({lo}, {hi})")
-        if self.n_episodes * self.n_variables * max(hi, 1) > MAX_SYNTHETIC_POINTS:
+        per_series = max(self.points_max, 1)
+        if self.n_episodes * self.n_variables * per_series > MAX_SYNTHETIC_POINTS:
             raise ValueError(f"{self.n_episodes} episodes x {self.n_variables} variables x "
-                             f"{hi} points exceed the bound of {MAX_SYNTHETIC_POINTS}")
+                             f"{per_series} points exceed the bound of {MAX_SYNTHETIC_POINTS}")
         if not 1 <= self.n_positive < self.n_episodes:
             raise ValueError(
                 f"prevalence {self.prevalence} with n={self.n_episodes} leaves "
@@ -133,10 +135,9 @@ def generate(cfg: SyntheticConfig) -> Points:
     positive = np.zeros(cfg.n_episodes, dtype=bool)
     positive[rng.permutation(cfg.n_episodes)[: cfg.n_positive]] = True
 
-    lo, hi = cfg.points_per_variable
     counts, hour_draws, noise_draws = [], array("d"), array("d")
     for _ in range(cfg.n_episodes * cfg.n_variables):
-        n_pts = int(rng.integers(lo, hi, endpoint=True))
+        n_pts = int(rng.integers(cfg.points_min, cfg.points_max, endpoint=True))
         counts.append(n_pts)
         hour_draws.frombytes(rng.random(n_pts).tobytes())
         noise_draws.frombytes(rng.standard_normal(n_pts).tobytes())

@@ -92,14 +92,14 @@ class ExperimentConfig:
     n_variables: int = SyntheticConfig.n_variables
     prevalence: float = SyntheticConfig.prevalence
     effect_size: float = SyntheticConfig.effect_size
-    points_min: int = SyntheticConfig.points_per_variable[0]
-    points_max: int = SyntheticConfig.points_per_variable[1]
+    points_min: int = SyntheticConfig.points_min
+    points_max: int = SyntheticConfig.points_max
     test_fraction: float = 0.2
     # model / training
     hidden_dim: int = ModelArch.hidden_dim
     epochs: int = 100
     batch_size: int = TrainConfig.batch_size
-    learning_rate: float = TrainConfig.lr
+    learning_rate: float = TrainConfig.learning_rate
     # federation
     n_hospitals: int = 2
     rounds: int = 100
@@ -112,10 +112,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # SyntheticConfig's points and TrainConfig's lr rules, by the keys that set them
-        check_fields(self, seed=0, points_min=0, points_max=self.points_min, **CHOICES)
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_fields(self, seed=0, **CHOICES)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must lie strictly in (0,1), got {self.test_fraction}")
         self.synthetic()
@@ -131,7 +128,7 @@ class ExperimentConfig:
 
     def synthetic(self) -> SyntheticConfig:
         return SyntheticConfig(self.n_episodes, self.n_variables, self.prevalence,
-                               self.effect_size, (self.points_min, self.points_max),
+                               self.effect_size, self.points_min, self.points_max,
                                seed=self.stage_seeds["data"])
 
     def partition_plan(self) -> PartitionPlan:
@@ -145,7 +142,7 @@ class ExperimentConfig:
 
     def train_config(self, epochs: int) -> TrainConfig:
         return TrainConfig(epochs=epochs, seed=self.stage_seeds["train"],
-                           batch_size=self.batch_size, lr=self.learning_rate)
+                           batch_size=self.batch_size, learning_rate=self.learning_rate)
 
     def arch(self, n_variables: int) -> ModelArch:
         return ModelArch(self.model, input_dim=STATS_PER_VARIABLE * n_variables,

@@ -223,7 +223,7 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update of ``params`` at ``cfg.lr``, in place.
+    """One bias-corrected Adam update of ``params`` at ``cfg.learning_rate``, in place.
 
     Overwrites ``params``, ``state.m`` and ``state.v`` and advances
     ``state.step_count``; ``grads`` is only read. Allocates no vector: the
@@ -252,7 +252,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     v *= b2
     v += step                                     # b2*v + ((1-b2)*g)*g
     r = math.sqrt(1.0 - b2**t)
-    alpha = cfg.lr * r / (1.0 - b1**t)
+    alpha = cfg.learning_rate * r / (1.0 - b1**t)
     np.sqrt(v, out=step)
     step += ADAM_EPS * r                          # den = sqrt(v) + eps*r
     np.divide(m, step, out=step)
@@ -272,12 +272,12 @@ class TrainConfig:
     epochs: int
     seed: int
     batch_size: int = 8
-    lr: float = 1e-3
+    learning_rate: float = 1e-3
 
     def __post_init__(self) -> None:
         check_fields(self, epochs=0, seed=0, batch_size=1)
-        if not self.lr > 0.0:
-            raise ValueError("lr must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 def train(arch: ModelArch, params: np.ndarray, x, y, cfg: TrainConfig,

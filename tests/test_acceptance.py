@@ -140,14 +140,14 @@ def test_criterion_2_centralized_equivalence():
         assert np.array_equal(state.global_params, central), kind
 
 
-@criterion(3, "gate keeps best accuracy monotone and reverts under lr=1.0")
+@criterion(3, "gate keeps best accuracy monotone and reverts under learning_rate=1.0")
 def test_criterion_3_gate_monotonicity_with_reverts():
     hospitals = _feature_hospitals(400, 3, 2, seed=5, effect_size=0.6)
     arch = ModelArch("lr", input_dim=hospitals[0].train_x.shape[1])
     fed = FedConfig(n_hospitals=2, rounds=200, local_epochs=1,
                     gate_enabled=True, gate_metric="accuracy", seed=9)
     state, _ = run_federation(hospitals, arch, fed,
-                              TrainConfig(epochs=1, seed=11, lr=1.0))
+                              TrainConfig(epochs=1, seed=11, learning_rate=1.0))
     assert len(state.history) == 200
     best = 0.0
     reverts = 0

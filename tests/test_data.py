@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
 import warnings
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def test_generate_deterministic():
 
 
 def test_generate_respects_points_range_and_horizon():
-    cfg = SyntheticConfig(n_episodes=20, n_variables=2, points_per_variable=(3, 3), seed=5)
+    cfg = SyntheticConfig(n_episodes=20, n_variables=2, points_min=3, points_max=3, seed=5)
     for ep in generate(cfg):
         for points in ep.series.values():
             assert len(points) == 3
@@ -97,9 +98,21 @@ def test_synthetic_size_is_bounded():
         SyntheticConfig(n_episodes=MAX_SYNTHETIC_POINTS // (7 * 12) + 1, n_variables=7)
     with pytest.raises(ValueError, match="bound"):  # empty series count as one
         SyntheticConfig(n_episodes=2, n_variables=MAX_SYNTHETIC_POINTS,
-                        points_per_variable=(0, 0))
+                        points_min=0, points_max=0)
     with pytest.raises(ValueError, match="n_variables"):
         SyntheticConfig(n_episodes=10, n_variables=0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"points_min": -1}, "points_min must be >= 0, got -1"),
+    ({"points_min": 5, "points_max": 3}, "points_max must be >= 5, got 3"),
+    ({"points_max": 2.5}, "points_max must be int, got 2.5"),
+    ({"n_episodes": 1_000_000, "n_variables": 6, "points_min": 0, "points_max": 0},
+     "1000000 episodes x 6 variables x 1 points exceed the bound of 5000000"),
+])
+def test_synthetic_config_names_the_points_key(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SyntheticConfig(**{"n_episodes": 10, **kw})
 
 
 @pytest.mark.parametrize("n_variables, points", [(1, (1, 1)), (3, (0, 2)), (7, (4, 12)),
@@ -107,7 +120,7 @@ def test_synthetic_size_is_bounded():
 def test_generate_points_flatten_generate(n_variables, points):
     """``data.generate``'s ``Points`` hold ``generate``'s episodes, series by series."""
     cfg = SyntheticConfig(n_episodes=15, n_variables=n_variables, prevalence=0.3,
-                          points_per_variable=points, seed=20 + n_variables)
+                          points_min=points[0], points_max=points[1], seed=20 + n_variables)
     episodes, p = generate(cfg), data.generate(cfg)
     assert p.episode_ids == tuple(ep.episode_id for ep in episodes)
     assert p.labels.tolist() == [ep.label for ep in episodes]
@@ -134,12 +147,11 @@ def _reference_generate(cfg):
     noise_stds = rng.uniform(1.0, 10.0, cfg.n_variables)
     positive = np.zeros(cfg.n_episodes, dtype=bool)
     positive[rng.permutation(cfg.n_episodes)[: cfg.n_positive]] = True
-    lo, hi = cfg.points_per_variable
     episodes = []
     for i in range(cfg.n_episodes):
         series = {}
         for j, var in enumerate(variables):
-            n_pts = int(rng.integers(lo, hi, endpoint=True))
+            n_pts = int(rng.integers(cfg.points_min, cfg.points_max, endpoint=True))
             hours = np.sort(rng.uniform(0.0, HORIZON_HOURS, n_pts))
             shift = cfg.effect_size * noise_stds[j] if positive[i] else 0.0
             values = baselines[j] + shift + rng.normal(0.0, noise_stds[j], n_pts)
@@ -178,7 +190,7 @@ def _assert_same_csv_bytes(episodes, tmp_path):
 def test_generate_and_save_match_per_point_reference(tmp_path, points, effect_size):
     for n_variables in range(1, 10):
         cfg = SyntheticConfig(n_episodes=12, n_variables=n_variables, prevalence=0.25,
-                              effect_size=effect_size, points_per_variable=points,
+                              effect_size=effect_size, points_min=points[0], points_max=points[1],
                               seed=100 + n_variables)
         episodes = generate(cfg)
         assert repr(episodes) == repr(_reference_generate(cfg))

@@ -92,7 +92,7 @@ def test_csv_features_equal_extract_over_loaded_episodes(tmp_path, capsys, shuff
     over ``load_episodes``' records bit for bit, also when the rows come in any
     order and a series holds points of equal hour."""
     episodes = generate(SyntheticConfig(n_episodes=60, n_variables=3,
-                                        points_per_variable=(0, 5), seed=4))
+                                        points_min=0, points_max=5, seed=4))
     m = tmp_path / "measurements.csv"
     save_episodes(episodes, m, tmp_path / "labels.csv")
     header, *rows = m.read_text().splitlines(keepends=True)
@@ -268,7 +268,7 @@ def test_sub_configs_fan_the_seed_out():
     assert cfg.partition_plan().seed == 12
     assert cfg.fed_config().seed == 13
     assert cfg.train_config(cfg.epochs) == experiment.TrainConfig(
-        epochs=7, seed=14, batch_size=8, lr=1e-3)
+        epochs=7, seed=14, batch_size=8, learning_rate=1e-3)
     assert cfg.fed_config().rounds == 4 and cfg.partition_plan().n_hospitals == 3
     assert cfg.stage_seeds == {"data": 10, "split": 11, "partition": 12, "init": 13,
                                "train": 14}

@@ -371,7 +371,7 @@ def test_gate_on_keeps_best_accuracy_non_decreasing():
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=12, local_epochs=1, gate_enabled=True, seed=0)
     state, _ = run_federation(hospitals, arch, fed,
-                              TrainConfig(epochs=1, seed=3, lr=0.5))
+                              TrainConfig(epochs=1, seed=3, learning_rate=0.5))
     best_so_far = 0.0
     for record in state.history:
         if record.committed:
@@ -420,7 +420,7 @@ def test_reverted_rounds_reuse_the_pooled_evaluation(monkeypatch):
     arch = ModelArch("lr", input_dim=3)
     fed = FedConfig(n_hospitals=2, rounds=12, local_epochs=1, gate_enabled=True, seed=0)
     state, evals = run_federation(hospitals, arch, fed,
-                                  TrainConfig(epochs=1, seed=3, lr=1.0))
+                                  TrainConfig(epochs=1, seed=3, learning_rate=1.0))
     n_committed = sum(r.committed for r in state.history)
     assert 0 < n_committed < len(state.history)  # some rounds reverted
     assert len(calls) == n_committed

@@ -201,7 +201,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_step_updates_in_place_and_reads_grads_only():
     rng = np.random.default_rng(3)
-    cfg = TrainConfig(epochs=1, seed=0, lr=0.01)
+    cfg = TrainConfig(epochs=1, seed=0, learning_rate=0.01)
     params, grads = rng.normal(size=50), rng.normal(size=50)
     state = AdamState(50)
     state.m[:], state.v[:], state.step_count = rng.normal(size=50), rng.random(50), 4
@@ -231,7 +231,7 @@ def test_adam_equal_gradients_equal_updates():
 
 def test_adam_constants_are_kingma_and_bas_defaults():
     assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
-    assert [f.name for f in fields(TrainConfig)] == ["epochs", "seed", "batch_size", "lr"]
+    assert [f.name for f in fields(TrainConfig)] == ["epochs", "seed", "batch_size", "learning_rate"]
 
 
 def test_adam_validation():
@@ -241,10 +241,10 @@ def test_adam_validation():
         adam_step(np.zeros(3), np.zeros(3), AdamState(2), TrainConfig(epochs=1, seed=0))
 
 
-@pytest.mark.parametrize("field,bad", [("lr", 0.0), ("lr", -1e-3)])
-def test_train_config_rejects_adam_hyperparameters_out_of_range(field, bad):
-    with pytest.raises(ValueError, match="^lr must be positive$"):
-        TrainConfig(epochs=1, seed=0, **{field: bad})
+@pytest.mark.parametrize("bad", [0.0, -1e-3])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive(bad):
+    with pytest.raises(ValueError, match=f"^learning_rate must be positive, got {bad}$"):
+        TrainConfig(epochs=1, seed=0, learning_rate=bad)
 
 
 @pytest.mark.parametrize("field, bad, message", [
@@ -263,9 +263,9 @@ def test_train_config_rejects_a_count_or_seed_that_is_not_an_int_in_range(field,
         TrainConfig(**{"epochs": 1, "seed": 0, field: bad})
 
 
-def test_train_config_rejects_an_infinite_lr():
-    with pytest.raises(ValueError, match="^lr must be finite, got inf$"):
-        TrainConfig(epochs=1, seed=0, lr=math.inf)
+def test_train_config_rejects_an_infinite_learning_rate():
+    with pytest.raises(ValueError, match="^learning_rate must be finite, got inf$"):
+        TrainConfig(epochs=1, seed=0, learning_rate=math.inf)
 
 
 @pytest.mark.parametrize("kind, dims, message", [
@@ -403,7 +403,7 @@ def _reference_adam_step(params, grads, m, v, t, cfg):
     m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
     v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
     r = math.sqrt(1.0 - ADAM_BETA2**t)
-    alpha = cfg.lr * r / (1.0 - ADAM_BETA1**t)
+    alpha = cfg.learning_rate * r / (1.0 - ADAM_BETA1**t)
     return params - m / (np.sqrt(v) + ADAM_EPS * r) * alpha, m, v
 
 
@@ -411,7 +411,7 @@ def _textbook_adam_update(m, v, t, cfg):
     """lr * m_hat / (sqrt(v_hat) + eps) from the already-updated moments."""
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    return cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _reference_train(arch, params, x, y, cfg):
@@ -447,7 +447,7 @@ def test_init_params_and_forward_match_reference_bytes(arch):
 
 def test_adam_step_matches_reference_bytes():
     rng = np.random.default_rng(8)
-    cfg = TrainConfig(epochs=1, seed=0, lr=0.003)
+    cfg = TrainConfig(epochs=1, seed=0, learning_rate=0.003)
     params = rng.normal(size=300)
     m, v = np.zeros(300), np.zeros(300)
     state = AdamState(300)
@@ -470,7 +470,7 @@ def test_adam_update_stays_within_rtol_of_the_textbook_formula():
     rng = np.random.default_rng(14)
     n = 300
     for _ in range(200):
-        cfg = TrainConfig(epochs=1, seed=0, lr=10.0 ** rng.uniform(-5, -1))
+        cfg = TrainConfig(epochs=1, seed=0, learning_rate=10.0 ** rng.uniform(-5, -1))
         t = int(rng.integers(1, 5001))
         state = AdamState(n)
         state.m[:] = rng.normal(size=n) * 10.0 ** rng.integers(-8, 4, n)
@@ -496,7 +496,7 @@ def test_train_matches_per_step_reference_bytes(arch):
     start = init_params(arch, 4)
     for batch_size in (1, 3, 8, n, n + 5):
         for epochs in range(4):
-            cfg = TrainConfig(epochs=epochs, seed=9, batch_size=batch_size, lr=0.05)
+            cfg = TrainConfig(epochs=epochs, seed=9, batch_size=batch_size, learning_rate=0.05)
             out = train(arch, start, x, y, cfg)
             assert out.tobytes() == _reference_train(arch, start, x, y, cfg).tobytes(), \
                 (batch_size, epochs)
@@ -530,8 +530,8 @@ ARCHS = [ModelArch("lr", input_dim=5), ModelArch("mlp", input_dim=5, hidden_dim=
 @pytest.mark.parametrize("arch", ARCHS, ids=["lr", "mlp"])
 def test_train_with_a_shared_workspace_matches_fresh_state(arch):
     x, y = _shard(arch)
-    cfg_a = TrainConfig(epochs=3, seed=4, batch_size=3, lr=0.05)
-    cfg_b = TrainConfig(epochs=2, seed=5, batch_size=4, lr=0.02)
+    cfg_a = TrainConfig(epochs=3, seed=4, batch_size=3, learning_rate=0.05)
+    cfg_b = TrainConfig(epochs=2, seed=5, batch_size=4, learning_rate=0.02)
     fresh_a = train(arch, init_params(arch, 1), x, y, cfg_a)
     fresh_b = train(arch, fresh_a, x[::-1], y[::-1], cfg_b)
     workspace = AdamState(arch.n_params)
@@ -552,7 +552,7 @@ def test_train_leaves_inputs_untouched_and_returns_unshared_params(arch, with_wo
     before = [a.tobytes() for a in (params, x, y)]
     workspace = AdamState(arch.n_params) if with_workspace else None
     for epochs in (0, 2):
-        out = train(arch, params, x, y, TrainConfig(epochs=epochs, seed=1, lr=0.1),
+        out = train(arch, params, x, y, TrainConfig(epochs=epochs, seed=1, learning_rate=0.1),
                     workspace)
         assert [a.tobytes() for a in (params, x, y)] == before
         others = [params, x, y]
