@@ -61,7 +61,7 @@ from .federation import (
     wait_for_registrations,
     worker_loop,
 )
-from .transport import TcpTransport, TransportError
+from .transport import MAX_HOSPITAL_ID, TcpTransport, TransportError
 
 __all__ = ["main"]
 
@@ -236,8 +236,9 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
 
 def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
     host, port = _parse_endpoint(opts, "connect", lowest_port=1)
-    if opts["id"] < 1:
-        raise UsageError(f"id must be >= 1 (hospital ids are 1-based), got {opts['id']}")
+    if not 1 <= opts["id"] <= MAX_HOSPITAL_ID:
+        raise UsageError(f"id must be >= 1 and <= {MAX_HOSPITAL_ID} (hospital ids are 1-based "
+                         f"and a Register carries a u32), got {opts['id']}")
     data = prepare(replace(cfg, data_dir=opts["shard"]), _variable_names(opts["variables"]))
     hospital = data.as_hospital(opts["id"])
     try:

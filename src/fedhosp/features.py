@@ -339,7 +339,11 @@ def _sorted_rows(hour, value, key, points: Points, variables) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Per-feature (min, max) learned from training rows; maps into [-1, 1]."""
+    """Per-feature (min, max) learned from training rows; maps into [-1, 1].
+
+    ``transform`` computes ``2 * (x - min)``, so a feature whose range, doubled,
+    is not a finite float is refused: its rows would scale to inf or nan.
+    """
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -349,6 +353,13 @@ class Scaler:
             raise ValueError("mins and maxs must be 1-D and equal length")
         if np.any(self.maxs < self.mins):
             raise ValueError("scaler has max < min for some feature")
+        with np.errstate(over="ignore", invalid="ignore"):
+            too_wide = np.flatnonzero(~np.isfinite(2.0 * (self.maxs - self.mins)))
+        if too_wide.size:
+            j = int(too_wide[0])
+            raise ValueError(f"feature column {j} spans [{float(self.mins[j])!r}, "
+                             f"{float(self.maxs[j])!r}]: twice its range is not finite, "
+                             f"so it cannot be scaled")
 
 
 def fit_scaler(train_rows) -> Scaler:

@@ -98,6 +98,9 @@ class FedConfig:
     def __post_init__(self) -> None:
         check_fields(self, n_hospitals=1, rounds=1, local_epochs=0, seed=0,
                      gate_metric=tuple(GATE_METRICS))
+        if self.n_hospitals > tp.MAX_HOSPITAL_ID:
+            raise ValueError(f"n_hospitals must be <= {tp.MAX_HOSPITAL_ID}, the largest "
+                             f"hospital id a Register carries, got {self.n_hospitals}")
         if not 0.0 < self.cohort_fraction <= 1.0:
             raise ValueError(
                 f"cohort_fraction must lie in (0,1], got {self.cohort_fraction}"
@@ -352,13 +355,15 @@ def wait_for_registrations(listener, expected_ids) -> dict[int, RegisteredWorker
     worker sees its connection drop) and the server keeps waiting for the
     rest. If waiting fails, every connection registered so far is closed
     before the error propagates, so no registered worker waits on it forever.
+    A ``range`` of ids is kept as it is, so waiting holds memory per registered
+    worker, not per expected one.
     """
-    expected = set(int(k) for k in expected_ids)
+    expected = expected_ids if isinstance(expected_ids, range) else {int(k) for k in expected_ids}
     if not expected:
         raise ValueError("expected_ids must be non-empty")
     workers: dict[int, RegisteredWorker] = {}
     try:
-        while set(workers) != expected:
+        while len(workers) < len(expected):  # each registered id is a distinct expected one
             conn = listener.accept()
             try:
                 msg = conn.recv(timeout=REGISTRATION_TIMEOUT_S)

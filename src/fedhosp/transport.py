@@ -60,6 +60,7 @@ __all__ = [
     "Shutdown",
     "Message",
     "MESSAGE_TYPES",
+    "MAX_HOSPITAL_ID",
     "TransportError",
     "ProtocolError",
     "FramingError",
@@ -157,6 +158,8 @@ MESSAGE_TYPES: tuple[type, ...] = tuple(
 )
 Register, BroadcastModel, LocalUpdate, EvalRequest, EvalResult, Shutdown = MESSAGE_TYPES
 Message = Union[MESSAGE_TYPES]
+# The largest hospital id a Register can carry, and so the most hospitals a federation can hold.
+MAX_HOSPITAL_ID = _INT_MAX[dict(Register.FIELDS)["hospital_id"]]
 
 _BY_TAG = {cls.TAG: cls for cls in MESSAGE_TYPES}
 # The most payload bytes a frame may declare: the longest message with MAX_PARAMS parameters.

@@ -574,6 +574,23 @@ def test_serve_takes_no_gate_metric(capsys):
     assert "unrecognized arguments: --gate-metric auroc" in capsys.readouterr().err
 
 
+def test_a_feature_too_wide_to_scale_fails_the_training_stage(tmp_path, capsys):
+    # One series point each: the features stay finite, their range does not.
+    with open(tmp_path / "measurements.csv", "w", newline="") as f:
+        csv.writer(f).writerows([["episode_id", "variable", "hour", "value"], *(
+            [f"e{i:02d}", "hr", 1.0, {0: 1e308, 1: -1e308}.get(i, 80.0 + i)]
+            for i in range(40))])
+    with open(tmp_path / "labels.csv", "w", newline="") as f:
+        csv.writer(f).writerows([["episode_id", "label"],
+                                 *([f"e{i:02d}", int(i % 3 == 0)] for i in range(40))])
+    out = tmp_path / "run"
+    assert _run(["train", "--data-dir", str(tmp_path), "--epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training stage: feature column \d+ spans \[\S+, \S+\]: twice "
+                        r"its range is not finite, so it cannot be scaled\n", err), err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # every option value is checked before any stage runs
 
@@ -707,6 +724,9 @@ def test_serve_bad_values_exit_2_before_opening_a_socket(tmp_path, capsys, monke
         ({"rounds": 0}, ["--rounds", "0"], "rounds"),
         ({"rounds": "ten"}, ["--rounds", "ten"], "rounds"),
         ({"n_hospitals": 0}, ["--hospitals", "0"], "n_hospitals"),
+        # No Register carries an id past a u32, so such a count can never be met.
+        ({"n_hospitals": 2**32}, ["--hospitals", str(2**32)],
+         "n_hospitals must be <= 4294967295, the largest hospital id a Register carries"),
         ({"cohort_fraction": 2}, ["--cohort-fraction", "2"], "cohort"),
         ({"gate_enabled": "no"}, None, "gate_enabled"),
         ({"seed": 1.5}, ["--seed", "1.5"], "seed"),
@@ -731,6 +751,8 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
     cases = [
         ({"id": 0}, ["--id", "0"], "id"),
         ({"id": "1"}, ["--id", "one"], "id"),
+        ({"id": 2**32}, ["--id", str(2**32)], "error: id must be >= 1 and <= 4294967295 "
+         "(hospital ids are 1-based and a Register carries a u32), got 4294967296\n"),
         ({"local_epochs": -1}, ["--local-epochs", "-1"], "local_epochs"),
         ({"batch_size": 0}, ["--batch-size", "0"], "batch"),
         ({"learning_rate": "0.1"}, None, "learning_rate"),

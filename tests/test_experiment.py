@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -260,6 +261,24 @@ def test_config_range_errors_whatever_the_mode(kw, message):
     # mode stays central: federation fields are checked all the same
     with pytest.raises(ValueError, match=message):
         _cfg(**kw)
+
+
+# Numeric ExperimentConfig fields that no rule bounds; each other one has a range.
+_UNBOUNDED = {"effect_size"}
+# What an out-of-range value of a field needs beside it to be checked at all.
+_RANGE_CONTEXT = {"hidden_dim": {"model": "mlp"}, "points_max": {"points_min": 5},
+                  "skew_alpha": {"partition_strategy": "label_skew"}}
+_RANGED = [name for name, kind in get_type_hints(ExperimentConfig).items()
+           if kind in (int, float) and name not in _UNBOUNDED]
+
+
+def test_every_range_error_names_its_key():
+    """Each ranged field is checked by the sub-config that holds it, under the
+    key's own name: a field whose sub-config names it otherwise fails here."""
+    assert len(_RANGED) == 16
+    for name in _RANGED:
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            _cfg(**_RANGE_CONTEXT.get(name, {}), **{name: -1})
 
 
 def test_sub_configs_fan_the_seed_out():

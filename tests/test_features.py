@@ -317,6 +317,20 @@ def test_scaler_checks_its_extremes():
             fit_scaler(rows)
 
 
+@pytest.mark.parametrize("rows, column, lo, hi", [
+    ([[0.0, 1e308], [1.0, -1e308], [2.0, 80.0], [3.0, 90.0]], 1, "-1e+308", "1e+308"),
+    ([[1e308], [0.0], [80.0], [9e307]], 0, "0.0", "1e+308"),
+], ids=["both_signs", "twice_overflows"])
+def test_fit_scaler_refuses_a_feature_too_wide_to_scale(rows, column, lo, hi):
+    """A finite range whose double overflows would scale to nan or to a wrong 1.0."""
+    with pytest.raises(ValueError, match=f"^feature column {column} spans "
+                                         rf"\[{re.escape(lo)}, {re.escape(hi)}\]: "):
+        fit_scaler(rows)
+    quarter = np.array(rows) / 4  # twice a quarter of the range is finite: it scales
+    scaled = transform(fit_scaler(quarter), quarter)[:, column]
+    assert np.isfinite(scaled).all() and scaled.min() == -1.0 and scaled.max() == 1.0
+
+
 def test_extract_needs_a_variable():
     with pytest.raises(ValueError, match="^variables list must be non-empty$"):
         extract([_episode(hr=[(1.0, 2.0)])], [])

@@ -7,6 +7,7 @@ import re
 import struct
 import threading
 import time
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -525,6 +526,21 @@ def test_duplicate_registration_is_rejected():
 def test_waiting_for_no_registration_is_an_error():
     with pytest.raises(ValueError, match="^expected_ids must be non-empty$"):
         wait_for_registrations(tp.InProcessTransport().listen(), [])
+
+
+def test_waiting_for_a_range_of_ids_takes_no_memory_per_expected_id():
+    class Failing:
+        def accept(self):
+            raise tp.TransportClosedError("listener closed")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(tp.TransportClosedError):
+            wait_for_registrations(Failing(), range(1, 2_000_001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_failed_registration_closes_the_registered_connections():

@@ -231,7 +231,8 @@ def test_adam_equal_gradients_equal_updates():
 
 def test_adam_constants_are_kingma_and_bas_defaults():
     assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
-    assert [f.name for f in fields(TrainConfig)] == ["epochs", "seed", "batch_size", "learning_rate"]
+    assert [f.name for f in fields(TrainConfig)] == ["epochs", "seed", "batch_size",
+                                                     "learning_rate"]
 
 
 def test_adam_validation():
