@@ -41,15 +41,20 @@ train_cfg = cfg.train_config(cfg.local_epochs)
 
 tcp = TcpTransport("127.0.0.1", 0)  # port 0: the OS picks a free port
 listener = tcp.listen()
+failures = []  # a hospital's error, raised once the server has stopped
 
 
 def hospital(h):
     # `fedhosp worker`: connect, register, answer every round until Shutdown
-    with closing(tcp.connect()) as conn:
-        worker_loop(conn, h, arch, train_cfg, fed.gate_metric)
+    try:
+        with closing(tcp.connect()) as conn:
+            worker_loop(conn, h, arch, train_cfg, fed.gate_metric)
+    except Exception as exc:
+        failures.append(exc)
+        listener.close()  # else the server waits in accept for this hospital forever
 
 
-threads = [threading.Thread(target=hospital, args=(h,)) for h in hospitals]
+threads = [threading.Thread(target=hospital, args=(h,), daemon=True) for h in hospitals]
 for t in threads:
     t.start()
 # `fedhosp serve`: wait until every hospital has registered, then run the rounds
@@ -58,8 +63,10 @@ try:
     state_tcp, _ = run_server_rounds(workers, arch, fed)
 finally:
     listener.close()
-for t in threads:
-    t.join()
+    for t in threads:
+        t.join(timeout=30.0)
+    if failures:
+        raise failures[0]
 print(f"TCP run finished: best accuracy {state_tcp.best_accuracy:.4f} "
       f"after {len(state_tcp.history)} rounds")
 print(f"bytes on the wire: {tcp.total_wire_bytes:,} "

@@ -3,7 +3,7 @@
 Subcommands:
 
     generate   synthetic episodes -> measurements.csv + labels.csv
-    extract    episode CSVs -> one feature-matrix CSV
+    extract    episode CSVs -> features.csv, one feature-matrix CSV
     train      run one experiment (central or federated), write report JSON
     compare    run all four {lr,mlp} x {central,federated} cells
     serve      federation server over TCP
@@ -18,12 +18,12 @@ Every option has a config-file equivalent: pass ``--config FILE`` pointing at
 a flat JSON object (``{"n_episodes": 200, "seed": 7}``); explicit flags win
 over the file. In every command a key is the ExperimentConfig field its flag
 sets, or the option's name for an option that sets no field (``out_dir``,
-``listen``, ``connect``, ``id``, ``shard``, extract's ``data`` and ``out``,
-and the ``variables`` names of extract and worker). A key's flag is its name,
-except ``n_episodes`` (--episodes), ``n_variables`` (--variables),
-``n_hospitals`` (--hospitals), ``partition_strategy`` (--partition),
-``out_dir`` (--out) and ``gate_enabled`` (--gate/--no-gate).
-Every command checks every value through ExperimentConfig before any stage.
+``listen``, ``connect``, ``id`` and ``variable_names``); no flag means two
+things. A key's flag is its name, except ``n_episodes`` (--episodes),
+``n_variables`` (--variables), ``n_hospitals`` (--hospitals),
+``partition_strategy`` (--partition), ``out_dir`` (--out) and ``gate_enabled``
+(--gate/--no-gate). Every command checks every value through ExperimentConfig,
+and refuses an ``--out`` under an existing non-directory, before any stage.
 Exit codes: 0 success; 2 from option checks, UsageError or FederationConfigError; else 1.
 """
 
@@ -95,11 +95,12 @@ def _parse_endpoint(opts: dict, name: str, lowest_port: int) -> tuple[str, int]:
 
 
 def _variable_names(text: str | None) -> tuple[str, ...] | None:
-    """--variables as names; None, for those observed, when it names none."""
+    """--variable-names as names; None, for those observed, when it names none."""
     names = tuple(name.strip() for name in (text or "").split(",") if name.strip())
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise UsageError(f"--variables (config key 'variables') names {name!r} more than once")
+            raise UsageError(f"--variable-names (config key 'variable_names') names {name!r} "
+                             "more than once")
     return names or None
 
 
@@ -119,13 +120,6 @@ def _flag(name: str) -> str:
     return _FLAG.get(name, "--" + name.replace("_", "-"))
 
 
-def _defaults(command: str) -> dict:
-    """The command's options by name: ExperimentConfig's defaults, else None."""
-    _, _, names, own, required = _COMMANDS[command]
-    return {**{n: None if n in required else _CONFIG_DEFAULTS[n] for n in names},
-            **dict.fromkeys(own)}
-
-
 def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     """Every option's value, checked: defaults < config file < explicit flags.
 
@@ -133,7 +127,8 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     construction checks their types and ranges) and all options by name.
     """
     _, _, names, own, required = _COMMANDS[args.command]
-    defaults = _defaults(args.command)
+    # ExperimentConfig's defaults, else None: a required option has none
+    defaults = {n: None if n in required else _CONFIG_DEFAULTS.get(n) for n in (*names, *own)}
     config = _load_config_file(args.config)
     unknown = set(config) - set(defaults)
     if unknown:
@@ -147,6 +142,12 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         if opts[name] is not None:
             check_type(name, opts[name], kind)
     cfg = ExperimentConfig(**{n: opts[n] for n in names})
+    if opts.get("out_dir") is not None:  # its nearest existing path must be a directory
+        out = Path(opts["out_dir"])
+        existing = next((p for p in (out, *out.parents) if p.exists()), Path.cwd())
+        if not existing.is_dir():
+            raise UsageError(f"--out (config key 'out_dir') names {opts['out_dir']!r}, but "
+                             f"{str(existing)!r} is not a directory")
     return cfg, opts
 
 
@@ -179,10 +180,10 @@ def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
 
 
 def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
-    variables = _variable_names(opts["variables"])  # outside the stage: a usage error
+    variables = _variable_names(opts["variable_names"])  # outside the stage: a usage error
     with stage("feature"):  # load_data's own data-stage error passes through
-        matrix = extract(*load_data(replace(cfg, data_dir=opts["data"]), variables))
-    out = Path(opts["out"])
+        matrix = extract(*load_data(cfg, variables))
+    out = Path(opts["out_dir"]) / "features.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:
         writer = csv.writer(f)
@@ -239,12 +240,12 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
     if not 1 <= opts["id"] <= MAX_HOSPITAL_ID:
         raise UsageError(f"id must be >= 1 and <= {MAX_HOSPITAL_ID} (hospital ids are 1-based "
                          f"and a Register carries a u32), got {opts['id']}")
-    data = prepare(replace(cfg, data_dir=opts["shard"]), _variable_names(opts["variables"]))
+    data = prepare(cfg, _variable_names(opts["variable_names"]))
     hospital = data.as_hospital(opts["id"])
     try:
         check_gate_labels(hospital, cfg.gate_metric)
     except FederationConfigError as exc:
-        raise UsageError(f"shard {opts['shard']}: {exc}") from None
+        raise UsageError(f"shard {cfg.data_dir}: {exc}") from None
     with stage("training"):
         arch = cfg.arch(len(data.variables))
     with closing(TcpTransport(host, port).connect()) as conn:  # closed if the worker fails
@@ -279,11 +280,9 @@ _HELP = {
     "skew_alpha": "Dirichlet alpha of label_skew (smaller: more skew)",
     "seed": "master seed", "config": "flat JSON file supplying any of this command's options",
     "out_dir": "directory the output files are written to",
-    "data": "directory with measurements.csv and labels.csv", "out": "output CSV path",
-    "variables": "comma-separated variable names, else those observed",
+    "variable_names": "comma-separated variable names, else those observed",
     "listen": "HOST:PORT to listen on (port 0: any free port)", "connect": "server HOST:PORT",
     "id": "hospital id (1-based, unique per server)",
-    "shard": "directory with this hospital's episode CSVs",
 }
 
 # command -> (function, help, the ExperimentConfig fields it takes,
@@ -293,8 +292,8 @@ _COMMANDS = {
                  ("n_episodes", "n_variables", "prevalence", "effect_size", "points_min",
                   "points_max", "seed"),
                  {"out_dir": str}, ("n_episodes", "out_dir")),
-    "extract": (cmd_extract, "episodes -> feature-matrix CSV", (),
-                {"data": str, "out": str, "variables": str}, ("data", "out")),
+    "extract": (cmd_extract, "episodes -> feature-matrix CSV", ("data_dir",),
+                {"out_dir": str, "variable_names": str}, ("data_dir", "out_dir")),
     "train": (cmd_train, "run one experiment and report metrics", tuple(_CONFIG_DEFAULTS),
               {"out_dir": str}, ()),
     "compare": (cmd_compare, "run all four model x mode cells", tuple(_CONFIG_DEFAULTS),
@@ -304,10 +303,10 @@ _COMMANDS = {
                "gate_enabled", "seed"),
               {"out_dir": str, "listen": str}, ("listen",)),
     "worker": (cmd_worker, "one hospital process",
-               ("model", "hidden_dim", "test_fraction", "local_epochs", "batch_size",
-                "learning_rate", "gate_metric", "seed"),
-               {"connect": str, "id": int, "shard": str, "variables": str},
-               ("connect", "id", "shard")),
+               ("model", "data_dir", "hidden_dim", "test_fraction", "local_epochs",
+                "batch_size", "learning_rate", "gate_metric", "seed"),
+               {"connect": str, "id": int, "variable_names": str},
+               ("connect", "id", "data_dir")),
 }
 
 
@@ -318,24 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, blurb, names, own, required) in _COMMANDS.items():
-        p = sub.add_parser(command, help=blurb)
+        p = sub.add_parser(command, help=blurb, allow_abbrev=False)  # no second spellings
         p.add_argument("--config", metavar="FILE", help=_help("config", None, False))
-        defaults = _defaults(command)
         for name in (*names, *own):
             # A field's flag is typed by its annotation; --gate also gives --no-gate.
             kind = _FIELD_TYPES[name] if name in names else own[name]
             typed = ({"action": argparse.BooleanOptionalAction} if kind is bool else
                      {"type": (get_args(kind) or (kind,))[0], "choices": CHOICES.get(name)})
             p.add_argument(_flag(name), dest=name, **typed,
-                           help=_help(name, defaults[name], name in required))
+                           help=_help(name, _CONFIG_DEFAULTS.get(name), name in required))
         p.set_defaults(func=func)
     return parser
 
 
 def _help(name: str, default, required: bool) -> str:
     """One help line: what the option sets, then "required" or its default."""
-    if required:
-        return f"{_HELP[name]} (required)"
+    if required:  # a required option is never absent, so has no ", else ..."
+        return f"{_HELP[name].partition(', else ')[0]} (required)"
     return f"{_HELP[name]} (default: {'none' if default is None else default})"
 
 

@@ -59,12 +59,19 @@ def test_generate_takes_field_names_from_a_config_file(tmp_path):
     ("generate", "episodes", "n_episodes"), ("generate", "variables", "n_variables"),
     ("generate", "out", "out_dir"), ("serve", "hospitals", "n_hospitals"),
     ("serve", "variables", "n_variables"), ("serve", "out", "out_dir"),
+    # extract's and worker's old keys for the episode directory, --out and the names
+    ("extract", "data", "data_dir"), ("extract", "out", "out_dir"),
+    ("extract", "variables", "variable_names"), ("worker", "shard", "data_dir"),
+    ("worker", "data", "data_dir"), ("worker", "variables", "variable_names"),
 ])
 def test_a_flag_name_as_a_config_key_is_unknown(tmp_path, capsys, command, old, field):
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({old: 40}))
     required = {"generate": ["--episodes", "40", "--out", str(tmp_path / "data")],
-                "serve": ["--listen", "127.0.0.1:0"]}[command]
+                "extract": ["--data-dir", str(tmp_path / "episodes"), "--out", str(tmp_path)],
+                "serve": ["--listen", "127.0.0.1:0"],
+                "worker": ["--connect", "127.0.0.1:9", "--id", "1",
+                           "--data-dir", str(tmp_path / "episodes")]}[command]
     assert _run([command, "--config", str(cfg), *required]) == 2
     err = capsys.readouterr().err
     assert f"unknown config keys ['{old}']; valid keys: [" in err
@@ -76,7 +83,7 @@ def test_extract_writes_feature_table(tmp_path):
     data = tmp_path / "data"
     _run(["generate", "--episodes", "10", "--variables", "2", "--out", str(data)])
     out = tmp_path / "features.csv"
-    assert _run(["extract", "--data", str(data), "--out", str(out)]) == 0
+    assert _run(["extract", "--data-dir", str(data), "--out", str(tmp_path)]) == 0
 
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -118,7 +125,7 @@ def test_extract_on_bad_data_is_a_data_stage_error_exit_1(tmp_path, capsys, rows
     (data / "labels.csv").write_text(BAD_DATA_LABELS)
     (data / "measurements.csv").write_text("episode_id,variable,hour,value\r\n" + rows)
     out = tmp_path / "features.csv"
-    for argv in (["extract", "--data", str(data), "--out", str(out)],
+    for argv in (["extract", "--data-dir", str(data), "--out", str(tmp_path)],
                  ["train", "--data-dir", str(data), "--epochs", "1"]):
         assert _run(argv) == 1, argv
         err = capsys.readouterr().err
@@ -136,7 +143,8 @@ def test_extract_warns_once_about_variables_never_observed(tmp_path, capsys, nam
     _run(["generate", "--episodes", "10", "--variables", "2", "--out", str(data)])
     capsys.readouterr()
     out = tmp_path / "features.csv"
-    assert _run(["extract", "--data", str(data), "--out", str(out), "--variables", names]) == 0
+    assert _run(["extract", "--data-dir", str(data), "--out", str(tmp_path),
+                 "--variable-names", names]) == 0
     err = capsys.readouterr().err
     with open(out, newline="") as fh:
         header, *body = list(csv.reader(fh))
@@ -323,7 +331,7 @@ def test_serve_and_workers_over_tcp(tmp_path, shards):
         _wait_for_listen(port)
         for k, shard in enumerate(shards, start=1):
             workers.append(_spawn(["worker", "--connect", f"127.0.0.1:{port}", "--id", str(k),
-                                   "--shard", str(shard), "--local-epochs", "1",
+                                   "--data-dir", str(shard), "--local-epochs", "1",
                                    "--seed", "3"]))
         for w in workers:
             out_text = w.communicate(timeout=120)[0]
@@ -349,11 +357,11 @@ def test_duplicate_worker_id_is_rejected(tmp_path, shards):
     try:
         _wait_for_listen(port)
         first = _spawn(["worker", "--connect", f"127.0.0.1:{port}", "--id", "1",
-                        "--shard", str(shards[0]), "--seed", "3"])
+                        "--data-dir", str(shards[0]), "--seed", "3"])
         workers.append(first)
         time.sleep(1.0)  # let the first registration land
         dup = _spawn(["worker", "--connect", f"127.0.0.1:{port}", "--id", "1",
-                      "--shard", str(shards[1]), "--seed", "3"])
+                      "--data-dir", str(shards[1]), "--seed", "3"])
         workers.append(dup)
         dup_out = dup.communicate(timeout=60)[0]
         assert dup.returncode != 0, dup_out
@@ -400,7 +408,7 @@ def test_a_worker_whose_training_fails_exits_1_and_so_does_serve(tmp_path, capsy
     server.start()
     _wait_for_listen(port)
     assert _run(["worker", "--connect", f"127.0.0.1:{port}", "--id", "1",
-                 "--shard", str(shard)]) == 1
+                 "--data-dir", str(shard)]) == 1
     server.join(timeout=30.0)
     assert not server.is_alive() and codes == [1]
     err = capsys.readouterr().err
@@ -417,7 +425,7 @@ def test_a_model_too_large_for_the_data_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(TcpTransport, "connect", _refuse("connected"))
     for argv in (["train", "--model", "mlp", "--data-dir", str(data)],
                  ["worker", "--model", "mlp", "--connect", "127.0.0.1:9", "--id", "1",
-                  "--shard", str(data)]):
+                  "--data-dir", str(data)]):
         assert _run(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: training stage: mlp with input_dim 20160 "), (argv, err)
@@ -764,10 +772,11 @@ def test_worker_bad_values_exit_2_before_reading_the_shard(tmp_path, capsys, mon
         ({"seed": -1}, ["--seed", "-1"], "seed"),
         ({"connect": "127.0.0.1:0"}, ["--connect", "127.0.0.1:0"], CONNECT_PORT),
         ({"connect": "127.0.0.1:65536"}, ["--connect", "127.0.0.1:65536"], CONNECT_PORT),
-        ({"variables": "heart_rate,heart_rate"}, ["--variables", "heart_rate, heart_rate"],
-         "--variables (config key 'variables') names 'heart_rate' more than once"),
+        ({"variable_names": "heart_rate,heart_rate"},
+         ["--variable-names", "heart_rate, heart_rate"],
+         "--variable-names (config key 'variable_names') names 'heart_rate' more than once"),
     ]
-    given = {"connect": "127.0.0.1:9", "id": 1, "shard": str(tmp_path / "shard")}
+    given = {"connect": "127.0.0.1:9", "id": 1, "data_dir": str(tmp_path / "shard")}
     _assert_usage_errors(_bad_value_argvs("worker", given, tmp_path, cases), capsys)
 
 
@@ -777,12 +786,12 @@ def test_extract_bad_values_exit_2_before_reading_the_data(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "load_data", _refuse("read the data"))
     out = tmp_path / "features.csv"
     cases = [
-        ({"variables": 7}, None, "variables"),
-        ({"variables": "heart_rate,glucose,heart_rate"},
-         ["--variables", "heart_rate,glucose,heart_rate"],
-         "--variables (config key 'variables') names 'heart_rate' more than once"),
+        ({"variable_names": 7}, None, "variable_names"),
+        ({"variable_names": "heart_rate,glucose,heart_rate"},
+         ["--variable-names", "heart_rate,glucose,heart_rate"],
+         "--variable-names (config key 'variable_names') names 'heart_rate' more than once"),
     ]
-    given = {"data": str(tmp_path / "data"), "out": str(out)}
+    given = {"data_dir": str(tmp_path / "data"), "out_dir": str(tmp_path)}
     _assert_usage_errors(_bad_value_argvs("extract", given, tmp_path, cases), capsys)
     assert not out.exists()
 
@@ -808,7 +817,7 @@ def test_worker_auroc_gate_on_a_single_class_test_shard_exits_2_before_connectin
 
     monkeypatch.setattr(cli, "prepare", prepare_one_class)
     monkeypatch.setattr(TcpTransport, "connect", refuse_to_connect)
-    assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "1", "--shard", str(shards[0]),
+    assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "1", "--data-dir", str(shards[0]),
                  "--gate-metric", gate]) == code
     err = capsys.readouterr().err
     if gate == "auroc":
@@ -837,6 +846,56 @@ def test_every_option_has_a_help_line_with_its_default_or_required():
                 (command, action.dest, text)
 
 
+def test_a_flag_means_one_thing_and_a_setting_has_one_flag(capsys):
+    """Across every command: a flag has one dest and one type, and a dest one flag."""
+    # An abbreviation would be a second spelling: --variable would mean n_variables
+    # in generate and variable_names in extract, and --data extract's old flag.
+    for argv in (["generate", "--variable", "3"], ["extract", "--data", "episodes"]):
+        assert _exit_code(argv) == 2, argv
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    meaning, flags = {}, {}  # flag -> {command: meaning}, dest -> {command: flags}
+    for command, parser in subcommands.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert len({a.dest for a in options}) == len(options), command
+        for action in options:
+            for flag in action.option_strings:
+                meaning.setdefault(flag, {})[command] = (action.dest, action.type,
+                                                         type(action), action.choices)
+            flags.setdefault(action.dest, {})[command] = tuple(action.option_strings)
+            if action.help.endswith("(required)"):  # never absent, so no "else ..."
+                assert ", else " not in action.help, (command, action.dest)
+    for table in (meaning, flags):
+        for name, per_command in table.items():
+            assert len(set(per_command.values())) == 1, (name, per_command)
+    assert set(flags["data_dir"]) == {"extract", "train", "compare", "worker"}
+    assert flags["n_variables"]["serve"] == ("--variables",)
+    assert flags["variable_names"]["worker"] == ("--variable-names",)
+
+
+@pytest.mark.parametrize("command, required", [
+    ("generate", ["--episodes", "20"]), ("extract", ["--data-dir", "episodes"]),
+    ("train", ["--episodes", "60"]), ("compare", ["--episodes", "60"]),
+    ("serve", ["--listen", "127.0.0.1:0"]),
+])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_an_out_that_is_or_lies_under_a_file_exits_2_before_any_stage(
+        tmp_path, capsys, monkeypatch, command, required, under):
+    import fedhosp.cli as cli
+
+    for stage_entry in ("generate", "load_data", "run_experiment", "run_comparison",
+                        "TcpTransport"):
+        monkeypatch.setattr(cli, stage_entry, _refuse(f"ran {stage_entry}"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "run" if under else blocker
+    assert _exit_code([command, *required, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out (config key 'out_dir') names {str(out)!r}, "
+                                       f"but {str(blocker)!r} is not a directory\n")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_serve_on_a_port_in_use_exits_1(capsys):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -851,7 +910,7 @@ def test_worker_id_below_1_is_rejected_before_the_shard_is_read(shards, capsys, 
 
     monkeypatch.setattr(cli, "prepare", _refuse("read the shard"))
     assert _run(["worker", "--connect", "127.0.0.1:9", "--id", "0",
-                 "--shard", str(shards[0])]) == 2
+                 "--data-dir", str(shards[0])]) == 2
     assert "id must be >= 1" in capsys.readouterr().err
 
 
@@ -873,7 +932,7 @@ def test_a_config_file_holding_a_list_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["serve", "--listen", "localhost", "--rounds", "1"], "--listen (config key 'listen')"),
-    (["worker", "--connect", "7600", "--id", "1", "--shard", "shard"],
+    (["worker", "--connect", "7600", "--id", "1", "--data-dir", "shard"],
      "--connect (config key 'connect')"),
 ], ids=["listen", "connect"])
 def test_an_endpoint_without_a_colon_exits_2_naming_its_flag(capsys, argv, flag):

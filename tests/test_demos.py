@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import os
 import re
+import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+
+import fedhosp.federation
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +48,25 @@ def test_readme_quickstart_runs(tmp_path):
     script = tmp_path / "quickstart.py"
     script.write_text(section.split("```python\n", 1)[1].split("```", 1)[0])
     _assert_runs(script, tmp_path)
+
+
+def test_tcp_demo_raises_a_hospital_failure_rather_than_waiting_for_it(monkeypatch):
+    """A hospital that fails closes the listener, so the server stops waiting in
+    accept and the demo raises the hospital's error within seconds."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("hospital failed")
+
+    monkeypatch.setattr(fedhosp.federation, "worker_loop", fail)
+    raised = []
+
+    def run_demo():
+        try:
+            runpy.run_path(str(ROOT / "demos" / "tcp_federation.py"))
+        except Exception as exc:  # noqa: BLE001 - checked below
+            raised.append(exc)
+
+    demo = threading.Thread(target=run_demo, daemon=True)
+    demo.start()
+    demo.join(timeout=20.0)
+    assert not demo.is_alive(), "the demo still waits for a hospital that failed"
+    assert [str(exc) for exc in raised] == ["hospital failed"]

@@ -53,7 +53,7 @@ RUNS = {
 CSV_RUNS = {
     "train-data-dir-central-lr": (["train", "--data-dir", "data", "--epochs", "20",
                                    "--seed", "11", "--out", "out"], "out/report.json"),
-    "extract": (["extract", "--data", "data", "--out", "features.csv"], "features.csv"),
+    "extract": (["extract", "--data-dir", "data", "--out", "."], "features.csv"),
 }
 
 GOLDEN = {
