@@ -23,7 +23,6 @@ Every function here is deterministic in its seed; none keeps global state.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import operator
 from array import array
@@ -194,7 +193,7 @@ def _parse_error(path, line_no: int, problem: str) -> ValueError:
     return ValueError(f"{Path(path).name}, line {line_no}: {problem}")
 
 
-# One measurements row as np.loadtxt parses it: names as str, numbers by numpy's C reader.
+# One measurements row, as either route of ``load_episodes`` parses it.
 _ROW = np.dtype([("episode", object), ("variable", object), ("hour", "f8"), ("value", "f8")])
 
 
@@ -217,40 +216,32 @@ def _load_labels(labels_path) -> dict[str, int]:
     return labels
 
 
-def _points(lines, labels: dict[str, int], index: dict[str, int]) -> Points:
-    """``Points`` of the measurement rows in ``lines``, the file's lines after
-    its header, and of ``labels``.
+def _points(table: np.ndarray, labels: dict[str, int], index: dict[str, int]) -> Points:
+    """``Points`` of ``labels`` and of ``table``, the measurement rows as ``_ROW`` records.
 
-    Raises ValueError or KeyError where ``_checked_rows`` would find a bad
-    row, but without saying which, and returns no rows for a blank first line.
+    Raises KeyError for a row of an unlabelled episode, and ValueError where
+    ``Points`` refuses a column, without saying which row is bad.
     """
-    first = next(lines, "")
-    if not first.rstrip("\r\n"):
-        table = np.empty(0, _ROW)
-    else:
-        table = np.loadtxt(chain([first], lines), dtype=_ROW, delimiter=",", comments=None,
-                           quotechar='"', ndmin=1)
     episode = np.fromiter(map(index.__getitem__, table["episode"]), np.intp, table.size)
     variables = {var: i for i, var in enumerate(sorted(set(table["variable"])))}
     variable = np.fromiter(map(variables.__getitem__, table["variable"]), np.intp, table.size)
     hour, value = table["hour"].copy(), table["value"].copy()
-    del table  # the name strings, most of the table's memory
+    del table  # the name strings, most of its memory, freed if no caller names the table
     return Points(tuple(labels), np.fromiter(labels.values(), np.int64, len(labels)),
                   tuple(variables), episode, variable, hour, value)
 
 
-def _checked_rows(measurements_path, index: dict[str, int]) -> io.StringIO:
-    """The measurement rows as ``csv.reader`` reads them, written again by
-    ``csv.writer``; raises the first bad row's error."""
-    rows = io.StringIO()
-    writer = csv.writer(rows)
+def _checked_rows(measurements_path, index: dict[str, int]) -> np.ndarray:
+    """The measurement rows as ``csv.reader`` reads them and ``float`` reads
+    their numbers, as ``_ROW`` records; raises the first bad row's error."""
+    rows = []
     with open(measurements_path, newline="") as f:
         reader = csv.reader(f)
         next(reader)
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise _parse_error(measurements_path, line_no, f"expected 4 columns, got {len(row)}")
-            eid, _, hour_text, value_text = row
+            eid, variable, hour_text, value_text = row
             if eid not in index:
                 raise _parse_error(
                     measurements_path, line_no,
@@ -269,9 +260,8 @@ def _checked_rows(measurements_path, index: dict[str, int]) -> io.StringIO:
                 )
             if not math.isfinite(value):
                 raise _parse_error(measurements_path, line_no, f"non-finite value {value!r}")
-            writer.writerow(row)
-    rows.seek(0)
-    return rows
+            rows.append((eid, variable, hour, value))
+    return np.array(rows, dtype=_ROW)
 
 
 def load_episodes(measurements_path, labels_path) -> Points:
@@ -282,10 +272,9 @@ def load_episodes(measurements_path, labels_path) -> Points:
     measurements); a measurement row naming an unlisted episode is an error.
     ``np.loadtxt`` parses the measurement rows, one line of the open file at
     a time, and ``Points`` checks the whole columns. If a check fails, or a line
-    held no row (a blank line, or a quoted line break), one ``csv.reader``
-    pass raises the first bad row's error; a file with none is parsed again
-    as that pass wrote it. A number ``float`` reads but numpy does not
-    (``1_0``, non-ASCII digits) is a ValueError naming the file.
+    held no row (a blank line, or a quoted line break), ``_checked_rows`` parses
+    the file instead: it reads numbers as ``float`` does (``1_0`` too) and
+    raises the first bad row's error.
     """
     labels = _load_labels(labels_path)
     index = {eid: i for i, eid in enumerate(labels)}
@@ -294,16 +283,16 @@ def load_episodes(measurements_path, labels_path) -> Points:
         if header != _MEASUREMENTS_HEADER:
             raise _parse_error(measurements_path, 1, f"unexpected header {header!r}")
         n_lines = count()  # the lines loadtxt takes: one per row if none is blank or split
+        lines = map(operator.itemgetter(0), zip(f, n_lines))
+        first = next(lines, "")
         try:
-            points = _points(map(operator.itemgetter(0), zip(f, n_lines)), labels, index)
+            points = _points(np.loadtxt(chain([first], lines), dtype=_ROW, delimiter=",",
+                                        comments=None, quotechar='"', ndmin=1)
+                             if first.rstrip("\r\n") else np.empty(0, _ROW), labels, index)
         except (ValueError, KeyError):
             points = None
     if points is None or next(n_lines) != points.hour.size:
-        rows = _checked_rows(measurements_path, index)
-        try:
-            points = _points(rows, labels, index)
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{Path(measurements_path).name}: {exc}") from None
+        points = _points(_checked_rows(measurements_path, index), labels, index)
     return points
 
 

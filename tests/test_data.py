@@ -10,6 +10,7 @@ import math
 import operator
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from fedhosp.data import (
     partition_rows,
     variable_names,
 )
-from fedhosp.features import HORIZON_HOURS, Episode
+from fedhosp.features import HORIZON_HOURS, Episode, Points
 
 
 def test_variable_names():
@@ -471,12 +472,36 @@ def test_loader_matches_the_row_by_row_reference(csv_dir, measurements, labels):
 
 
 @pytest.mark.parametrize("number", ["1_0", "\u0661", "1\u0660"])
-def test_numbers_numpy_cannot_read_are_an_error_naming_the_file(tmp_path, number):
+def test_numbers_numpy_cannot_read_load_as_the_reference_reads_them(tmp_path, number):
     m = _write(tmp_path / "m.csv", MEASUREMENTS_HEADER + f"e1,hr,1.0,80\ne1,hr,2.0,{number}\n")
     l = _write(tmp_path / "l.csv", LABELS_HEADER + "e1,0\n")
     assert _outcome(_reference_load, m, l)[0] == "ok"
-    with pytest.raises(ValueError, match=r"^m\.csv: .*could not convert"):
-        load_episodes(m, l)
+    assert _outcome(load_episodes, m, l) == _outcome(_reference_load, m, l)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_checked_route_loads_a_well_formed_file_as_numpy_does(tmp_path, monkeypatch, seed):
+    m, l = tmp_path / "m.csv", tmp_path / "l.csv"
+    points = data.generate(SyntheticConfig(n_episodes=200, n_variables=3, points_min=0,
+                                           points_max=4, seed=seed))
+    assert (np.bincount(points.episode * 3 + points.variable, minlength=600) == 0).any()
+    data.save_episodes(points, m, l)
+    fast = data.load_episodes(m, l)
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("loadtxt refused by the test")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    checked = data.load_episodes(m, l)
+    assert calls == [1]  # the fast route was tried once, the checked route called no numpy parse
+    for f in fields(Points):
+        a, b = getattr(checked, f.name), getattr(fast, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_header_only_file_loads_without_a_warning(tmp_path):
