@@ -22,8 +22,8 @@ sets, or the option's name for an option that sets no field (``out_dir``,
 things. A key's flag is its name, except ``n_episodes`` (--episodes),
 ``n_variables`` (--variables), ``n_hospitals`` (--hospitals),
 ``partition_strategy`` (--partition), ``out_dir`` (--out) and ``gate_enabled``
-(--gate/--no-gate). Every command checks every value through ExperimentConfig,
-and refuses an ``--out`` under an existing non-directory, before any stage.
+(--gate/--no-gate). Every command checks every value through ExperimentConfig, and
+refuses an ``--out`` under a non-directory or whose output file is a directory, before any stage.
 Exit codes: 0 success; 2 from option checks, UsageError or FederationConfigError; else 1.
 """
 
@@ -33,7 +33,6 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import closing
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -113,6 +112,9 @@ _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # option -> flag, where the two differ
 _FLAG = {"n_episodes": "--episodes", "n_variables": "--variables", "n_hospitals": "--hospitals",
          "partition_strategy": "--partition", "out_dir": "--out", "gate_enabled": "--gate"}
+# command -> the files it writes into --out
+_OUTPUTS = {"generate": ("measurements.csv", "labels.csv"), "extract": ("features.csv",),
+            "train": ("report.json",), "compare": ("comparison.json",), "serve": ("report.json",)}
 
 
 def _flag(name: str) -> str:
@@ -148,6 +150,10 @@ def _options(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         if not existing.is_dir():
             raise UsageError(f"--out (config key 'out_dir') names {opts['out_dir']!r}, but "
                              f"{str(existing)!r} is not a directory")
+        for path in (out / name for name in _OUTPUTS[args.command]):
+            if path.is_dir():
+                raise UsageError(f"--out (config key 'out_dir'): the output file "
+                                 f"{str(path)!r} is a directory")
     return cfg, opts
 
 
@@ -173,9 +179,9 @@ def write_report(report: dict, out_dir: str | None, name: str) -> None:
 
 def cmd_generate(cfg: ExperimentConfig, opts: dict) -> int:
     points = generate(cfg.synthetic())
-    out = Path(opts["out_dir"])
-    save_episodes(points, out / "measurements.csv", out / "labels.csv")
-    print(f"wrote {len(points)} episodes to {out}/measurements.csv and {out}/labels.csv")
+    measurements, labels = (Path(opts["out_dir"]) / name for name in _OUTPUTS["generate"])
+    save_episodes(points, measurements, labels)
+    print(f"wrote {len(points)} episodes to {measurements} and {labels}")
     return 0
 
 
@@ -183,7 +189,7 @@ def cmd_extract(cfg: ExperimentConfig, opts: dict) -> int:
     variables = _variable_names(opts["variable_names"])  # outside the stage: a usage error
     with stage("feature"):  # load_data's own data-stage error passes through
         matrix = extract(*load_data(cfg, variables))
-    out = Path(opts["out_dir"]) / "features.csv"
+    out = Path(opts["out_dir"]) / _OUTPUTS["extract"][0]
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:
         writer = csv.writer(f)
@@ -199,14 +205,14 @@ def cmd_train(cfg: ExperimentConfig, opts: dict) -> int:
     m = report["metrics"]
     print(f"{cfg.model}-{cfg.mode}: "
           f"auroc={m['auroc']:.4f} auprc={m['auprc']:.4f} accuracy={m['accuracy']:.4f}")
-    write_report(report, opts["out_dir"], "report.json")
+    write_report(report, opts["out_dir"], _OUTPUTS["train"][0])
     return 0
 
 
 def cmd_compare(cfg: ExperimentConfig, opts: dict) -> int:
     report = run_comparison(cfg)
     print(format_comparison(report))
-    write_report(report, opts["out_dir"], "comparison.json")
+    write_report(report, opts["out_dir"], _OUTPUTS["compare"][0])
     return 0
 
 
@@ -231,7 +237,7 @@ def cmd_serve(cfg: ExperimentConfig, opts: dict) -> int:
     # With the gate off every round commits, so the value kept is the last round's.
     print(f"finished {state.round} rounds; {'best' if cfg.gate_enabled else 'last'} gate value "
           f"{fed['best_accuracy']:.4f} ({fed['rounds_committed']} committed)")
-    write_report(report, opts["out_dir"], "report.json")
+    write_report(report, opts["out_dir"], _OUTPUTS["serve"][0])
     return 0
 
 
@@ -248,10 +254,10 @@ def cmd_worker(cfg: ExperimentConfig, opts: dict) -> int:
         raise UsageError(f"shard {cfg.data_dir}: {exc}") from None
     with stage("training"):
         arch = cfg.arch(len(data.variables))
-    with closing(TcpTransport(host, port).connect()) as conn:  # closed if the worker fails
-        print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
-              f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)
-        worker_loop(conn, hospital, arch, cfg.train_config(cfg.local_epochs), cfg.gate_metric)
+    conn = TcpTransport(host, port).connect()
+    print(f"hospital {hospital.hospital_id}: connected to {host}:{port} "
+          f"({hospital.n_train} train / {hospital.n_test} test rows)", flush=True)
+    worker_loop(conn, hospital, arch, cfg.train_config(cfg.local_epochs), cfg.gate_metric)
     print(f"hospital {hospital.hospital_id}: session complete")
     return 0
 

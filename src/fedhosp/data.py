@@ -341,7 +341,7 @@ class PartitionPlan:
 
 @dataclass(eq=False)
 class HospitalDataset:
-    """One hospital's local data: train and test rows with labels."""
+    """One hospital's local data: finite train and test rows with 0/1 labels."""
 
     hospital_id: int
     train_x: np.ndarray
@@ -366,6 +366,8 @@ class HospitalDataset:
                 )
             if not np.isin(y, (0, 1)).all():
                 raise ValueError(f"hospital {self.hospital_id}: {part} labels must be 0 or 1")
+            if not np.isfinite(x).all():
+                raise ValueError(f"hospital {self.hospital_id}: {part} rows must be finite")
 
     @property
     def n_train(self) -> int:

@@ -302,6 +302,7 @@ class Hospital:
     gate_metric: str
 
     def __post_init__(self) -> None:
+        check_choice("gate_metric", self.gate_metric, tuple(GATE_METRICS))
         self.workspace = AdamState(self.arch.n_params)
 
     def register(self) -> tp.Register:
@@ -325,12 +326,14 @@ class Hospital:
 def worker_loop(conn, hospital: HospitalDataset, arch: ModelArch,
                 train_cfg: TrainConfig, gate_metric: str) -> None:
     """Serve ``Hospital(hospital, ...)`` over an established connection:
-    register, then answer every message until Shutdown, and close."""
-    peer = Hospital(hospital, arch, train_cfg, gate_metric)
-    conn.send(peer.register())
-    while (reply := peer.handle(conn.recv())) is not None:
-        conn.send(reply)
-    conn.close()
+    register, then answer every message until Shutdown. Closes ``conn`` however it ends."""
+    try:
+        peer = Hospital(hospital, arch, train_cfg, gate_metric)
+        conn.send(peer.register())
+        while (reply := peer.handle(conn.recv())) is not None:
+            conn.send(reply)
+    finally:
+        conn.close()
 
 
 @dataclass(eq=False)

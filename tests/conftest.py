@@ -68,16 +68,11 @@ def tcp_federation():
         failures = []  # in the order the hospitals failed
 
         def hospital(h):
-            conn = None
-            try:
-                conn = transport.connect()
-                worker_loop(conn, h, arch, worker_cfg, fed_cfg.gate_metric)
+            try:  # worker_loop closes its connection however it ends
+                worker_loop(transport.connect(), h, arch, worker_cfg, fed_cfg.gate_metric)
             except Exception as exc:  # noqa: BLE001 - raised below if the server succeeds
                 failures.append(exc)
                 listener.close()  # the server may still wait in accept
-            finally:
-                if conn is not None:
-                    conn.close()
 
         def evaluate_global(params):
             return evaluate(forward(arch, params, np.vstack([h.test_x for h in hospitals])),

@@ -17,7 +17,7 @@ import pytest
 
 from episode_route import extract, load_episodes
 
-from fedhosp.cli import _flag, build_parser, main, write_report
+from fedhosp.cli import _OUTPUTS, _flag, build_parser, main, write_report
 from fedhosp.features import STATS_PER_VARIABLE, feature_names
 from fedhosp.transport import TcpTransport, TransportError
 
@@ -874,19 +874,25 @@ def test_a_flag_means_one_thing_and_a_setting_has_one_flag(capsys):
     assert flags["variable_names"]["worker"] == ("--variable-names",)
 
 
-@pytest.mark.parametrize("command, required", [
-    ("generate", ["--episodes", "20"]), ("extract", ["--data-dir", "episodes"]),
-    ("train", ["--episodes", "60"]), ("compare", ["--episodes", "60"]),
-    ("serve", ["--listen", "127.0.0.1:0"]),
-])
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-def test_an_out_that_is_or_lies_under_a_file_exits_2_before_any_stage(
-        tmp_path, capsys, monkeypatch, command, required, under):
+# command that takes --out -> its required options but --out
+REQUIRED = {"generate": ["--episodes", "20"], "extract": ["--data-dir", "episodes"],
+            "train": ["--episodes", "60"], "compare": ["--episodes", "60"],
+            "serve": ["--listen", "127.0.0.1:0"]}
+
+
+def _refuse_every_stage(monkeypatch):
     import fedhosp.cli as cli
 
     for stage_entry in ("generate", "load_data", "run_experiment", "run_comparison",
                         "TcpTransport"):
         monkeypatch.setattr(cli, stage_entry, _refuse(f"ran {stage_entry}"))
+
+
+@pytest.mark.parametrize("command, required", REQUIRED.items())
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_an_out_that_is_or_lies_under_a_file_exits_2_before_any_stage(
+        tmp_path, capsys, monkeypatch, command, required, under):
+    _refuse_every_stage(monkeypatch)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
     out = blocker / "run" if under else blocker
@@ -894,6 +900,19 @@ def test_an_out_that_is_or_lies_under_a_file_exits_2_before_any_stage(
     assert capsys.readouterr().err == (f"error: --out (config key 'out_dir') names {str(out)!r}, "
                                        f"but {str(blocker)!r} is not a directory\n")
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, name", [(command, name) for command, names in _OUTPUTS.items()
+                                           for name in names])
+def test_an_output_file_that_is_a_directory_exits_2_before_any_stage(
+        tmp_path, capsys, monkeypatch, command, name):
+    _refuse_every_stage(monkeypatch)
+    taken = tmp_path / "run" / name
+    taken.mkdir(parents=True)
+    assert _exit_code([command, *REQUIRED[command], "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr() == ("", f"error: --out (config key 'out_dir'): the output file "
+                                       f"{str(taken)!r} is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == [taken.parent, taken]
 
 
 def test_serve_on_a_port_in_use_exits_1(capsys):

@@ -8,7 +8,7 @@ import struct
 import threading
 import time
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -1002,29 +1002,62 @@ def test_an_eval_result_value_outside_0_1_is_a_protocol_error(make_transport, va
         peer.close()
 
 
-def test_worker_loop_round_trip_over_plain_pair():
+@contextmanager
+def _worker_over_pair(h, gate_metric):
+    """(the server's end, the worker's errors): the server's end of a socket pair
+    whose other end runs ``worker_loop`` of ``h`` in a thread. On exit the
+    server's end is closed and the thread joined."""
     import socket
 
     worker_end, conn = map(tp.TcpConnection, socket.socketpair())
-    h = _hospital(5, n_train=16)
-    arch = ModelArch("lr", input_dim=3)
-    worker = threading.Thread(
-        target=lambda: worker_loop(worker_end, h, arch, TrainConfig(epochs=1, seed=0),
-                                   "accuracy"),
-    )
+    errors = []
+
+    def work():
+        try:
+            worker_loop(worker_end, h, ModelArch("lr", input_dim=3),
+                        TrainConfig(epochs=1, seed=0), gate_metric)
+        except Exception as exc:  # noqa: BLE001 - checked by the test
+            errors.append(exc)
+
+    worker = threading.Thread(target=work)
     worker.start()
-    assert conn.recv() == tp.Register(5, 16, 12)
-    params = init_params(arch, 1)
-    conn.send(tp.BroadcastModel(0, params))
-    update = conn.recv()
-    assert update.hospital_id == 5 and update.round == 0 and update.n_samples == 16
-    conn.send(tp.EvalRequest(0, update.params))
-    result = conn.recv()
-    assert result.hospital_id == 5 and 0.0 <= result.value <= 1.0
-    conn.send(tp.Shutdown())
-    worker.join(timeout=10)
-    conn.close()
+    try:
+        yield conn, errors
+    finally:
+        conn.close()
+        worker.join(timeout=10)
     assert not worker.is_alive()
+
+
+def test_worker_loop_round_trip_over_plain_pair():
+    with _worker_over_pair(_hospital(5, n_train=16), "accuracy") as (conn, errors):
+        assert conn.recv() == tp.Register(5, 16, 12)
+        conn.send(tp.BroadcastModel(0, init_params(ModelArch("lr", input_dim=3), 1)))
+        update = conn.recv()
+        assert update.hospital_id == 5 and update.round == 0 and update.n_samples == 16
+        conn.send(tp.EvalRequest(0, update.params))
+        result = conn.recv()
+        assert result.hospital_id == 5 and 0.0 <= result.value <= 1.0
+        conn.send(tp.Shutdown())
+    assert errors == []
+
+
+def test_a_worker_with_an_unknown_gate_metric_closes_before_it_registers():
+    with _worker_over_pair(_hospital(), "f1") as (conn, errors):
+        with pytest.raises(tp.TransportClosedError):
+            conn.recv(timeout=5.0)
+    assert [str(e) for e in errors] == ["gate_metric must be one of ('accuracy', 'auroc'), "
+                                        "got 'f1'"]
+
+
+def test_a_worker_whose_training_raises_closes_its_connection():
+    h = _one_column_wider(_hospital(5), "train")
+    with _worker_over_pair(h, "accuracy") as (conn, errors):
+        assert conn.recv(timeout=5.0) == tp.Register(5, 24, 12)
+        conn.send(tp.BroadcastModel(0, init_params(ModelArch("lr", input_dim=3), 1)))
+        with pytest.raises(tp.TransportClosedError):
+            conn.recv(timeout=5.0)
+    assert [type(e) for e in errors] == [ValueError]
 
 
 def test_hospital_dataset_validation():
@@ -1040,3 +1073,11 @@ def test_hospital_dataset_validation():
     for part, train_y, test_y in (("train", [0, 2], [0, 1]), ("test", [0, 1], [1, 2])):
         with pytest.raises(ValueError, match=f"hospital 3: {part} labels must be 0 or 1"):
             HospitalDataset(3, np.zeros((2, 3)), train_y, np.zeros((2, 3)), test_y)
+
+
+@pytest.mark.parametrize("part, bad", [("train", np.nan), ("test", np.inf)])
+def test_hospital_dataset_refuses_non_finite_rows_naming_the_hospital_and_part(part, bad):
+    rows = {"train_x": np.zeros((2, 3)), "test_x": np.zeros((2, 3))}
+    rows[f"{part}_x"][1, 2] = bad
+    with pytest.raises(ValueError, match=f"^hospital 3: {part} rows must be finite$"):
+        HospitalDataset(3, train_y=[0, 1], test_y=[0, 1], **rows)
